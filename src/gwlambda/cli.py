@@ -385,18 +385,17 @@ def main(argv=None):
     }
     try:
         code = handlers[args.command](args, emit)
-    except DomainError as exc:
+        text = "\n".join(lines) + ("\n" if lines else "")
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (DomainError, OSError) as exc:
+        # Bad input, or a file that cannot be read or written (missing, a
+        # directory, no permission): a usage error, never a traceback.
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

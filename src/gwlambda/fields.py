@@ -91,7 +91,11 @@ class FieldModel:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, FieldModel) and self.spec == other.spec
+        # field_model() caches its models, so equal specs are usually the
+        # same object; the spec comparison covers models built directly.
+        return self is other or (
+            isinstance(other, FieldModel) and self.spec == other.spec
+        )
 
     def __hash__(self):
         return hash(self.spec)
@@ -194,6 +198,10 @@ class FinitePrime(FieldModel):
         if q < 3 or q % 2 == 0 or not _is_prime(q):
             raise DomainError("fq modulus must be an odd prime, got %r" % (q,))
         self.q = q
+        # Smallest quadratic non-residue, the canonical non-square rep.
+        self.non_residue = next(
+            a for a in range(2, q) if pow(a, (q - 1) // 2, q) != 1
+        )
 
     @property
     def spec(self):
@@ -232,14 +240,6 @@ class FinitePrime(FieldModel):
         if a == 0:
             raise DomainError("zero has no square class")
         return pow(a, (self.q - 1) // 2, self.q) == 1
-
-    @property
-    def non_residue(self):
-        """Smallest quadratic non-residue, the canonical non-square rep."""
-        for a in range(2, self.q):
-            if not self.is_square(a):
-                return a
-        raise AssertionError("odd prime field has a non-residue")
 
     def square_class(self, a):
         return 1 if self.is_square(a) else self.non_residue

@@ -305,15 +305,26 @@ class GWClass:
         return cls(field, 0, one, 0 if field.kind == "rc" else None)
 
     @classmethod
-    def of_diagonal(cls, field, entries):
-        """Invariants of <a1,...,an> without building the matrix."""
-        out = cls.zero(field)
-        for a in entries:
-            sig = None
-            if field.kind == "rc":
-                sig = 1 if a > 0 else -1
-            out = out + cls(field, 1, SquareClass(field, a), sig)
-        return out
+    def of_diagonal(cls, field, entries, minus=()):
+        """Invariants of <a1,...,an> - <b1,...,bm> in closed form.
+
+        With N = n - m: rank N, signed discriminant
+        (-1)^(N(N-1)/2) a1...an b1...bm (each square class is its own
+        inverse), and over rc the signature, #{ai > 0} - #{ai < 0} minus
+        the same count over the bj.  No matrix or intermediate class is
+        built.
+        """
+        entries, minus = tuple(entries), tuple(minus)
+        n = len(entries) - len(minus)
+        det = field.from_int(-1 if (n * (n - 1) // 2) % 2 else 1)
+        for a in entries + minus:
+            det = field.mul(det, a)
+        signature = None
+        if field.kind == "rc":
+            signature = sum(1 if a > 0 else -1 for a in entries) - sum(
+                1 if b > 0 else -1 for b in minus
+            )
+        return cls(field, n, SquareClass(field, det), signature)
 
     def _sign_twist(self, other):
         # disc(a + b) = (-1)^(ra*rb) disc(a) disc(b)

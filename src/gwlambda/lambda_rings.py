@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, FormatError
 from .fields import field_model
@@ -121,9 +122,6 @@ class IntegerRing:
     def zero(self):
         return self.elt(0)
 
-    def spec_tag(self):
-        return "integers"
-
 
 class IntElt:
     __slots__ = ("ring", "n")
@@ -220,17 +218,23 @@ class GWFieldRing:
     def zero(self):
         return self.elt()
 
-    def spec_tag(self):
-        return "gw-field"
+
+@lru_cache(maxsize=None)
+def _zero_class(field):
+    """GWClass.zero(field), built once per field model for is_zero."""
+    return GWClass.zero(field)
 
 
 class GWFieldElt:
-    __slots__ = ("ring", "pos", "neg")
+    """An immutable coefficient; its GWClass is computed on first use."""
+
+    __slots__ = ("ring", "pos", "neg", "_class")
 
     def __init__(self, ring, pos, neg):
         self.ring = ring
         self.pos = pos
         self.neg = neg
+        self._class = None
 
     def _coerce(self, other):
         if isinstance(other, GWFieldElt) and other.ring == self.ring:
@@ -269,10 +273,9 @@ class GWFieldElt:
         return self.ring.elt(self.neg * (-scalar), self.pos * (-scalar))
 
     def gw_class(self):
-        field = self.ring.field
-        return GWClass.of_diagonal(field, self.pos) - GWClass.of_diagonal(
-            field, self.neg
-        )
+        if self._class is None:
+            self._class = GWClass.of_diagonal(self.ring.field, self.pos, self.neg)
+        return self._class
 
     def __eq__(self, other):
         if not isinstance(other, GWFieldElt) or other.ring != self.ring:
@@ -282,7 +285,7 @@ class GWFieldElt:
     __hash__ = None
 
     def is_zero(self):
-        return self.gw_class() == GWClass.zero(self.ring.field)
+        return self.gw_class() == _zero_class(self.ring.field)
 
     def augmentation(self):
         return len(self.pos) - len(self.neg)
@@ -344,9 +347,6 @@ class KTorusRing:
     @property
     def zero(self):
         return self.elt({})
-
-    def spec_tag(self):
-        return "k-torus"
 
 
 class KTorusElt:
@@ -512,6 +512,24 @@ def parse_basis(text, r):
 
 
 # ---------------------------------------------------------------------------
+# JSON field checks shared by the record parsers
+
+
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _checked(value, kind, where):
+    """``value`` if it is a JSON integer, list or object as ``kind`` asks.
+
+    JSON ``true``/``false`` load as ``bool``, a subclass of ``int``; they
+    are not integers here.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise FormatError("%s must be %s" % (where, _JSON_KINDS[kind]))
+    return value
+
+
+# ---------------------------------------------------------------------------
 # structure constants for the extension rings
 
 
@@ -537,7 +555,7 @@ class ExtTorusConstants:
             raise FormatError("delta_pair must be 'pair'")
         if self.lambda2_pair not in ("delta", "one", "zero"):
             raise FormatError("lambda2_pair must be 'delta', 'one', or 'zero'")
-        if not isinstance(self.pair_zero_scale, int) or self.pair_zero_scale == 0:
+        if _checked(self.pair_zero_scale, int, "pair_zero_scale") == 0:
             raise FormatError("pair_zero_scale must be a nonzero integer")
 
 
@@ -594,9 +612,6 @@ class KExtTorusRing:
     @property
     def zero(self):
         return self.elt({})
-
-    def spec_tag(self):
-        return "k-ext-torus"
 
     def _pair_or_zero(self, gamma):
         """[e^g] for g != 0; the unit-plus-sign expansion at g = 0."""
@@ -767,9 +782,6 @@ class GWExtTorusRing:
     @property
     def zero(self):
         return self.elt({})
-
-    def spec_tag(self):
-        return "gw-ext-torus"
 
     def basis_symbols(self, bound):
         """1, d, and the canonical pair symbols with coordinates in [-bound, bound]."""
@@ -1122,98 +1134,93 @@ def element_record(x):
     raise DomainError("unknown element type %r" % type(x).__name__)
 
 
+def _parse_rank(record):
+    r = _checked(record.get("rank_r"), int, "rank_r")
+    if r < 1:
+        raise FormatError("rank_r must be a positive integer")
+    return r
+
+
 def _parse_coeff(record, ring, where):
-    if not isinstance(record, dict) or "pos" not in record or "neg" not in record:
-        raise FormatError("%s.coeff must hold 'pos' and 'neg' lists" % where)
+    record = _checked(record, dict, "%s.coeff" % where)
     field = ring.field
-    try:
-        pos = [field.parse(str(v)) for v in record["pos"]]
-        neg = [field.parse(str(v)) for v in record["neg"]]
-    except FormatError as exc:
-        raise FormatError("%s.coeff: %s" % (where, exc)) from None
-    for side, name in ((pos, "pos"), (neg, "neg")):
-        for v in side:
-            if field.is_zero(v):
-                raise FormatError("%s.coeff.%s holds a zero entry" % (where, name))
-    return ring.elt(pos, neg)
+    sides = []
+    for name in ("pos", "neg"):
+        entries = _checked(record.get(name), list, "%s.coeff.%s" % (where, name))
+        try:
+            side = [field.parse(str(v)) for v in entries]
+        except FormatError as exc:
+            raise FormatError("%s.coeff: %s" % (where, exc)) from None
+        if any(field.is_zero(v) for v in side):
+            raise FormatError("%s.coeff.%s holds a zero entry" % (where, name))
+        sides.append(side)
+    return ring.elt(*sides)
 
 
 def parse_element(record, constants=DEFAULT_CONSTANTS):
     """Inverse of :func:`element_record`; diagnostics name the bad field."""
-    if not isinstance(record, dict):
-        raise FormatError("element record must be an object")
+    record = _checked(record, dict, "element record")
     tag = record.get("ring")
-    terms = record.get("terms")
-    if not isinstance(terms, list):
-        raise FormatError("terms must be a list")
+    # (diagnostic name, term object) pairs
+    terms = [
+        ("terms[%d]" % idx, _checked(term, dict, "terms[%d]" % idx))
+        for idx, term in enumerate(_checked(record.get("terms"), list, "terms"))
+    ]
     if tag == "integers":
         ring = IntegerRing()
         total = 0
-        for idx, term in enumerate(terms):
+        for where, term in terms:
             if term.get("basis") != "one":
-                raise FormatError("terms[%d].basis must be 'one'" % idx)
-            coeff = term.get("coeff")
-            if not isinstance(coeff, int):
-                raise FormatError("terms[%d].coeff must be an integer" % idx)
-            total += coeff
+                raise FormatError("%s.basis must be 'one'" % where)
+            total += _checked(term.get("coeff"), int, where + ".coeff")
         return ring.elt(total)
     if tag == "gw-field":
         field = field_model(str(record.get("field")))
         ring = GWFieldRing(field)
         out = ring.zero
-        for idx, term in enumerate(terms):
-            out = out + _parse_coeff(term.get("coeff"), ring, "terms[%d]" % idx)
+        for where, term in terms:
+            out = out + _parse_coeff(term.get("coeff"), ring, where)
         return out
     if tag == "k-torus":
-        r = record.get("rank_r")
-        if not isinstance(r, int) or r < 1:
-            raise FormatError("rank_r must be a positive integer")
+        r = _parse_rank(record)
         ring = KTorusRing(r)
         acc = {}
-        for idx, term in enumerate(terms):
+        for where, term in terms:
             basis = str(term.get("basis", ""))
             if not basis.startswith("wt:"):
-                raise FormatError("terms[%d].basis must look like 'wt:<coords>'" % idx)
+                raise FormatError("%s.basis must look like 'wt:<coords>'" % where)
             try:
                 gamma = tuple(int(v) for v in basis[3:].split(","))
             except ValueError:
-                raise FormatError("terms[%d].basis has bad coordinates" % idx) from None
+                raise FormatError("%s.basis has bad coordinates" % where) from None
             if len(gamma) != r:
-                raise FormatError("terms[%d].basis has %d coordinates, expected %d" % (idx, len(gamma), r))
-            coeff = term.get("coeff")
-            if not isinstance(coeff, int):
-                raise FormatError("terms[%d].coeff must be an integer" % idx)
+                raise FormatError("%s.basis has %d coordinates, expected %d" % (where, len(gamma), r))
+            coeff = _checked(term.get("coeff"), int, where + ".coeff")
             acc[gamma] = acc.get(gamma, 0) + coeff
         return ring.elt(acc)
     if tag == "k-ext-torus":
-        r = record.get("rank_r")
-        if not isinstance(r, int) or r < 1:
-            raise FormatError("rank_r must be a positive integer")
+        r = _parse_rank(record)
         ring = KExtTorusRing(r)
         acc = {}
-        for idx, term in enumerate(terms):
+        for where, term in terms:
             try:
                 basis = parse_basis(str(term.get("basis", "")), r)
             except FormatError as exc:
-                raise FormatError("terms[%d]: %s" % (idx, exc)) from None
-            coeff = term.get("coeff")
-            if not isinstance(coeff, int):
-                raise FormatError("terms[%d].coeff must be an integer" % idx)
+                raise FormatError("%s: %s" % (where, exc)) from None
+            coeff = _checked(term.get("coeff"), int, where + ".coeff")
             acc[basis] = acc.get(basis, 0) + coeff
         return ring.elt(acc)
     if tag == "gw-ext-torus":
-        r = record.get("rank_r")
-        if not isinstance(r, int) or r < 1:
-            raise FormatError("rank_r must be a positive integer")
+        r = _parse_rank(record)
         field = field_model(str(record.get("field")))
         ring = GWExtTorusRing(r, field, constants)
         acc = {}
-        for idx, term in enumerate(terms):
+        for where, term in terms:
             try:
                 basis = parse_basis(str(term.get("basis", "")), r)
             except FormatError as exc:
-                raise FormatError("terms[%d]: %s" % (idx, exc)) from None
-            coeff = _parse_coeff(term.get("coeff"), ring.coeff_ring, "terms[%d]" % idx)
+                raise FormatError("%s: %s" % (where, exc)) from None
+            coeff = _parse_coeff(term.get("coeff"), ring.coeff_ring, where)
             acc[basis] = acc[basis] + coeff if basis in acc else coeff
         return ring.elt(acc)
     raise FormatError("unknown ring tag %r" % (tag,))

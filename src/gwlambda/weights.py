@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, FormatError
+from .fields import _is_prime
 
 RANK_CAP_ENV = "GWLAMBDA_WEYL_RANK_CAP"
 _DEFAULT_RANK_CAP = 4
@@ -355,17 +356,6 @@ def endo_dim(case, p, end_h):
     raise DomainError(
         "case must be 'fixed-with-lift', 'fixed-without-lift', or 'free'"
     )
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gwlambda import cli
 from gwlambda.fields import field_model
 from gwlambda.forms import diagonal_form, form_record, hyperbolic
 from gwlambda.lambda_rings import (
@@ -163,6 +164,72 @@ def test_check_malformed_element_file(tmp_path):
 def test_check_missing_operands_is_usage_error():
     out = run_cli("check", "--ring", "integers")
     assert out.returncode == 2
+
+
+def main_usage_error(capsys, *argv):
+    """Run main in-process; it must return 2 with one error line, no traceback."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    return err
+
+
+BAD_ELEMENTS = {
+    "neg-is-a-string": {
+        "ring": "gw-field",
+        "rank_r": None,
+        "field": "rc",
+        "terms": [{"basis": "one", "coeff": {"pos": ["1"], "neg": "12"}}],
+    },
+    "coeff-is-true": {
+        "ring": "integers",
+        "rank_r": None,
+        "field": None,
+        "terms": [{"basis": "one", "coeff": True}],
+    },
+    "rank-is-true": {
+        "ring": "k-torus",
+        "rank_r": True,
+        "field": None,
+        "terms": [{"basis": "wt:1", "coeff": 1}],
+    },
+    "term-is-not-an-object": {
+        "ring": "k-ext-torus",
+        "rank_r": 1,
+        "field": None,
+        "terms": [1],
+    },
+    "coeff-is-a-list": {
+        "ring": "gw-ext-torus",
+        "rank_r": 1,
+        "field": "fq:5",
+        "terms": [{"basis": "one", "coeff": ["1"]}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ELEMENTS))
+def test_check_bad_element_record_is_usage_error(capsys, tmp_path, name):
+    path = write_json(tmp_path / "x.json", BAD_ELEMENTS[name])
+    main_usage_error(capsys, "check", "--x-file", path, "--j", "1")
+
+
+def test_check_true_constant_is_usage_error(capsys, tmp_path):
+    path = write_json(tmp_path / "c.json", {"pair_zero_scale": True})
+    main_usage_error(
+        capsys, "check", "--sweep", "--ring", "gw-ext-torus", "--field", "rc",
+        "--constants", path,
+    )
+
+
+def test_directory_as_input_or_output_is_usage_error(capsys, tmp_path):
+    main_usage_error(capsys, "check", "--x-file", str(tmp_path), "--j", "1")
+    main_usage_error(
+        capsys, "check", "--ring", "integers", "--x", "2", "--y", "3",
+        "--out", str(tmp_path),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwlambda.errors import DomainError, FormatError
-from gwlambda.fields import SquareClass, field_model
+from gwlambda.fields import FinitePrime, SquareClass, field_model
 from gwlambda.forms import (
     GWClass,
     GramForm,
@@ -26,6 +28,7 @@ from gwlambda.forms import (
     sublagrangian_reduce,
     tensor,
 )
+from gwlambda.lambda_rings import GWFieldRing
 
 MODELS = ("qc", "rc", "fq:5", "fq:7")
 
@@ -133,6 +136,21 @@ def test_finite_prime_square_classes():
     f5 = field_model("fq:5")
     assert f5.non_residue == 2
     assert not f5.is_square(2)
+
+
+def test_non_residue_is_smallest_non_square():
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        f = field_model("fq:%d" % q)
+        squares = {a * a % q for a in range(1, q)}
+        assert f.non_residue == min(a for a in range(2, q) if a not in squares)
+
+
+def test_field_models_compare_by_spec():
+    assert field_model("fq:5") is field_model("fq:5")
+    assert FinitePrime(5) == field_model("fq:5")
+    assert hash(FinitePrime(5)) == hash(field_model("fq:5"))
+    assert FinitePrime(5) != field_model("fq:7")
+    assert field_model("qc") != field_model("rc")
 
 
 def test_real_closed_square_classes():
@@ -358,6 +376,93 @@ def test_virtual_class_arithmetic():
     assert (a + b) * b == a * b + b * b
     neg = -b
     assert neg.rank == -1
+
+
+# ---------------------------------------------------------------------------
+# closed-form classes of diagonal forms
+
+
+def fold_of_diagonal(field, entries):
+    """Oracle: the class of <a1,...,an> as a sum of rank-1 classes."""
+    out = GWClass.zero(field)
+    for a in entries:
+        sig = (1 if a > 0 else -1) if field.kind == "rc" else None
+        out = out + GWClass(field, 1, SquareClass(field, a), sig)
+    return out
+
+
+# fq:3 and fq:7 have -1 a non-square, so the sign twist of the signed
+# discriminant shows there; fq:5 has -1 a square.
+CLOSED_FORM_MODELS = ("qc", "rc", "fq:3", "fq:5", "fq:7")
+
+
+def units(spec):
+    if spec.startswith("fq:"):
+        return st.integers(1, int(spec[3:]) - 1)
+    return st.builds(
+        Fraction,
+        st.integers(-9, 9).filter(bool),
+        st.integers(1, 9),
+    )
+
+
+def diagonals():
+    """(field, entries, minus) with up to seven entries on each side."""
+    return st.sampled_from(CLOSED_FORM_MODELS).flatmap(
+        lambda spec: st.tuples(
+            st.just(field_model(spec)),
+            st.lists(units(spec), max_size=7),
+            st.lists(units(spec), max_size=7),
+        )
+    )
+
+
+def same_invariants(a, b):
+    return (a.field, a.rank, a.disc, a.signature) == (b.field, b.rank, b.disc, b.signature)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagonals())
+def test_closed_form_of_diagonal_matches_fold(case):
+    field, entries, minus = case
+    assert same_invariants(
+        GWClass.of_diagonal(field, entries), fold_of_diagonal(field, entries)
+    )
+    assert same_invariants(
+        GWClass.of_diagonal(field, entries, minus),
+        fold_of_diagonal(field, entries) - fold_of_diagonal(field, minus),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagonals())
+def test_coefficient_class_matches_fold(case):
+    field, entries, minus = case
+    x = GWFieldRing(field).elt(entries, minus)
+    expected = fold_of_diagonal(field, x.pos) - fold_of_diagonal(field, x.neg)
+    assert same_invariants(x.gw_class(), expected)
+    # The canonical multisets carry the class of the input entries.
+    assert x.gw_class() == fold_of_diagonal(field, entries) - fold_of_diagonal(field, minus)
+    assert x.gw_class() is x.gw_class()
+    assert x.is_zero() == (expected == GWClass.zero(field))
+
+
+def test_of_diagonal_rejects_zero_entry():
+    for spec in CLOSED_FORM_MODELS:
+        f = field_model(spec)
+        with pytest.raises(DomainError):
+            GWClass.of_diagonal(f, [f.one, f.zero])
+
+
+def test_cancelled_coefficient_can_be_zero():
+    # <1,1> and <2,2> are isometric over every odd prime field, although
+    # 2 is a non-square mod 3 and mod 5: the multisets do not cancel.
+    for spec in ("fq:3", "fq:5"):
+        ring = GWFieldRing(field_model(spec))
+        x = ring.diag([1, 1]) - ring.diag([2, 2])
+        assert x.pos and x.neg
+        assert x.is_zero()
+        assert x == ring.zero
 
 
 # ---------------------------------------------------------------------------
