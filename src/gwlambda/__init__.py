@@ -27,6 +27,7 @@ from .lambda_rings import (
     CheckReport,
     DEFAULT_CONSTANTS,
     ExtTorusConstants,
+    FreeLambdaRing,
     GWExtTorusRing,
     GWFieldRing,
     IntegerRing,

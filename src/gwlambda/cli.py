@@ -16,9 +16,7 @@ failed, 2 usage or input errors.
 """
 
 import argparse
-import itertools
 import json
-import random
 import sys
 
 from . import forms as forms_mod
@@ -40,9 +38,6 @@ def _common_flags(sub):
         help="output style: readable text or line-delimited JSON",
     )
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument(
-        "--seed", type=int, default=0, help="seed for any randomized enumeration"
-    )
 
 
 def build_parser():
@@ -155,19 +150,13 @@ def _sweep_elements(args, constants):
         return [("<%s>" % field.to_str(a), ring.diag([a])) for a in reps]
     if ring_tag == "k-torus":
         ring = lr.KTorusRing(args.r)
-        out = []
-        for coords in sorted(itertools.product(range(-bound, bound + 1), repeat=args.r)):
-            out.append((lr.element_str(ring.line(coords)), ring.line(coords)))
-        return out
-    if ring_tag == "k-ext-torus":
-        ring = lr.KExtTorusRing(args.r)
-        gw = lr.GWExtTorusRing(args.r, field_model("qc"))
-        return [
-            (b.to_str(), ring.basis_elt(b)) for b in gw.basis_symbols(bound)
-        ]
-    if ring_tag == "gw-ext-torus":
-        field = _require_field(args)
-        ring = lr.GWExtTorusRing(args.r, field, constants)
+        lines = [ring.line(g) for g in ring.basis_symbols(bound)]
+        return [(lr.element_str(x), x) for x in lines]
+    if ring_tag in ("k-ext-torus", "gw-ext-torus"):
+        if ring_tag == "k-ext-torus":
+            ring = lr.KExtTorusRing(args.r)
+        else:
+            ring = lr.GWExtTorusRing(args.r, _require_field(args), constants)
         return [(b.to_str(), ring.basis_elt(b)) for b in ring.basis_symbols(bound)]
     raise DomainError("--sweep requires --ring")
 
@@ -374,7 +363,6 @@ def _cmd_char(args, emit):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     lines = []
     emit = lines.append
     handlers = {

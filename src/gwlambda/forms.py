@@ -14,7 +14,7 @@ with the induced virtual (formal-difference) ring structure.
 import itertools
 import json
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, _checked
 from .fields import FieldModel, SquareClass, field_model
 
 
@@ -595,17 +595,17 @@ def form_record(a):
 
 def parse_form(record):
     """Inverse of :func:`form_record`; diagnostics name the violated rule."""
-    if not isinstance(record, dict):
-        raise FormatError("form record must be an object")
+    record = _checked(record, dict, "form record")
     try:
         spec = record["field"]
         gram = record["gram"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise FormatError("form record is missing field %s" % exc) from None
-    field = field_model(spec)
-    if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
-        raise FormatError("gram must be a 2-D array of strings")
-    rows = [[field.parse(str(v)) for v in row] for row in gram]
+    field = field_model(_checked(spec, str, "field"))
+    rows = [
+        [field.parse(str(v)) for v in _checked(row, list, "gram[%d]" % i)]
+        for i, row in enumerate(_checked(gram, list, "gram"))
+    ]
     return GramForm(field, rows)
 
 

@@ -1,18 +1,22 @@
 """Rings with lambda-operations, and checkers for the defining identities.
 
-Five ring instances share one element protocol (operators ``+ - *``,
-integer scalars, ``lambda_k``, ``lambda_t``, ``augmentation``):
+Every ring shares one element protocol (operators ``+ - *``, integer
+scalars, ``lambda_k``, ``lambda_t``, ``augmentation``):
 
 * ``IntegerRing`` -- the integers, lambda^k = binomial coefficient;
 * ``GWFieldRing`` -- formal differences of diagonal forms over a model
   field, held as square-class multisets, equality by complete invariants;
-* ``KTorusRing`` -- the group ring of Z^r, spanned by line elements e^g;
-* ``KExtTorusRing`` -- character-level extension by an order-2 involution:
-  basis 1, d (the sign character), and rank-2 symbols [e^g];
-* ``GWExtTorusRing`` -- the same basis with square-class-tuple
-  coefficients over a model field; multiplication and lambda^2 on the
-  rank-2 symbols follow structure constants that can be overridden (so a
-  deliberately corrupted table is observable through the identity checks).
+* ``FreeLambdaRing`` -- a free module on a basis with coefficients in Z
+  (plain ints) or in GW(F) (a ``GWFieldRing``).  Its three instances:
+
+  - ``KTorusRing`` -- the group ring of Z^r, spanned by line elements e^g;
+  - ``KExtTorusRing`` -- character-level extension by an order-2
+    involution: basis 1, d (the sign character), and rank-2 symbols [e^g];
+  - ``GWExtTorusRing`` -- the same basis with GW(F) coefficients, so the
+    forgetful map sends each coefficient to its rank.  Multiplication and
+    lambda^2 on the rank-2 symbols follow structure constants that can be
+    overridden (so a deliberately corrupted table is observable through
+    the identity checks).
 
 lambda_t is a homomorphism from addition to the multiplicative group of
 power series with constant term 1; negative summands are handled by
@@ -26,11 +30,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, _checked
 from .fields import field_model
 from .forms import GWClass
+from .weights import canonical_rep, classify_semidirect
 from . import symfun
-
 
 # ---------------------------------------------------------------------------
 # truncated series helpers (coefficients are ring elements)
@@ -191,6 +195,10 @@ class GWFieldRing:
     Elements keep canonical square-class representatives; identical
     entries appearing on both sides of the difference cancel.  Equality is
     decided by the complete invariants of the model (GWClass).
+
+    It is also the coefficient ring of ``GWExtTorusRing``: the methods
+    after ``zero`` are the coefficient protocol that ``FreeLambdaRing``
+    uses (``INTEGERS`` has the same methods on plain ints).
     """
 
     field: object
@@ -218,6 +226,62 @@ class GWFieldRing:
     def zero(self):
         return self.elt()
 
+    def __contains__(self, coeff):
+        return isinstance(coeff, GWFieldElt) and coeff.ring == self
+
+    def is_zero(self, coeff):
+        return coeff.is_zero()
+
+    def rank(self, coeff):
+        return coeff.augmentation()
+
+    def lines(self, coeff):
+        """(<a>, sign) pairs whose signed sum is ``coeff``: pos, then neg."""
+        return [(self.elt((a,)), 1) for a in coeff.pos] + [
+            (self.elt((a,)), -1) for a in coeff.neg
+        ]
+
+    def scale(self, s):
+        """The rank-1 form <s>."""
+        return self.elt((self.field.from_int(s),))
+
+    def record(self, coeff):
+        field = self.field
+        return {
+            "pos": [field.to_str(a) for a in coeff.pos],
+            "neg": [field.to_str(a) for a in coeff.neg],
+        }
+
+    def parse(self, record, where):
+        """Inverse of :meth:`record`; ``where`` names the term in diagnostics."""
+        record = _checked(record, dict, "%s.coeff" % where)
+        field = self.field
+        sides = []
+        for name in ("pos", "neg"):
+            entries = _checked(record.get(name), list, "%s.coeff.%s" % (where, name))
+            try:
+                side = [field.parse(str(v)) for v in entries]
+            except FormatError as exc:
+                raise FormatError("%s.coeff: %s" % (where, exc)) from None
+            if any(field.is_zero(v) for v in side):
+                raise FormatError("%s.coeff.%s holds a zero entry" % (where, name))
+            sides.append(side)
+        return self.elt(*sides)
+
+    def to_str(self, coeff):
+        field = self.field
+        if not coeff.pos and not coeff.neg:
+            return "0"
+        pos = "<%s>" % ",".join(field.to_str(a) for a in coeff.pos) if coeff.pos else ""
+        neg = "<%s>" % ",".join(field.to_str(a) for a in coeff.neg) if coeff.neg else ""
+        if pos and neg:
+            return "(%s - %s)" % (pos, neg)
+        if neg:
+            return "(-%s)" % neg
+        return pos
+
+    def term_str(self, coeff, body):
+        return "%s*%s+" % (self.to_str(coeff), body)
 
 @lru_cache(maxsize=None)
 def _zero_class(field):
@@ -294,12 +358,8 @@ class GWFieldElt:
         return len(self.pos) == 1 and not self.neg
 
     def lambda_t(self, d):
-        one, field = self.ring.one, self.ring.field
-        atoms = []
-        for a in self.pos:
-            atoms.append(([one, self.ring.elt((a,))], 1))
-        for a in self.neg:
-            atoms.append(([one, self.ring.elt((a,))], -1))
+        one = self.ring.one
+        atoms = [([one, line], sign) for line, sign in self.ring.lines(self)]
         return _lambda_t_from_atoms(self.ring, atoms, d)
 
     def lambda_k(self, k):
@@ -311,113 +371,6 @@ class GWFieldElt:
 
     def __repr__(self):
         return "GWFieldElt(%s)" % element_str(self)
-
-
-# ---------------------------------------------------------------------------
-# the torus character ring
-
-
-@dataclass(frozen=True)
-class KTorusRing:
-    """Group ring of Z^r; every basis element e^g is a line."""
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise DomainError("torus rank must be >= 1")
-
-    def elt(self, terms):
-        clean = {}
-        for gamma, coeff in dict(terms).items():
-            gamma = tuple(int(v) for v in gamma)
-            if len(gamma) != self.r:
-                raise DomainError("weight length must equal the torus rank")
-            if coeff:
-                clean[gamma] = clean.get(gamma, 0) + coeff
-        return KTorusElt(self, {g: c for g, c in clean.items() if c})
-
-    def line(self, gamma):
-        return self.elt({tuple(gamma): 1})
-
-    @property
-    def one(self):
-        return self.line((0,) * self.r)
-
-    @property
-    def zero(self):
-        return self.elt({})
-
-
-class KTorusElt:
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms
-
-    def _coerce(self, other):
-        if isinstance(other, KTorusElt) and other.ring == self.ring:
-            return other
-        raise DomainError("mixed-ring arithmetic")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, 0) + c
-        return self.ring.elt(terms)
-
-    def __neg__(self):
-        return self.ring.elt({g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        other = self._coerce(other)
-        terms = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(g1, g2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return self.ring.elt(terms)
-
-    def __rmul__(self, scalar):
-        return self.ring.elt({g: scalar * c for g, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, KTorusElt) or other.ring != self.ring:
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def augmentation(self):
-        return sum(self.terms.values())
-
-    def is_line(self):
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
-
-    def lambda_t(self, d):
-        one = self.ring.one
-        atoms = []
-        for gamma, coeff in self.terms.items():
-            series = [one, self.ring.line(gamma)]
-            atoms.extend([(series, 1 if coeff > 0 else -1)] * abs(coeff))
-        return _lambda_t_from_atoms(self.ring, atoms, d)
-
-    def lambda_k(self, k):
-        if k < 0:
-            raise DomainError("lambda index must be >= 0")
-        if k == 0:
-            return self.ring.one
-        return self.lambda_t(k)[k]
-
-    def __repr__(self):
-        return "KTorusElt(%s)" % element_str(self)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +395,7 @@ class BasisSym:
         if self.kind == self.PAIR:
             if not self.gamma or all(v == 0 for v in self.gamma):
                 raise DomainError("pair symbol requires a nonzero weight")
-            if not _gamma_is_canonical(self.gamma):
+            if tuple(self.gamma) != canonical_rep(self.gamma):
                 raise DomainError("pair weight must be sign-canonical")
         elif self.gamma:
             raise DomainError("only pair symbols carry a weight")
@@ -457,10 +410,7 @@ class BasisSym:
 
     @classmethod
     def pair(cls, gamma):
-        gamma = tuple(int(v) for v in gamma)
-        if all(v == 0 for v in gamma):
-            raise DomainError("pair symbol requires a nonzero weight")
-        return cls(cls.PAIR, _canonical_gamma(gamma))
+        return cls(cls.PAIR, canonical_rep(tuple(int(v) for v in gamma)))
 
     @property
     def rank(self):
@@ -478,18 +428,8 @@ class BasisSym:
         return "pair:" + ",".join(str(v) for v in self.gamma)
 
 
-def _canonical_gamma(gamma):
-    """Flip the global sign so the first nonzero coordinate is positive."""
-    for v in gamma:
-        if v > 0:
-            return tuple(gamma)
-        if v < 0:
-            return tuple(-x for x in gamma)
-    return tuple(gamma)
-
-
-def _gamma_is_canonical(gamma):
-    return tuple(gamma) == _canonical_gamma(gamma)
+_ONE = BasisSym.one()
+_DELTA = BasisSym.delta()
 
 
 def parse_basis(text, r):
@@ -509,24 +449,6 @@ def parse_basis(text, r):
         except DomainError as exc:
             raise FormatError("bad basis %r: %s" % (text, exc)) from None
     raise FormatError("unknown basis %r" % (text,))
-
-
-# ---------------------------------------------------------------------------
-# JSON field checks shared by the record parsers
-
-
-_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
-
-
-def _checked(value, kind, where):
-    """``value`` if it is a JSON integer, list or object as ``kind`` asks.
-
-    JSON ``true``/``false`` load as ``bool``, a subclass of ``int``; they
-    are not integers here.
-    """
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise FormatError("%s must be %s" % (where, _JSON_KINDS[kind]))
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -578,49 +500,249 @@ def load_constants(path):
 
 
 # ---------------------------------------------------------------------------
-# character-level extension ring
+# the two coefficient rings and the two bases of the free lambda-rings
 
 
-@dataclass(frozen=True)
-class KExtTorusRing:
-    """Characters of the extension: basis 1, d, and rank-2 symbols [e^g]."""
+class _Integers:
+    """Z as a coefficient ring: coefficients are plain ints.
 
-    r: int
+    Same methods as the coefficient protocol of ``GWFieldRing``.
+    """
 
-    def __post_init__(self):
-        if self.r < 1:
+    field = None
+    one = 1
+
+    def __contains__(self, coeff):
+        return isinstance(coeff, int)
+
+    def is_zero(self, coeff):
+        return coeff == 0
+
+    def rank(self, coeff):
+        return coeff
+
+    def lines(self, coeff):
+        return [(1, 1 if coeff > 0 else -1)] * abs(coeff)
+
+    def scale(self, s):
+        return 1
+
+    def record(self, coeff):
+        return coeff
+
+    def parse(self, record, where):
+        return _checked(record, int, where + ".coeff")
+
+    def term_str(self, coeff, body):
+        return body if coeff == 1 else "%d*%s" % (coeff, body)
+
+
+INTEGERS = _Integers()
+
+
+class _TorusWeights:
+    """Basis of K(T): the weights g in Z^r, each e^g a line."""
+
+    def unit(self, r):
+        return (0,) * r
+
+    def check(self, ring, gamma):
+        gamma = tuple(int(v) for v in gamma)
+        if len(gamma) != ring.r:
+            raise DomainError("weight length must equal the torus rank")
+        return gamma
+
+    def rank(self, gamma):
+        return 1
+
+    def product(self, ring, g1, g2):
+        return ((tuple(a + b for a, b in zip(g1, g2)), None),)
+
+    def lambda2(self, ring, gamma):
+        return None
+
+    def symbols(self, r, bound):
+        """Every weight with coordinates in [-bound, bound], in lex order."""
+        return sorted(itertools.product(range(-bound, bound + 1), repeat=r))
+
+    def sort_key(self, gamma):
+        return gamma
+
+    def record(self, gamma):
+        return "wt:" + ",".join(str(v) for v in gamma)
+
+    def parse(self, text, r, where):
+        if not text.startswith("wt:"):
+            raise FormatError("%s.basis must look like 'wt:<coords>'" % where)
+        try:
+            gamma = tuple(int(v) for v in text[3:].split(","))
+        except ValueError:
+            raise FormatError("%s.basis has bad coordinates" % where) from None
+        if len(gamma) != r:
+            raise FormatError("%s.basis has %d coordinates, expected %d" % (where, len(gamma), r))
+        return gamma
+
+    def display(self, gamma):
+        return "e[%s]" % ",".join(str(v) for v in gamma)
+
+
+class _ExtSymbols:
+    """Basis of the extended torus: 1, d, and the rank-2 symbols [e^g]."""
+
+    def unit(self, r):
+        return _ONE
+
+    def check(self, ring, basis):
+        if not isinstance(basis, BasisSym):
+            raise DomainError("keys must be basis symbols")
+        if basis.kind == BasisSym.PAIR and len(basis.gamma) != ring.r:
+            raise DomainError("pair weight length must equal the torus rank")
+        return basis
+
+    def rank(self, basis):
+        return basis.rank
+
+    def product(self, ring, b1, b2):
+        """b1*b2 as (basis, factor) pairs, factor None for 1.
+
+        [e^g][e^h] = [e^(g+h)] + [e^(g-h)], and [e^0] = <s>*1 + <s>*d with
+        the ring's scale <s>.
+        """
+        if b1.kind == BasisSym.ONE:
+            return ((b2, None),)
+        if b2.kind == BasisSym.ONE:
+            return ((b1, None),)
+        if b1.kind == BasisSym.DELTA and b2.kind == BasisSym.DELTA:
+            return ((_ONE if ring.constants.delta_delta == "one" else _DELTA, None),)
+        if b1.kind == BasisSym.DELTA:
+            return ((b2, None),)
+        if b2.kind == BasisSym.DELTA:
+            return ((b1, None),)
+        out = []
+        g1, g2 = b1.gamma, b2.gamma
+        for gamma in (
+            tuple(a + b for a, b in zip(g1, g2)),
+            tuple(a - b for a, b in zip(g1, g2)),
+        ):
+            if any(gamma):
+                out.append((BasisSym.pair(gamma), None))
+            else:
+                out += [(_ONE, ring.scale), (_DELTA, ring.scale)]
+        return out
+
+    def lambda2(self, ring, basis):
+        """lambda^2 of a rank-2 symbol; None on the lines 1 and d."""
+        if basis.kind != BasisSym.PAIR:
+            return None
+        target = ring.constants.lambda2_pair
+        if target == "zero":
+            return ring.zero
+        return ring.basis_elt(_ONE if target == "one" else _DELTA)
+
+    def symbols(self, r, bound):
+        """1, d, and the canonical pair symbols with coordinates in [-bound, bound]."""
+        simples = classify_semidirect(r, bound)
+        return [_ONE, _DELTA] + [
+            BasisSym.pair(s.rep) for s in simples if s.kind == "induced"
+        ]
+
+    def sort_key(self, basis):
+        return basis.sort_key()
+
+    def record(self, basis):
+        return basis.to_str()
+
+    def parse(self, text, r, where):
+        try:
+            return parse_basis(text, r)
+        except FormatError as exc:
+            raise FormatError("%s: %s" % (where, exc)) from None
+
+    def display(self, basis):
+        if basis.kind == BasisSym.ONE:
+            return "1"
+        if basis.kind == BasisSym.DELTA:
+            return "d"
+        return "[e^(%s)]" % ",".join(str(v) for v in basis.gamma)
+
+
+TORUS_WEIGHTS = _TorusWeights()
+EXT_SYMBOLS = _ExtSymbols()
+
+
+# ---------------------------------------------------------------------------
+# free lambda-rings
+
+
+class FreeLambdaRing:
+    """A free module on ``basis`` with coefficients in ``coeff_ring``.
+
+    ``coeff_ring`` (``INTEGERS`` or a ``GWFieldRing``) says when a
+    coefficient is zero, gives its rank and splits it into signed lines;
+    ``basis`` (``TORUS_WEIGHTS`` or ``EXT_SYMBOLS``) multiplies basis
+    elements and gives lambda^2 of a rank-2 one.  ``tag`` names the ring in
+    element records.  Rings compare by (tag, r, coefficient ring,
+    constants).
+    """
+
+    __slots__ = ("tag", "r", "coeff_ring", "basis", "constants", "field", "scale", "one", "zero")
+
+    def __init__(self, tag, r, coeff_ring, basis, constants=DEFAULT_CONSTANTS):
+        if r < 1:
             raise DomainError("torus rank must be >= 1")
+        self.tag = tag
+        self.r = r
+        self.coeff_ring = coeff_ring
+        self.basis = basis
+        self.constants = constants
+        self.field = coeff_ring.field
+        self.scale = coeff_ring.scale(constants.pair_zero_scale)
+        self.one = FreeElt(self, {basis.unit(r): coeff_ring.one})
+        self.zero = FreeElt(self, {})
+
+    def _key(self):
+        return (self.tag, self.r, self.coeff_ring, self.constants)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return isinstance(other, FreeLambdaRing) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "FreeLambdaRing(%r, r=%d)" % (self.tag, self.r)
 
     def elt(self, terms):
+        """The element with ``terms`` {basis: coefficient}; checks both."""
         clean = {}
         for basis, coeff in dict(terms).items():
-            if not isinstance(basis, BasisSym):
-                raise DomainError("keys must be basis symbols")
-            if basis.kind == BasisSym.PAIR and len(basis.gamma) != self.r:
-                raise DomainError("pair weight length must equal the torus rank")
-            if coeff:
-                clean[basis] = clean.get(basis, 0) + coeff
-        return KExtElt(self, {b: c for b, c in clean.items() if c})
+            basis = self.basis.check(self, basis)
+            if coeff not in self.coeff_ring:
+                raise DomainError("coefficients must come from the coefficient ring")
+            clean[basis] = clean[basis] + coeff if basis in clean else coeff
+        return self._reduced(clean)
 
-    def basis_elt(self, basis):
-        return self.elt({basis: 1})
+    def _reduced(self, terms):
+        is_zero = self.coeff_ring.is_zero
+        return FreeElt(self, {b: c for b, c in terms.items() if not is_zero(c)})
 
-    @property
-    def one(self):
-        return self.basis_elt(BasisSym.one())
+    def basis_elt(self, basis, coeff=None):
+        return self.elt({basis: self.coeff_ring.one if coeff is None else coeff})
 
-    @property
-    def zero(self):
-        return self.elt({})
+    def line(self, gamma):
+        """The line e^g of the torus ring."""
+        return self.basis_elt(tuple(gamma))
 
-    def _pair_or_zero(self, gamma):
-        """[e^g] for g != 0; the unit-plus-sign expansion at g = 0."""
-        if all(v == 0 for v in gamma):
-            return {BasisSym.one(): 1, BasisSym.delta(): 1}
-        return {BasisSym.pair(gamma): 1}
+    def basis_symbols(self, bound):
+        return self.basis.symbols(self.r, bound)
 
 
-class KExtElt:
+class FreeElt:
+    """An element of a ``FreeLambdaRing``: ``terms`` maps basis elements to
+    nonzero coefficients and is never changed after construction."""
+
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
@@ -628,19 +750,18 @@ class KExtElt:
         self.terms = terms
 
     def _coerce(self, other):
-        if isinstance(other, KExtElt) and other.ring == self.ring:
+        if isinstance(other, FreeElt) and other.ring == self.ring:
             return other
         raise DomainError("mixed-ring arithmetic")
 
     def __add__(self, other):
-        other = self._coerce(other)
         terms = dict(self.terms)
-        for b, c in other.terms.items():
-            terms[b] = terms.get(b, 0) + c
-        return self.ring.elt(terms)
+        for b, c in self._coerce(other).terms.items():
+            terms[b] = terms[b] + c if b in terms else c
+        return self.ring._reduced(terms)
 
     def __neg__(self):
-        return self.ring.elt({b: -c for b, c in self.terms.items()})
+        return FreeElt(self.ring, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -649,52 +770,58 @@ class KExtElt:
         if isinstance(other, int):
             return self.__rmul__(other)
         other = self._coerce(other)
+        ring = self.ring
+        product = ring.basis.product
         out = {}
-
-        def bump(target_terms, scale):
-            for b, c in target_terms.items():
-                out[b] = out.get(b, 0) + scale * c
-
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
-                scale = c1 * c2
-                for terms in _basis_product_k(self.ring, b1, b2):
-                    bump(terms, scale)
-        return self.ring.elt(out)
+                coeff = c1 * c2
+                for b, factor in product(ring, b1, b2):
+                    c = coeff if factor is None else factor * coeff
+                    out[b] = out[b] + c if b in out else c
+        return ring._reduced(out)
 
     def __rmul__(self, scalar):
-        return self.ring.elt({b: scalar * c for b, c in self.terms.items()})
+        return self.ring._reduced({b: scalar * c for b, c in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, KExtElt) or other.ring != self.ring:
+        if not isinstance(other, FreeElt) or other.ring != self.ring:
             return NotImplemented
-        return self.terms == other.terms
+        theirs = other.terms
+        if self.terms.keys() != theirs.keys():
+            return False
+        return all(c == theirs[b] for b, c in self.terms.items())
 
     __hash__ = None
 
+    def sorted_terms(self):
+        sort_key = self.ring.basis.sort_key
+        return sorted(self.terms.items(), key=lambda bc: sort_key(bc[0]))
+
     def augmentation(self):
-        return sum(c * b.rank for b, c in self.terms.items())
+        rank, coeff_rank = self.ring.basis.rank, self.ring.coeff_ring.rank
+        return sum(coeff_rank(c) * rank(b) for b, c in self.terms.items())
 
     def is_line(self):
         if len(self.terms) != 1:
             return False
-        basis, coeff = next(iter(self.terms.items()))
-        return coeff == 1 and basis.rank == 1
+        ((basis, coeff),) = self.terms.items()
+        lines = self.ring.coeff_ring.lines(coeff)
+        return self.ring.basis.rank(basis) == 1 and len(lines) == 1 and lines[0][1] == 1
 
     def lambda_t(self, d):
+        """One series 1 + l*t per signed line l = <a>*b of the coefficients,
+        plus lambda^2(b)*t^2 on a rank-2 b, since
+        lambda^2(<a>[e^g]) = <a^2> lambda^2([e^g]) = lambda^2([e^g])."""
         ring = self.ring
-        one = ring.one
         atoms = []
         for basis, coeff in self.terms.items():
-            if basis.kind == BasisSym.PAIR:
-                series = [
-                    one,
-                    ring.basis_elt(basis),
-                    ring.basis_elt(BasisSym.delta()),
-                ]
-            else:
-                series = [one, ring.basis_elt(basis)]
-            atoms.extend([(series, 1 if coeff > 0 else -1)] * abs(coeff))
+            top = ring.basis.lambda2(ring, basis)
+            for line, sign in ring.coeff_ring.lines(coeff):
+                series = [ring.one, FreeElt(ring, {basis: line})]
+                if top is not None:
+                    series.append(top)
+                atoms.append((series, sign))
         return _lambda_t_from_atoms(ring, atoms, d)
 
     def lambda_k(self, k):
@@ -705,36 +832,24 @@ class KExtElt:
         return self.lambda_t(k)[k]
 
     def __repr__(self):
-        return "KExtElt(%s)" % element_str(self)
+        return "FreeElt(%s)" % element_str(self)
 
 
-def _basis_product_k(ring, b1, b2):
-    """Expansion of a basis product as a list of term dicts (K level)."""
-    if b1.kind == BasisSym.ONE:
-        return [{b2: 1}]
-    if b2.kind == BasisSym.ONE:
-        return [{b1: 1}]
-    if b1.kind == BasisSym.DELTA and b2.kind == BasisSym.DELTA:
-        return [{BasisSym.one(): 1}]
-    if b1.kind == BasisSym.DELTA or b2.kind == BasisSym.DELTA:
-        pair = b1 if b1.kind == BasisSym.PAIR else b2
-        return [{pair: 1}]
-    g1, g2 = b1.gamma, b2.gamma
-    out = []
-    for gamma in (
-        tuple(a + b for a, b in zip(g1, g2)),
-        tuple(a - b for a, b in zip(g1, g2)),
-    ):
-        out.append(ring._pair_or_zero(gamma))
-    return out
+# perfbench/child.py wraps the element classes under these names.
+KTorusElt = KExtElt = GWExtElt = FreeElt
 
 
-# ---------------------------------------------------------------------------
-# form-level extension ring
+def KTorusRing(r):
+    """Group ring of Z^r; every basis element e^g is a line."""
+    return FreeLambdaRing("k-torus", r, INTEGERS, TORUS_WEIGHTS)
 
 
-@dataclass(frozen=True)
-class GWExtTorusRing:
+def KExtTorusRing(r):
+    """Characters of the extension: basis 1, d, and rank-2 symbols [e^g]."""
+    return FreeLambdaRing("k-ext-torus", r, INTEGERS, EXT_SYMBOLS)
+
+
+def GWExtTorusRing(r, field, constants=DEFAULT_CONSTANTS):
     """The extension basis with diagonal-form coefficients over a model field.
 
     Products and lambda^2 of the rank-2 symbols follow the structure
@@ -742,181 +857,7 @@ class GWExtTorusRing:
     from the constants (truly 2: the invariant subspace carries <2> and the
     anti-invariant one <-2> twisted by the sign character).
     """
-
-    r: int
-    field: object
-    constants: ExtTorusConstants = DEFAULT_CONSTANTS
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise DomainError("torus rank must be >= 1")
-
-    @property
-    def coeff_ring(self):
-        return GWFieldRing(self.field)
-
-    def elt(self, terms):
-        clean = {}
-        for basis, coeff in dict(terms).items():
-            if not isinstance(basis, BasisSym):
-                raise DomainError("keys must be basis symbols")
-            if basis.kind == BasisSym.PAIR and len(basis.gamma) != self.r:
-                raise DomainError("pair weight length must equal the torus rank")
-            if not isinstance(coeff, GWFieldElt) or coeff.ring != self.coeff_ring:
-                raise DomainError("coefficients must come from the coefficient ring")
-            if basis in clean:
-                clean[basis] = clean[basis] + coeff
-            else:
-                clean[basis] = coeff
-        return GWExtElt(self, {b: c for b, c in clean.items() if not c.is_zero()})
-
-    def basis_elt(self, basis, coeff=None):
-        if coeff is None:
-            coeff = self.coeff_ring.one
-        return self.elt({basis: coeff})
-
-    @property
-    def one(self):
-        return self.basis_elt(BasisSym.one())
-
-    @property
-    def zero(self):
-        return self.elt({})
-
-    def basis_symbols(self, bound):
-        """1, d, and the canonical pair symbols with coordinates in [-bound, bound]."""
-        syms = [BasisSym.one(), BasisSym.delta()]
-        pairs = set()
-        for coords in itertools.product(range(-bound, bound + 1), repeat=self.r):
-            if any(coords):
-                pairs.add(_canonical_gamma(coords))
-        syms.extend(BasisSym.pair(g) for g in sorted(pairs))
-        return syms
-
-    def _pair_or_zero_terms(self, gamma, coeff):
-        if all(v == 0 for v in gamma):
-            scale = self.field.from_int(self.constants.pair_zero_scale)
-            scaled = self.coeff_ring.elt((scale,)) * coeff
-            return {BasisSym.one(): scaled, BasisSym.delta(): scaled}
-        return {BasisSym.pair(gamma): coeff}
-
-    def _lambda2_pair_elt(self):
-        target = self.constants.lambda2_pair
-        if target == "zero":
-            return self.zero
-        basis = BasisSym.one() if target == "one" else BasisSym.delta()
-        return self.basis_elt(basis)
-
-
-class GWExtElt:
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms
-
-    def _coerce(self, other):
-        if isinstance(other, GWExtElt) and other.ring == self.ring:
-            return other
-        raise DomainError("mixed-ring arithmetic")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            terms[b] = terms[b] + c if b in terms else c
-        return self.ring.elt(terms)
-
-    def __neg__(self):
-        return self.ring.elt({b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        other = self._coerce(other)
-        ring = self.ring
-        out = {}
-
-        def bump(terms):
-            for b, c in terms.items():
-                out[b] = out[b] + c if b in out else c
-
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                coeff = c1 * c2
-                if b1.kind == BasisSym.ONE:
-                    bump({b2: coeff})
-                elif b2.kind == BasisSym.ONE:
-                    bump({b1: coeff})
-                elif b1.kind == BasisSym.DELTA and b2.kind == BasisSym.DELTA:
-                    target = (
-                        BasisSym.one()
-                        if ring.constants.delta_delta == "one"
-                        else BasisSym.delta()
-                    )
-                    bump({target: coeff})
-                elif b1.kind == BasisSym.DELTA or b2.kind == BasisSym.DELTA:
-                    pair = b1 if b1.kind == BasisSym.PAIR else b2
-                    bump({pair: coeff})
-                else:
-                    g1, g2 = b1.gamma, b2.gamma
-                    for gamma in (
-                        tuple(a + b for a, b in zip(g1, g2)),
-                        tuple(a - b for a, b in zip(g1, g2)),
-                    ):
-                        bump(ring._pair_or_zero_terms(gamma, coeff))
-        return ring.elt(out)
-
-    def __rmul__(self, scalar):
-        return self.ring.elt({b: scalar * c for b, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, GWExtElt) or other.ring != self.ring:
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[b] == other.terms[b] for b in self.terms)
-
-    __hash__ = None
-
-    def augmentation(self):
-        return sum(c.augmentation() * b.rank for b, c in self.terms.items())
-
-    def is_line(self):
-        if len(self.terms) != 1:
-            return False
-        basis, coeff = next(iter(self.terms.items()))
-        return basis.rank == 1 and coeff.is_line()
-
-    def lambda_t(self, d):
-        ring = self.ring
-        one = ring.one
-        lam2 = ring._lambda2_pair_elt()
-        atoms = []
-        for basis, coeff in self.terms.items():
-            for entries, sign in ((coeff.pos, 1), (coeff.neg, -1)):
-                for a in entries:
-                    scaled = ring.basis_elt(basis, ring.coeff_ring.elt((a,)))
-                    if basis.kind == BasisSym.PAIR:
-                        # lambda^2(<a>[e^g]) = <a^2> lambda^2([e^g]) = lambda^2([e^g])
-                        series = [one, scaled, lam2]
-                    else:
-                        series = [one, scaled]
-                    atoms.append((series, sign))
-        return _lambda_t_from_atoms(ring, atoms, d)
-
-    def lambda_k(self, k):
-        if k < 0:
-            raise DomainError("lambda index must be >= 0")
-        if k == 0:
-            return self.ring.one
-        return self.lambda_t(k)[k]
-
-    def __repr__(self):
-        return "GWExtElt(%s)" % element_str(self)
+    return FreeLambdaRing("gw-ext-torus", r, GWFieldRing(field), EXT_SYMBOLS, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -930,10 +871,10 @@ def augmentation(x):
 
 def forgetful(x):
     """Drop the forms: GWExt -> KExt, coefficient becoming its virtual rank."""
-    if not isinstance(x, GWExtElt):
+    if not isinstance(x, FreeElt) or x.ring.tag != "gw-ext-torus":
         raise DomainError("the forgetful map starts from the form-level ring")
-    target = KExtTorusRing(x.ring.r)
-    return target.elt({b: c.augmentation() for b, c in x.terms.items()})
+    rank = x.ring.coeff_ring.rank
+    return KExtTorusRing(x.ring.r).elt({b: rank(c) for b, c in x.terms.items()})
 
 
 def hyperbolic_map(x, gw_ring):
@@ -942,16 +883,17 @@ def hyperbolic_map(x, gw_ring):
     Each basis copy acquires the split coefficient <1,-1>.  Additive but
     not multiplicative.
     """
-    if not isinstance(x, KExtElt):
+    if not isinstance(x, FreeElt) or x.ring.tag != "k-ext-torus":
         raise DomainError("the hyperbolic map starts from the character ring")
-    if not isinstance(gw_ring, GWExtTorusRing) or gw_ring.r != x.ring.r:
+    if (
+        not isinstance(gw_ring, FreeLambdaRing)
+        or gw_ring.tag != "gw-ext-torus"
+        or gw_ring.r != x.ring.r
+    ):
         raise DomainError("target ring must extend the same torus")
     field = gw_ring.field
     split = gw_ring.coeff_ring.elt(pos=(field.one, field.neg(field.one)))
-    terms = {}
-    for basis, coeff in x.terms.items():
-        terms[basis] = coeff * split
-    return gw_ring.elt(terms)
+    return gw_ring.elt({b: c * split for b, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -1079,14 +1021,6 @@ def check_line_special(line, x, kmax=None):
 # element exchange format
 
 
-def _coeff_record(coeff):
-    field = coeff.ring.field
-    return {
-        "pos": [field.to_str(a) for a in coeff.pos],
-        "neg": [field.to_str(a) for a in coeff.neg],
-    }
-
-
 def element_record(x):
     """JSON-ready record: ring tag, torus rank, field spec, and terms."""
     if isinstance(x, IntElt):
@@ -1101,60 +1035,21 @@ def element_record(x):
             "ring": "gw-field",
             "rank_r": None,
             "field": x.ring.field.spec,
-            "terms": [{"basis": "one", "coeff": _coeff_record(x)}],
+            "terms": [{"basis": "one", "coeff": x.ring.record(x)}],
         }
-    if isinstance(x, KTorusElt):
+    if isinstance(x, FreeElt):
+        ring = x.ring
         terms = [
-            {"basis": "wt:" + ",".join(str(v) for v in g), "coeff": c}
-            for g, c in sorted(x.terms.items())
-        ]
-        return {"ring": "k-torus", "rank_r": x.ring.r, "field": None, "terms": terms}
-    if isinstance(x, KExtElt):
-        terms = [
-            {"basis": b.to_str(), "coeff": c}
-            for b, c in sorted(x.terms.items(), key=lambda bc: bc[0].sort_key())
+            {"basis": ring.basis.record(b), "coeff": ring.coeff_ring.record(c)}
+            for b, c in x.sorted_terms()
         ]
         return {
-            "ring": "k-ext-torus",
-            "rank_r": x.ring.r,
-            "field": None,
-            "terms": terms,
-        }
-    if isinstance(x, GWExtElt):
-        terms = [
-            {"basis": b.to_str(), "coeff": _coeff_record(c)}
-            for b, c in sorted(x.terms.items(), key=lambda bc: bc[0].sort_key())
-        ]
-        return {
-            "ring": "gw-ext-torus",
-            "rank_r": x.ring.r,
-            "field": x.ring.field.spec,
+            "ring": ring.tag,
+            "rank_r": ring.r,
+            "field": None if ring.field is None else ring.field.spec,
             "terms": terms,
         }
     raise DomainError("unknown element type %r" % type(x).__name__)
-
-
-def _parse_rank(record):
-    r = _checked(record.get("rank_r"), int, "rank_r")
-    if r < 1:
-        raise FormatError("rank_r must be a positive integer")
-    return r
-
-
-def _parse_coeff(record, ring, where):
-    record = _checked(record, dict, "%s.coeff" % where)
-    field = ring.field
-    sides = []
-    for name in ("pos", "neg"):
-        entries = _checked(record.get(name), list, "%s.coeff.%s" % (where, name))
-        try:
-            side = [field.parse(str(v)) for v in entries]
-        except FormatError as exc:
-            raise FormatError("%s.coeff: %s" % (where, exc)) from None
-        if any(field.is_zero(v) for v in side):
-            raise FormatError("%s.coeff.%s holds a zero entry" % (where, name))
-        sides.append(side)
-    return ring.elt(*sides)
 
 
 def parse_element(record, constants=DEFAULT_CONSTANTS):
@@ -1179,48 +1074,20 @@ def parse_element(record, constants=DEFAULT_CONSTANTS):
         ring = GWFieldRing(field)
         out = ring.zero
         for where, term in terms:
-            out = out + _parse_coeff(term.get("coeff"), ring, where)
+            out = out + ring.parse(term.get("coeff"), where)
         return out
-    if tag == "k-torus":
-        r = _parse_rank(record)
-        ring = KTorusRing(r)
+    if tag in ("k-torus", "k-ext-torus", "gw-ext-torus"):
+        r = _checked(record.get("rank_r"), int, "rank_r")
+        if r < 1:
+            raise FormatError("rank_r must be a positive integer")
+        if tag == "gw-ext-torus":
+            ring = GWExtTorusRing(r, field_model(str(record.get("field"))), constants)
+        else:
+            ring = (KTorusRing if tag == "k-torus" else KExtTorusRing)(r)
         acc = {}
         for where, term in terms:
-            basis = str(term.get("basis", ""))
-            if not basis.startswith("wt:"):
-                raise FormatError("%s.basis must look like 'wt:<coords>'" % where)
-            try:
-                gamma = tuple(int(v) for v in basis[3:].split(","))
-            except ValueError:
-                raise FormatError("%s.basis has bad coordinates" % where) from None
-            if len(gamma) != r:
-                raise FormatError("%s.basis has %d coordinates, expected %d" % (where, len(gamma), r))
-            coeff = _checked(term.get("coeff"), int, where + ".coeff")
-            acc[gamma] = acc.get(gamma, 0) + coeff
-        return ring.elt(acc)
-    if tag == "k-ext-torus":
-        r = _parse_rank(record)
-        ring = KExtTorusRing(r)
-        acc = {}
-        for where, term in terms:
-            try:
-                basis = parse_basis(str(term.get("basis", "")), r)
-            except FormatError as exc:
-                raise FormatError("%s: %s" % (where, exc)) from None
-            coeff = _checked(term.get("coeff"), int, where + ".coeff")
-            acc[basis] = acc.get(basis, 0) + coeff
-        return ring.elt(acc)
-    if tag == "gw-ext-torus":
-        r = _parse_rank(record)
-        field = field_model(str(record.get("field")))
-        ring = GWExtTorusRing(r, field, constants)
-        acc = {}
-        for where, term in terms:
-            try:
-                basis = parse_basis(str(term.get("basis", "")), r)
-            except FormatError as exc:
-                raise FormatError("%s: %s" % (where, exc)) from None
-            coeff = _parse_coeff(term.get("coeff"), ring.coeff_ring, where)
+            basis = ring.basis.parse(str(term.get("basis", "")), r, where)
+            coeff = ring.coeff_ring.parse(term.get("coeff"), where)
             acc[basis] = acc[basis] + coeff if basis in acc else coeff
         return ring.elt(acc)
     raise FormatError("unknown ring tag %r" % (tag,))
@@ -1239,55 +1106,16 @@ def load_element(path, constants=DEFAULT_CONSTANTS):
 # compact display strings
 
 
-def _coeff_str(coeff):
-    field = coeff.ring.field
-    if not coeff.pos and not coeff.neg:
-        return "0"
-    pos = "<%s>" % ",".join(field.to_str(a) for a in coeff.pos) if coeff.pos else ""
-    neg = "<%s>" % ",".join(field.to_str(a) for a in coeff.neg) if coeff.neg else ""
-    if pos and neg:
-        return "(%s - %s)" % (pos, neg)
-    if neg:
-        return "(-%s)" % neg
-    return pos
-
-
-def _basis_str(basis, gw):
-    suffix = "+" if gw else ""
-    if basis.kind == BasisSym.ONE:
-        return "1" + suffix
-    if basis.kind == BasisSym.DELTA:
-        return "d" + suffix
-    return "[e^(%s)]%s" % (",".join(str(v) for v in basis.gamma), suffix)
-
-
 def element_str(x):
     """Readable one-line form of any ring element."""
     if isinstance(x, IntElt):
         return str(x.n)
     if isinstance(x, GWFieldElt):
-        return _coeff_str(x)
-    if isinstance(x, KTorusElt):
-        if not x.terms:
-            return "0"
-        parts = []
-        for g, c in sorted(x.terms.items()):
-            body = "e[%s]" % ",".join(str(v) for v in g)
-            parts.append(body if c == 1 else "%d*%s" % (c, body))
-        return " + ".join(parts)
-    if isinstance(x, KExtElt):
-        if not x.terms:
-            return "0"
-        parts = []
-        for b, c in sorted(x.terms.items(), key=lambda bc: bc[0].sort_key()):
-            body = _basis_str(b, gw=False)
-            parts.append(body if c == 1 else "%d*%s" % (c, body))
-        return " + ".join(parts)
-    if isinstance(x, GWExtElt):
-        if not x.terms:
-            return "0"
-        parts = []
-        for b, c in sorted(x.terms.items(), key=lambda bc: bc[0].sort_key()):
-            parts.append("%s*%s" % (_coeff_str(c), _basis_str(b, gw=True)))
-        return " + ".join(parts)
+        return x.ring.to_str(x)
+    if isinstance(x, FreeElt):
+        ring = x.ring
+        parts = [
+            ring.coeff_ring.term_str(c, ring.basis.display(b)) for b, c in x.sorted_terms()
+        ]
+        return " + ".join(parts) or "0"
     return repr(x)

@@ -59,9 +59,6 @@ class SymPolynomial:
         self.alphabets = alphabets
         self.terms = clean
 
-    def _split(self, exps):
-        return exps[: self.n_vars], exps[self.n_vars :]
-
     def is_symmetric(self):
         """Invariance under adjacent transpositions within each alphabet."""
         n = self.n_vars
@@ -315,52 +312,25 @@ def _partition_to_e(part):
 def reduce_to_elementary(p):
     """Rewrite a symmetric polynomial in the elementary basis.
 
-    Repeatedly subtracts the e-monomial whose leading term matches the
-    current lexicographic leading term.  A leading exponent that is not
-    weakly decreasing within each alphabet proves the input is not
-    symmetric there, which raises :class:`NotSymmetricError`.
+    Raises :class:`NotSymmetricError` unless ``p`` is invariant under
+    permutations within each alphabet; then clears lexicographic leading
+    terms on partition-shaped exponents (see ``_elementary_table``).
     """
-    n = p.n_vars
-    two = p.alphabets == 2
-    work = dict(p.terms)
-    out = {}
-    while work:
-        lead = max(work)
-        coeff = work[lead]
-        xpart, ypart = lead[:n], lead[n:]
-        for part in (xpart, ypart):
-            if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
-                raise NotSymmetricError(
-                    "leading exponent %r is not a partition; "
-                    "input is not symmetric" % (lead,)
-                )
-        ex = _partition_to_e(xpart)
-        ey = _partition_to_e(ypart) if two else ()
-        key = (_strip(ex), _strip(ey))
-        out[key] = out.get(key, 0) + coeff
-        xexp = _e_monomial(n, _strip(ex))
-        yexp = _e_monomial(n, _strip(ey)) if two else {(): 1}
-        for xkey, xval in xexp.items():
-            for ykey, yval in yexp.items():
-                mono = xkey + ykey
-                v = work.get(mono, 0) - coeff * xval * yval
-                if v:
-                    work[mono] = v
-                else:
-                    work.pop(mono, None)
-    return EPolynomial(n, out, p.alphabets)
+    if not p.is_symmetric():
+        raise NotSymmetricError("input is not symmetric in each alphabet")
+    return _elementary_table(p.terms, p.n_vars, p.alphabets == 2)
 
 
 # ---------------------------------------------------------------------------
 # universal polynomial tables
 
-# The generic reduction above expands e-monomials over every monomial of the
-# ambient polynomial ring, which blows up around total degree 8 in 9+
-# variables.  The table builders therefore run the same leading-term
-# algorithm on partition representatives only: a symmetric polynomial is
-# determined by its coefficients on weakly decreasing exponent vectors, and
-# the coefficient of x^cols in prod_r e_{rows[r]} is the number of 0/1
-# matrices with the given row and column sums.
+# The leading-term reduction (``reduce_to_elementary`` and the table
+# builders) runs on partition representatives only: a symmetric polynomial
+# is determined by its coefficients on weakly decreasing exponent vectors,
+# and the coefficient of x^cols in prod_r e_{rows[r]} is the number of 0/1
+# matrices with the given row and column sums.  Expanding e-monomials over
+# every monomial of the ambient ring instead blows up around total degree 8
+# in 9+ variables.
 
 
 @lru_cache(maxsize=None)

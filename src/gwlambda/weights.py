@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, _checked
 from .fields import _is_prime
 
 RANK_CAP_ENV = "GWLAMBDA_WEYL_RANK_CAP"
@@ -258,7 +258,8 @@ def check_triangularity(weight, flavor):
 # restriction to the extended torus
 
 
-def _canonical_rep(gamma):
+def canonical_rep(gamma):
+    """Flip the global sign so the first nonzero coordinate is positive."""
     for v in gamma:
         if v > 0:
             return tuple(gamma)
@@ -287,7 +288,7 @@ def fold_restriction(char):
         if all(v == 0 for v in gamma):
             zero_mass = mult
             continue
-        rep = _canonical_rep(gamma)
+        rep = canonical_rep(gamma)
         if rep == gamma:
             pairs[rep] = mult
     return pairs, zero_mass
@@ -330,7 +331,7 @@ def classify_semidirect(r, bound):
     reps = set()
     for coords in itertools.product(range(-bound, bound + 1), repeat=r):
         if any(coords):
-            reps.add(_canonical_rep(coords))
+            reps.add(canonical_rep(coords))
     out.extend(OrbitSimple(kind="induced", rep=g) for g in sorted(reps))
     return tuple(out)
 
@@ -371,26 +372,20 @@ def char_record(char, n):
 
 
 def parse_char(record):
-    if not isinstance(record, dict):
-        raise FormatError("character record must be an object")
-    n = record.get("n")
-    if not isinstance(n, int) or n < 1:
+    record = _checked(record, dict, "character record")
+    n = _checked(record.get("n"), int, "n")
+    if n < 1:
         raise FormatError("n must be a positive integer")
-    terms = record.get("terms")
-    if not isinstance(terms, list):
-        raise FormatError("terms must be a list")
     out = {}
-    for idx, term in enumerate(terms):
-        if not isinstance(term, dict):
-            raise FormatError("terms[%d] must be an object" % idx)
-        weight = term.get("weight")
-        mult = term.get("mult")
-        if not isinstance(weight, list) or len(weight) != n:
-            raise FormatError("terms[%d].weight must be a list of %d integers" % (idx, n))
-        if not all(isinstance(v, int) for v in weight):
-            raise FormatError("terms[%d].weight must be a list of integers" % idx)
-        if not isinstance(mult, int):
-            raise FormatError("terms[%d].mult must be an integer" % idx)
-        key = tuple(weight)
+    for idx, term in enumerate(_checked(record.get("terms"), list, "terms")):
+        where = "terms[%d]" % idx
+        term = _checked(term, dict, where)
+        weight = _checked(term.get("weight"), list, where + ".weight")
+        if len(weight) != n:
+            raise FormatError("%s.weight must be a list of %d integers" % (where, n))
+        key = tuple(
+            _checked(v, int, "%s.weight[%d]" % (where, i)) for i, v in enumerate(weight)
+        )
+        mult = _checked(term.get("mult"), int, where + ".mult")
         out[key] = out.get(key, 0) + mult
     return {k: v for k, v in out.items() if v}

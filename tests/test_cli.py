@@ -232,6 +232,13 @@ def test_directory_as_input_or_output_is_usage_error(capsys, tmp_path):
     )
 
 
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--ring", "integers", "--x", "2", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # forms
 
@@ -315,6 +322,14 @@ def test_forms_rejects_bad_gram(tmp_path):
     out = run_cli("forms", "class", "--in", g)
     assert out.returncode == 2
     assert "singular" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "field", [["qc"], 5], ids=["field-is-a-list", "field-is-a-number"]
+)
+def test_forms_bad_field_spec_is_usage_error(capsys, tmp_path, field):
+    path = write_json(tmp_path / "f.json", {"field": field, "gram": [["1"]]})
+    main_usage_error(capsys, "forms", "class", "--in", path)
 
 
 def test_forms_missing_file():

@@ -4,7 +4,8 @@ Each case pins the sha256 of the full ``--format records`` output of one
 ``gwlambda check --sweep`` run.  A change to the engine that keeps every
 result but alters a single byte of a record (term order, coefficient
 representatives, the pass flag) fails here; such a change must say why in
-CHANGES.md and update the digest.
+CHANGES.md and update the digest.  The ``--format human`` cases pin the
+element display strings (sweep names, and the lhs/rhs of failing checks).
 """
 
 import hashlib
@@ -41,6 +42,10 @@ CASES = {
         ("--ring", "gw-ext-torus", "--field", "fq:7"),
         "97da9014120d181d6f9997da977099b83ab46ebc47665a574d40cb6a0ad00ed6",
     ),
+    "k-torus-r2": (
+        ("--ring", "k-torus", "--r", "2"),
+        "e84edd84ea14e71801142804d0aa93fe663bb06eb30a897cda0e1f8caabfc449",
+    ),
     "k-ext-torus": (
         ("--ring", "k-ext-torus"),
         "6c8e0176e73c6a7fec0f7b6822f943b90d6351a6c42c64996e6cb07ebbe983d7",
@@ -57,6 +62,12 @@ CORRUPTED = {
     "rc": "eafceb4eed709ccf6e6d875695e6384ba96cf6095604ec6879fc9af9a6a53fc7",
     "fq:3": "e0c788ae7487fe30bdd303558b846458e4dc85e07ed02ce81a6e3424c0fdfa0a",
 }
+
+
+HUMAN_SWEEP = ("check", "--sweep", "--bound", "1", "--format", "human")
+
+HUMAN_K_TORUS_R2 = "f42c57959c2278079101a3001c32b8733ecee435b30f66a6cc9a9a8b4821c720"
+HUMAN_CORRUPTED_FQ5 = "d6c47cdfb3117bebccd2bed56a07363e7b842c2c8538d32daa92a0533ac58a92"
 
 
 def records_digest(capsys, argv):
@@ -80,3 +91,18 @@ def test_corrupted_constants_records_digest(capsys, tmp_path, field):
         "--constants", str(constants),
     )
     assert records_digest(capsys, argv) == (1, CORRUPTED[field])
+
+
+def test_k_torus_human_digest(capsys):
+    argv = HUMAN_SWEEP + ("--ring", "k-torus", "--r", "2")
+    assert records_digest(capsys, argv) == (0, HUMAN_K_TORUS_R2)
+
+
+def test_corrupted_constants_human_digest(capsys, tmp_path):
+    constants = tmp_path / "constants.json"
+    constants.write_text(json.dumps({"lambda2_pair": "one"}))
+    argv = HUMAN_SWEEP + (
+        "--ring", "gw-ext-torus", "--field", "fq:5", "--kmax", "3",
+        "--constants", str(constants),
+    )
+    assert records_digest(capsys, argv) == (1, HUMAN_CORRUPTED_FQ5)

@@ -15,10 +15,14 @@ from gwlambda.lambda_rings import (
     DEFAULT_CONSTANTS,
     BasisSym,
     ExtTorusConstants,
+    FreeElt,
+    GWExtElt,
     GWExtTorusRing,
     GWFieldRing,
     IntegerRing,
+    KExtElt,
     KExtTorusRing,
+    KTorusElt,
     KTorusRing,
     augmentation,
     check_lambda1,
@@ -563,3 +567,22 @@ def test_mixed_ring_arithmetic_rejected():
     kt1, kt2 = KTorusRing(1), KTorusRing(2)
     with pytest.raises(DomainError):
         kt1.one + kt2.one
+
+
+def test_free_rings_share_one_element_class():
+    assert KTorusElt is KExtElt is GWExtElt is FreeElt
+    for ring in (KTorusRing(1), KExtTorusRing(1), ext_ring("fq:5")):
+        assert type(ring.one) is FreeElt
+
+
+def test_free_ring_elt_checks_keys_and_coefficients():
+    ke, er = KExtTorusRing(1), ext_ring("fq:5")
+    with pytest.raises(DomainError, match="basis symbols"):
+        ke.elt({(1,): 1})
+    for ring, coeff in (
+        (ke, er.coeff_ring.one),
+        (er, 1),
+        (er, ext_ring("fq:7").coeff_ring.one),
+    ):
+        with pytest.raises(DomainError, match="coefficient ring"):
+            ring.elt({BasisSym.one(): coeff})

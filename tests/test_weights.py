@@ -384,3 +384,17 @@ def test_parse_char_diagnostics():
         parse_char({"n": 2, "terms": [{"weight": [1], "mult": 1}]})
     with pytest.raises(FormatError, match="mult"):
         parse_char({"n": 1, "terms": [{"weight": [1], "mult": "x"}]})
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"n": True, "terms": []},
+        {"n": 1, "terms": [{"weight": [True], "mult": 1}]},
+        {"n": 1, "terms": [{"weight": [1], "mult": True}]},
+    ],
+    ids=["n", "weight", "mult"],
+)
+def test_parse_char_rejects_bool_as_int(record):
+    with pytest.raises(FormatError, match="integer"):
+        parse_char(record)
