@@ -141,12 +141,7 @@ def _sweep_elements(args, constants):
     if ring_tag == "gw-field":
         field = _require_field(args)
         ring = lr.GWFieldRing(field)
-        reps = [field.one]
-        others = sorted(
-            {field.square_class(a) for a in _field_probe(field)} - {field.one},
-            key=field.sort_key,
-        )
-        reps.extend(others)
+        reps = [field.one] + [a for a in field.square_classes if a != field.one]
         return [("<%s>" % field.to_str(a), ring.diag([a])) for a in reps]
     if ring_tag == "k-torus":
         ring = lr.KTorusRing(args.r)
@@ -159,15 +154,6 @@ def _sweep_elements(args, constants):
             ring = lr.GWExtTorusRing(args.r, _require_field(args), constants)
         return [(b.to_str(), ring.basis_elt(b)) for b in ring.basis_symbols(bound)]
     raise DomainError("--sweep requires --ring")
-
-
-def _field_probe(field):
-    """A few nonzero elements covering every square class of the model."""
-    if field.kind == "fq":
-        return [field.from_int(n) for n in range(1, field.q)]
-    if field.kind == "rc":
-        return [field.one, field.neg(field.one)]
-    return [field.one]
 
 
 def _require_field(args):

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON checks shared by every record parser."""
+
+import json
 
 
 class DomainError(ValueError):
@@ -25,3 +27,17 @@ def _checked(value, kind, where):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise FormatError("%s must be %s" % (where, _JSON_KINDS[kind]))
     return value
+
+
+def _load_json(path):
+    """The JSON value in the file at ``path``.
+
+    Bytes that are not UTF-8, malformed or too deeply nested JSON, and
+    integers too long to convert are format errors; ``OSError`` passes
+    through.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError("invalid JSON in %s: %s" % (path, exc)) from None

@@ -79,15 +79,14 @@ class FieldModel:
         """Canonical representative of the square class of nonzero a."""
         raise NotImplementedError
 
+    #: Every canonical representative, in output order.
+    square_classes = ()
+
     # -- serialization ---------------------------------------------------
     def parse(self, text):
         raise NotImplementedError
 
     def to_str(self, a):
-        raise NotImplementedError
-
-    def sort_key(self, a):
-        """Total order on elements, used only for canonical output order."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -129,6 +128,7 @@ class QuadraticallyClosed(FieldModel):
 
     zero = Fraction(0)
     one = Fraction(1)
+    square_classes = (Fraction(1),)
 
     def from_int(self, n):
         return Fraction(n)
@@ -149,9 +149,6 @@ class QuadraticallyClosed(FieldModel):
     def to_str(self, a):
         return _fraction_str(a)
 
-    def sort_key(self, a):
-        return a
-
 
 class RealClosed(FieldModel):
     kind = "rc"
@@ -167,6 +164,7 @@ class RealClosed(FieldModel):
 
     zero = Fraction(0)
     one = Fraction(1)
+    square_classes = (Fraction(-1), Fraction(1))
 
     def from_int(self, n):
         return Fraction(n)
@@ -187,9 +185,6 @@ class RealClosed(FieldModel):
     def to_str(self, a):
         return _fraction_str(a)
 
-    def sort_key(self, a):
-        return a
-
 
 class FinitePrime(FieldModel):
     kind = "fq"
@@ -202,6 +197,7 @@ class FinitePrime(FieldModel):
         self.non_residue = next(
             a for a in range(2, q) if pow(a, (q - 1) // 2, q) != 1
         )
+        self.square_classes = (1, self.non_residue)
 
     @property
     def spec(self):
@@ -260,9 +256,6 @@ class FinitePrime(FieldModel):
 
     def to_str(self, a):
         return str(a % self.q)
-
-    def sort_key(self, a):
-        return a % self.q
 
 
 def _is_prime(n):

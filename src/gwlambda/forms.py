@@ -12,9 +12,8 @@ with the induced virtual (formal-difference) ring structure.
 """
 
 import itertools
-import json
 
-from .errors import DomainError, FormatError, _checked
+from .errors import DomainError, FormatError, _checked, _load_json
 from .fields import FieldModel, SquareClass, field_model
 
 
@@ -610,9 +609,4 @@ def parse_form(record):
 
 
 def load_form(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError("invalid JSON in %s: %s" % (path, exc)) from None
-    return parse_form(record)
+    return parse_form(_load_json(path))

@@ -5,7 +5,8 @@ scalars, ``lambda_k``, ``lambda_t``, ``augmentation``):
 
 * ``IntegerRing`` -- the integers, lambda^k = binomial coefficient;
 * ``GWFieldRing`` -- formal differences of diagonal forms over a model
-  field, held as square-class multisets, equality by complete invariants;
+  field, held as signed counts per square class, equality by complete
+  invariants;
 * ``FreeLambdaRing`` -- a free module on a basis with coefficients in Z
   (plain ints) or in GW(F) (a ``GWFieldRing``).  Its three instances:
 
@@ -25,12 +26,11 @@ compositions against the universal polynomial tables from ``symfun``.
 """
 
 import itertools
-import json
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import DomainError, FormatError, _checked
+from .errors import DomainError, FormatError, _checked, _load_json
 from .fields import field_model
 from .forms import GWClass
 from .weights import canonical_rep, classify_semidirect
@@ -40,24 +40,39 @@ from . import symfun
 # truncated series helpers (coefficients are ring elements)
 
 
-def _series_mul(a, b, zero, d):
-    out = [zero] * (d + 1)
-    for i, ai in enumerate(a[: d + 1]):
-        for j, bj in enumerate(b[: d + 1 - i]):
-            out[i + j] = out[i + j] + ai * bj
+# Every series here starts at the ring unit, and entries past the end of a
+# list are zero: products with the unit and with zero are never formed.
+# The sum for each degree k still runs over a[i]*b[k-i] in increasing i.
+# The order matters: each sum drops coefficients whose class is zero, and
+# over fq such a coefficient can have nonzero counts, so another order can
+# print the same class with other entries.
+
+
+def _series_mul(a, b, d):
+    """a*b truncated at degree d; a[0] and b[0] are the ring unit."""
+    out = [a[0]]
+    for k in range(1, min(d, len(a) + len(b) - 2) + 1):
+        acc = b[k] if k < len(b) else None
+        for i in range(max(1, k - len(b) + 1), min(k, len(a))):
+            term = a[i] * b[k - i]
+            acc = term if acc is None else acc + term
+        if k < len(a):
+            acc = a[k] if acc is None else acc + a[k]
+        out.append(acc)
     return out
 
 
-def _series_inv(a, one, zero, d):
+def _series_inv(a, d):
     """Inverse of a series with constant term 1, truncated at degree d."""
-    out = [zero] * (d + 1)
-    out[0] = one
+    out = [a[0]]
+    if len(a) == 1:
+        return out
     for k in range(1, d + 1):
-        acc = zero
-        for i in range(1, k + 1):
-            ai = a[i] if i < len(a) else zero
-            acc = acc + ai * out[k - i]
-        out[k] = -acc
+        acc = None
+        for i in range(1, min(k, len(a) - 1) + 1):
+            term = a[i] if i == k else a[i] * out[k - i]
+            acc = term if acc is None else acc + term
+        out.append(-acc)
     return out
 
 
@@ -86,17 +101,15 @@ class LambdaSeries:
 
 def _lambda_t_from_atoms(ring, atoms, d):
     """Multiply out per-atom series; sign -1 atoms contribute inverses."""
-    one, zero = ring.one, ring.zero
-    pos = [one] + [zero] * d
-    neg = [one] + [zero] * d
+    pos = [ring.one]
+    neg = [ring.one]
     for series, sign in atoms:
-        series = list(series[: d + 1]) + [zero] * (d + 1 - len(series[: d + 1]))
         if sign > 0:
-            pos = _series_mul(pos, series, zero, d)
+            pos = _series_mul(pos, series, d)
         else:
-            neg = _series_mul(neg, series, zero, d)
-    total = _series_mul(pos, _series_inv(neg, one, zero, d), zero, d)
-    return LambdaSeries(ring, total)
+            neg = _series_mul(neg, series, d)
+    total = _series_mul(pos, _series_inv(neg, d), d)
+    return LambdaSeries(ring, total + [ring.zero] * (d + 1 - len(total)))
 
 
 def _binom_general(n, k):
@@ -188,43 +201,70 @@ class IntElt:
 # diagonal forms over a model field, up to complete invariants
 
 
-@dataclass(frozen=True)
 class GWFieldRing:
     """Formal differences of diagonal forms <a1,...,am> over a model field.
 
-    Elements keep canonical square-class representatives; identical
-    entries appearing on both sides of the difference cancel.  Equality is
-    decided by the complete invariants of the model (GWClass).
+    An element stores ``counts``: one signed int per square class of the
+    field, in the order of ``field.square_classes`` -- how many entries <a>
+    of that class are added, minus how many are subtracted.  Its ``pos`` and
+    ``neg`` (the class representatives repeated by the positive and the
+    negative counts) are the exchange format.  Equality is decided by the
+    complete invariants of the model (GWClass), built once per counts and
+    kept by the ring; counts alone do not decide it, since over fq
+    2<1> - 2<u> is zero.  ``*`` multiplies counts through the square-class
+    product table of the field.
 
     It is also the coefficient ring of ``GWExtTorusRing``: the methods
-    after ``zero`` are the coefficient protocol that ``FreeLambdaRing``
-    uses (``INTEGERS`` has the same methods on plain ints).
+    from ``__contains__`` on are the coefficient protocol that
+    ``FreeLambdaRing`` uses (``INTEGERS`` has the same methods on plain
+    ints).
     """
 
-    field: object
+    __slots__ = (
+        "field", "_index", "_table", "_memo", "_zero_class", "_rank_one", "one", "zero",
+    )
+
+    def __init__(self, field):
+        self.field = field
+        classes = field.square_classes
+        self._index = index = {a: i for i, a in enumerate(classes)}
+        # _table[i][j]: index of the square class of classes[i] * classes[j]
+        self._table = tuple(
+            tuple(index[field.square_class(field.mul(a, b))] for b in classes)
+            for a in classes
+        )
+        self._memo = {}  # {counts: GWClass}
+        self._zero_class = GWClass.zero(field)
+        # _rank_one[i]: the form <classes[i]>
+        self._rank_one = tuple(
+            GWFieldElt(self, tuple(int(i == j) for j in range(len(classes))))
+            for i in range(len(classes))
+        )
+        self.one = self._rank_one[index[field.one]]
+        self.zero = GWFieldElt(self, (0,) * len(classes))
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, GWFieldRing) and self.field == other.field)
+
+    def __hash__(self):
+        return hash(self.field)
+
+    def __repr__(self):
+        return "GWFieldRing(%r)" % (self.field,)
 
     def elt(self, pos=(), neg=()):
-        field = self.field
-        p = [field.square_class(a) for a in pos]
-        n = [field.square_class(a) for a in neg]
-        for v in set(p) & set(n):
-            while v in p and v in n:
-                p.remove(v)
-                n.remove(v)
-        key = field.sort_key
-        return GWFieldElt(self, tuple(sorted(p, key=key)), tuple(sorted(n, key=key)))
+        """<pos entries> - <neg entries>; each entry is a nonzero field element."""
+        index, square_class = self._index, self.field.square_class
+        counts = [0] * len(index)
+        for a in pos:
+            counts[index[square_class(a)]] += 1
+        for a in neg:
+            counts[index[square_class(a)]] -= 1
+        return GWFieldElt(self, tuple(counts))
 
     def diag(self, entries):
         """The class of the diagonal form with the given entries."""
         return self.elt(pos=entries)
-
-    @property
-    def one(self):
-        return self.elt(pos=(self.field.one,))
-
-    @property
-    def zero(self):
-        return self.elt()
 
     def __contains__(self, coeff):
         return isinstance(coeff, GWFieldElt) and coeff.ring == self
@@ -237,9 +277,13 @@ class GWFieldRing:
 
     def lines(self, coeff):
         """(<a>, sign) pairs whose signed sum is ``coeff``: pos, then neg."""
-        return [(self.elt((a,)), 1) for a in coeff.pos] + [
-            (self.elt((a,)), -1) for a in coeff.neg
-        ]
+        pos, neg = [], []
+        for line, c in zip(self._rank_one, coeff.counts):
+            if c > 0:
+                pos += [(line, 1)] * c
+            elif c < 0:
+                neg += [(line, -1)] * -c
+        return pos + neg
 
     def scale(self, s):
         """The rank-1 form <s>."""
@@ -270,10 +314,11 @@ class GWFieldRing:
 
     def to_str(self, coeff):
         field = self.field
-        if not coeff.pos and not coeff.neg:
+        pos, neg = coeff.pos, coeff.neg
+        if not pos and not neg:
             return "0"
-        pos = "<%s>" % ",".join(field.to_str(a) for a in coeff.pos) if coeff.pos else ""
-        neg = "<%s>" % ",".join(field.to_str(a) for a in coeff.neg) if coeff.neg else ""
+        pos = "<%s>" % ",".join(field.to_str(a) for a in pos) if pos else ""
+        neg = "<%s>" % ",".join(field.to_str(a) for a in neg) if neg else ""
         if pos and neg:
             return "(%s - %s)" % (pos, neg)
         if neg:
@@ -283,22 +328,27 @@ class GWFieldRing:
     def term_str(self, coeff, body):
         return "%s*%s+" % (self.to_str(coeff), body)
 
-@lru_cache(maxsize=None)
-def _zero_class(field):
-    """GWClass.zero(field), built once per field model for is_zero."""
-    return GWClass.zero(field)
-
 
 class GWFieldElt:
-    """An immutable coefficient; its GWClass is computed on first use."""
+    """An immutable coefficient: signed counts per square class of the field."""
 
-    __slots__ = ("ring", "pos", "neg", "_class")
+    __slots__ = ("ring", "counts")
 
-    def __init__(self, ring, pos, neg):
+    def __init__(self, ring, counts):
         self.ring = ring
-        self.pos = pos
-        self.neg = neg
-        self._class = None
+        self.counts = counts
+
+    @property
+    def pos(self):
+        """Representatives of the added entries, in class order."""
+        classes = self.ring.field.square_classes
+        return tuple(a for a, c in zip(classes, self.counts) for _ in range(c))
+
+    @property
+    def neg(self):
+        """Representatives of the subtracted entries, in class order."""
+        classes = self.ring.field.square_classes
+        return tuple(a for a, c in zip(classes, self.counts) for _ in range(-c))
 
     def _coerce(self, other):
         if isinstance(other, GWFieldElt) and other.ring == self.ring:
@@ -306,40 +356,38 @@ class GWFieldElt:
         raise DomainError("mixed-ring arithmetic")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return self.ring.elt(self.pos + other.pos, self.neg + other.neg)
+        counts = self._coerce(other).counts
+        return GWFieldElt(self.ring, tuple(map(operator.add, self.counts, counts)))
 
     def __neg__(self):
-        return self.ring.elt(self.neg, self.pos)
+        return GWFieldElt(self.ring, tuple(map(operator.neg, self.counts)))
 
     def __sub__(self, other):
-        return self + (-other)
+        counts = self._coerce(other).counts
+        return GWFieldElt(self.ring, tuple(map(operator.sub, self.counts, counts)))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.__rmul__(other)
-        other = self._coerce(other)
-        mul = self.ring.field.mul
-        pos, neg = [], []
-        for a, b in itertools.product(self.pos, other.pos):
-            pos.append(mul(a, b))
-        for a, b in itertools.product(self.neg, other.neg):
-            pos.append(mul(a, b))
-        for a, b in itertools.product(self.pos, other.neg):
-            neg.append(mul(a, b))
-        for a, b in itertools.product(self.neg, other.pos):
-            neg.append(mul(a, b))
-        return self.ring.elt(pos, neg)
+        theirs = self._coerce(other).counts
+        table = self.ring._table
+        out = [0] * len(theirs)
+        for i, a in enumerate(self.counts):
+            if a:
+                row = table[i]
+                for j, b in enumerate(theirs):
+                    out[row[j]] += a * b
+        return GWFieldElt(self.ring, tuple(out))
 
     def __rmul__(self, scalar):
-        if scalar >= 0:
-            return self.ring.elt(self.pos * scalar, self.neg * scalar)
-        return self.ring.elt(self.neg * (-scalar), self.pos * (-scalar))
+        return GWFieldElt(self.ring, tuple(scalar * c for c in self.counts))
 
     def gw_class(self):
-        if self._class is None:
-            self._class = GWClass.of_diagonal(self.ring.field, self.pos, self.neg)
-        return self._class
+        memo = self.ring._memo
+        cls = memo.get(self.counts)
+        if cls is None:
+            cls = memo[self.counts] = GWClass.of_diagonal(self.ring.field, self.pos, self.neg)
+        return cls
 
     def __eq__(self, other):
         if not isinstance(other, GWFieldElt) or other.ring != self.ring:
@@ -349,13 +397,13 @@ class GWFieldElt:
     __hash__ = None
 
     def is_zero(self):
-        return self.gw_class() == _zero_class(self.ring.field)
+        return self.gw_class() == self.ring._zero_class
 
     def augmentation(self):
-        return len(self.pos) - len(self.neg)
+        return sum(self.counts)
 
     def is_line(self):
-        return len(self.pos) == 1 and not self.neg
+        return sum(map(abs, self.counts)) == 1 == sum(self.counts)
 
     def lambda_t(self, d):
         one = self.ring.one
@@ -485,11 +533,7 @@ DEFAULT_CONSTANTS = ExtTorusConstants()
 
 
 def load_constants(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError("invalid JSON in %s: %s" % (path, exc)) from None
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise FormatError("constants file must hold an object")
     allowed = {"delta_delta", "delta_pair", "lambda2_pair", "pair_zero_scale"}
@@ -1070,8 +1114,7 @@ def parse_element(record, constants=DEFAULT_CONSTANTS):
             total += _checked(term.get("coeff"), int, where + ".coeff")
         return ring.elt(total)
     if tag == "gw-field":
-        field = field_model(str(record.get("field")))
-        ring = GWFieldRing(field)
+        ring = GWFieldRing(field_model(_checked(record.get("field"), str, "field")))
         out = ring.zero
         for where, term in terms:
             out = out + ring.parse(term.get("coeff"), where)
@@ -1081,7 +1124,8 @@ def parse_element(record, constants=DEFAULT_CONSTANTS):
         if r < 1:
             raise FormatError("rank_r must be a positive integer")
         if tag == "gw-ext-torus":
-            ring = GWExtTorusRing(r, field_model(str(record.get("field"))), constants)
+            field = field_model(_checked(record.get("field"), str, "field"))
+            ring = GWExtTorusRing(r, field, constants)
         else:
             ring = (KTorusRing if tag == "k-torus" else KExtTorusRing)(r)
         acc = {}
@@ -1094,12 +1138,7 @@ def parse_element(record, constants=DEFAULT_CONSTANTS):
 
 
 def load_element(path, constants=DEFAULT_CONSTANTS):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError("invalid JSON in %s: %s" % (path, exc)) from None
-    return parse_element(record, constants)
+    return parse_element(_load_json(path), constants)
 
 
 # ---------------------------------------------------------------------------

@@ -200,21 +200,31 @@ class EPolynomial:
         Values may come from any commutative ring whose elements support
         ``+``, ``*`` and integer scalars via ``n * value``; ``one`` must be
         the ring unit.
+
+        Each monomial is the product of its factors from the left (x values
+        in index order, then y values), built once from its longest proper
+        prefix; products with ``one`` and sums with zero are not formed.
         """
         xs, ys = list(xs), list(ys)
-        total = 0 * one
+        values = xs + ys
+        monomials = {(): one}
+        total = None
         for (ex, ey), coeff in sorted(self.terms.items()):
             if len(ex) > len(xs) or len(ey) > len(ys):
                 raise DomainError("not enough values for the e-variables used")
-            term = one
-            for i, e in enumerate(ex):
-                for _ in range(e):
-                    term = term * xs[i]
-            for i, e in enumerate(ey):
-                for _ in range(e):
-                    term = term * ys[i]
-            total = total + coeff * term
-        return total
+            factors = tuple(i for i, e in enumerate(ex) for _ in range(e)) + tuple(
+                len(xs) + i for i, e in enumerate(ey) for _ in range(e)
+            )
+            for n in range(1, len(factors) + 1):
+                key = factors[:n]
+                if key not in monomials:
+                    value = values[key[-1]]
+                    monomials[key] = value if n == 1 else monomials[key[:-1]] * value
+            term = monomials[factors]
+            if coeff != 1:
+                term = coeff * term
+            total = term if total is None else total + term
+        return 0 * one if total is None else total
 
     def to_text(self):
         """Canonical text: descending lex on (x, y) exponents.

@@ -1,0 +1,185 @@
+"""Fuzzing the input boundary: record parsers and ``cli.main`` on JSON files.
+
+Whatever a record or a file holds, only ``FormatError``/``DomainError`` may
+leave a parser, and ``cli.main`` must answer with exit code 0, 1 or 2 and
+no traceback; exit 2 comes with one ``error:`` line.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gwlambda import cli
+from gwlambda.errors import DomainError
+from gwlambda.forms import load_form, parse_form
+from gwlambda.lambda_rings import load_constants, load_element, parse_element
+from gwlambda.weights import parse_char
+
+# Integers stay small where they may size something (a torus rank, a
+# field modulus): the boundary is about types and shapes, not about
+# resources.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+FIELD_SPECS = ("qc", "rc", "fq:3", "fq:5", "fq:7", "fq:4", "fq:1", "fq:", "fq:x", "zz")
+field_specs = st.sampled_from(FIELD_SPECS) | json_values
+entries = st.sampled_from(("1", "2", "-1", "3/2", "0", "1/0", "x", "")) | json_values
+gw_coeffs = st.fixed_dictionaries(
+    {
+        "pos": st.lists(entries, max_size=3) | json_values,
+        "neg": st.lists(entries, max_size=3) | json_values,
+    }
+)
+bases = st.sampled_from(
+    ("one", "delta", "pair:1", "pair:-1", "pair:0", "pair:1,2", "pair:", "wt:0", "wt:1", "wt:1,0", "wt:")
+) | json_values
+terms = st.fixed_dictionaries(
+    {"basis": bases, "coeff": st.integers(-3, 3) | gw_coeffs | json_values}
+)
+element_records = st.fixed_dictionaries(
+    {
+        "ring": st.sampled_from(
+            ("integers", "gw-field", "k-torus", "k-ext-torus", "gw-ext-torus", "other")
+        )
+        | json_values,
+        "rank_r": st.integers(-1, 3) | json_values,
+        "field": field_specs,
+        "terms": st.lists(terms, max_size=3) | json_values,
+    }
+)
+form_records = st.fixed_dictionaries(
+    {
+        "field": field_specs,
+        "gram": st.lists(st.lists(entries, max_size=3), max_size=3) | json_values,
+    }
+)
+char_records = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 3) | json_values,
+        "terms": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "weight": st.lists(st.integers(-3, 3) | json_values, max_size=3)
+                    | json_values,
+                    "mult": st.integers(-3, 3) | json_values,
+                }
+            ),
+            max_size=3,
+        )
+        | json_values,
+    }
+)
+constants_records = st.dictionaries(
+    st.sampled_from(("delta_delta", "delta_pair", "lambda2_pair", "pair_zero_scale", "other")),
+    st.sampled_from(("one", "delta", "pair", "zero", 2, -1, 0)) | json_values,
+    max_size=4,
+)
+records = element_records | form_records | char_records | constants_records | json_values
+
+
+def only_domain_errors(fn, *args):
+    try:
+        fn(*args)
+    except DomainError:
+        pass
+
+
+def write_file(directory, content):
+    path = os.path.join(directory, "input.json")
+    data = content if isinstance(content, bytes) else json.dumps(content).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_records | json_values)
+def test_parse_element_raises_only_domain_errors(record):
+    only_domain_errors(parse_element, record)
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_records | json_values)
+def test_parse_form_raises_only_domain_errors(record):
+    only_domain_errors(parse_form, record)
+
+
+@settings(max_examples=200, deadline=None)
+@given(char_records | json_values)
+def test_parse_char_raises_only_domain_errors(record):
+    only_domain_errors(parse_char, record)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constants_records | json_values | st.binary(max_size=20))
+def test_load_constants_raises_only_domain_errors(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        only_domain_errors(load_constants, write_file(tmp, content))
+
+
+# Each command reads the fuzzed file; --kmax stays small so that a large
+# augmentation cannot ask for a large universal table.
+COMMANDS = (
+    ("check", "--x-file", "{f}", "--j", "1", "--kmax", "2", "--format", "records"),
+    ("check", "--x-file", "{f}", "--y-file", "{f}", "--kmax", "2"),
+    ("check", "--sweep", "--ring", "gw-ext-torus", "--field", "qc", "--bound", "0",
+     "--kmax", "1", "--constants", "{f}"),
+    ("forms", "class", "--in", "{f}", "--format", "records"),
+    ("forms", "exterior", "--in", "{f}", "--k", "2"),
+)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(COMMANDS), records | st.binary(max_size=20))
+def test_main_on_a_fuzzed_file_keeps_the_exit_code_contract(command, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_file(tmp, content)
+        code, err = run_main([arg.format(f=path) for arg in command])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# Files that json.load rejects with something other than JSONDecodeError.
+BAD_FILES = {
+    "not-utf-8": b'{"ring": "\xff"}',
+    "too-deep": b"[" * 100000 + b"]" * 100000,
+    "too-many-digits": b'{"n": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_unreadable_json_is_a_format_error(tmp_path, name):
+    path = write_file(str(tmp_path), BAD_FILES[name])
+    for load in (load_element, load_form, load_constants):
+        with pytest.raises(DomainError, match="invalid JSON"):
+            load(path)
+    for command in COMMANDS:
+        code, err = run_main([arg.format(f=path) for arg in command])
+        assert code == 2
+        assert err.startswith("error:") and "invalid JSON" in err

@@ -324,6 +324,16 @@ def test_forms_rejects_bad_gram(tmp_path):
     assert "singular" in out.stderr
 
 
+@pytest.mark.parametrize("ring", ["gw-field", "gw-ext-torus"])
+@pytest.mark.parametrize("field", [["qc"], None], ids=["field-is-a-list", "field-is-null"])
+def test_check_element_field_spec_must_be_a_string(capsys, tmp_path, ring, field):
+    # Not read as the spec "['qc']" or "None".
+    record = {"ring": ring, "rank_r": 1, "field": field, "terms": []}
+    path = write_json(tmp_path / "x.json", record)
+    err = main_usage_error(capsys, "check", "--x-file", path, "--j", "1")
+    assert "field must be a string" in err
+
+
 @pytest.mark.parametrize(
     "field", [["qc"], 5], ids=["field-is-a-list", "field-is-a-number"]
 )

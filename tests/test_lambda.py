@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,95 @@ def test_gw_field_augmentation_is_rank():
     ring = GWFieldRing(field_model("rc"))
     x = ring.diag([1, 2]) - ring.diag([-1])
     assert x.augmentation() == 1
+
+
+# ---------------------------------------------------------------------------
+# GW(F) coefficients as signed counts, against multiset arithmetic
+
+ORACLE_MODELS = ("qc", "rc", "fq:3", "fq:5", "fq:7")
+
+
+def unit_entries(spec):
+    if spec.startswith("fq:"):
+        return st.lists(st.integers(1, int(spec[3:]) - 1), max_size=4)
+    return st.lists(
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+        max_size=4,
+    )
+
+
+def coefficient_pairs():
+    """(field, pos1, neg1, pos2, neg2): entries of two formal differences."""
+    return st.sampled_from(ORACLE_MODELS).flatmap(
+        lambda spec: st.tuples(
+            st.just(field_model(spec)), *[unit_entries(spec)] * 4
+        )
+    )
+
+
+def multiset_elt(field, pos, neg):
+    """Oracle: square-class representatives, common entries cancelled, sorted."""
+    p = sorted(field.square_class(a) for a in pos)
+    n = sorted(field.square_class(a) for a in neg)
+    for v in set(p) & set(n):
+        while v in p and v in n:
+            p.remove(v)
+            n.remove(v)
+    return tuple(p), tuple(n)
+
+
+def multiset_product(field, x, y):
+    """Oracle: entrywise products, same signs to pos, mixed signs to neg."""
+    (p1, n1), (p2, n2) = x, y
+
+    def prods(us, vs):
+        return [field.mul(u, v) for u in us for v in vs]
+
+    return multiset_elt(field, prods(p1, p2) + prods(n1, n2), prods(p1, n2) + prods(n1, p2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_pairs())
+def test_counts_arithmetic_matches_multisets(case):
+    field, pos1, neg1, pos2, neg2 = case
+    ring = GWFieldRing(field)
+    x, y = ring.elt(pos1, neg1), ring.elt(pos2, neg2)
+    ox, oy = multiset_elt(field, pos1, neg1), multiset_elt(field, pos2, neg2)
+    assert (x.pos, x.neg) == ox
+    assert (y.pos, y.neg) == oy
+    for z, want in (
+        (x + y, multiset_elt(field, ox[0] + oy[0], ox[1] + oy[1])),
+        (x - y, multiset_elt(field, ox[0] + oy[1], ox[1] + oy[0])),
+        (-x, (ox[1], ox[0])),
+        (x * y, multiset_product(field, ox, oy)),
+        (3 * x, multiset_elt(field, ox[0] * 3, ox[1] * 3)),
+    ):
+        assert (z.pos, z.neg) == want
+    assert x.augmentation() == len(ox[0]) - len(ox[1])
+
+
+def signed_binomial(n, k):
+    """Oracle: C(n, k), with C(-m, k) = (-1)^k C(m+k-1, k) for m > 0."""
+    return math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_augmentation_of_lambda_is_binomial(data):
+    # Negative coefficients make lambda_t invert a series.
+    spec = data.draw(st.sampled_from(ORACLE_MODELS))
+    r = data.draw(st.integers(1, 2))
+    ring = ext_ring(spec, r)
+    symbols = ring.basis_symbols(1)
+    terms = {}
+    for basis in data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=3, unique=True)):
+        pos = data.draw(unit_entries(spec))
+        neg = data.draw(unit_entries(spec))
+        terms[basis] = ring.coeff_ring.elt(pos, neg)
+    x = ring.elt(terms)
+    series = x.lambda_t(4)
+    for k in range(5):
+        assert augmentation(series[k]) == signed_binomial(augmentation(x), k)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwlambda.errors import DomainError, NotSymmetricError
+from gwlambda.fields import field_model
+from gwlambda.lambda_rings import GWExtTorusRing
 from gwlambda.symfun import (
     EPolynomial,
     SymPolynomial,
@@ -187,6 +189,60 @@ def test_epolynomial_evaluate_matches_text_example():
     p = universal_P(2)
     # ex1=5, ex2=7, ey1=-2, ey2=3: 25*3 + 7*4 - 2*7*3 = 61
     assert p.evaluate([5, 7], [-2, 3]) == 61
+
+
+def naive_evaluate(poly, xs, ys):
+    """Oracle: each term as coefficient times a product of integer powers."""
+    total = 0
+    for (ex, ey), coeff in poly.terms.items():
+        term = coeff
+        for vals, exps in ((xs, ex), (ys, ey)):
+            for v, e in zip(vals, exps):
+                term *= v**e
+        total += term
+    return total
+
+
+def epolynomials(alphabets):
+    """Random polynomials in ex1..ex3 (and ey1..ey3)."""
+    exps = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+    key = st.tuples(exps, exps if alphabets == 2 else st.just(()))
+    terms = st.dictionaries(key, st.integers(-3, 3), max_size=6)
+    return terms.map(lambda t: EPolynomial(3, t, alphabets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2)).flatmap(
+        lambda a: st.tuples(
+            epolynomials(a),
+            st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+            st.lists(st.integers(-4, 4), min_size=3, max_size=3) if a == 2 else st.just([]),
+        )
+    )
+)
+def test_evaluate_matches_term_by_term_sum(case):
+    poly, xs, ys = case
+    assert poly.evaluate(xs, ys) == naive_evaluate(poly, xs, ys)
+
+
+def test_evaluate_table_matches_term_by_term_sum():
+    rng = random.Random(5)
+    for poly, two in ((universal_P(3), True), (universal_P_kj(2, 2), False)):
+        n = poly.degree_bound
+        for _ in range(5):
+            xs = [rng.randint(-3, 3) for _ in range(n)]
+            ys = [rng.randint(-3, 3) for _ in range(n)] if two else []
+            assert poly.evaluate(xs, ys) == naive_evaluate(poly, xs, ys)
+
+
+def test_evaluate_empty_polynomial_is_ring_zero():
+    empty = EPolynomial(2, {})
+    assert empty.evaluate([1, 2]) == 0
+    ring = GWExtTorusRing(1, field_model("fq:5"))
+    value = empty.evaluate([ring.one, ring.one], one=ring.one)
+    assert value == ring.zero
+    assert value.ring == ring
 
 
 # ---------------------------------------------------------------------------
