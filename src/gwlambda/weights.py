@@ -1,24 +1,23 @@
 """Weights, Weyl characters, and restriction to the extended torus.
 
 Characters of the odd (B) and even (D) special orthogonal series are
-computed from the Weyl character formula as exact Laurent polynomials:
-alternating orbit sums over signed permutations (evenly signed for D),
-followed by exact division.  All arithmetic is on doubled weights so that
-the half-integral shift of the B series stays integral.
+computed by Freudenthal's multiplicity formula on the dominant weights
+below the highest weight, in exact integers (pairings with 2*rho, so the
+half-integral rho of the B series stays integral), and then expanded over
+Weyl orbits: signed permutations for B, evenly signed ones for D.  The
+dimension comes from Weyl's product formula, computed independently.
 
 Dominance is the partial-sum order, literally: prefix sums for B, prefix
 sums plus the sum with the last coordinate negated for D.  No root-lattice
 membership is imposed.
 
 The rank is capped (default 4, override via GWLAMBDA_WEYL_RANK_CAP) since
-the group sums grow as 2^n n!.
+the output orbits grow as 2^n n!.
 """
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, FormatError, _checked
@@ -90,7 +89,7 @@ def minus(weight):
 
 
 # ---------------------------------------------------------------------------
-# Weyl character formula
+# Weyl characters by Freudenthal's formula
 
 
 def _rank_cap():
@@ -101,87 +100,108 @@ def _rank_cap():
         raise DomainError("%s must be an integer" % RANK_CAP_ENV) from None
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+@lru_cache(maxsize=None)
+def _root_system(kind, n):
+    """The positive roots (e_i - e_j and e_i + e_j for i < j, and e_i for B)
+    and 2 rho, their sum."""
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in (-1, 1):
+                root = [0] * n
+                root[i], root[j] = 1, sign
+                roots.append(tuple(root))
+    if kind == "B":
+        roots.extend(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple(roots), tuple(map(sum, zip(*roots)))
 
 
-def _alternating_sum(n, v, even_only):
-    """Sum of sign(w) e^{w(v)} over signed permutations (evenly signed if asked)."""
-    terms = {}
-    for perm in itertools.permutations(range(n)):
-        ps = _perm_sign(perm)
-        for signs in itertools.product((1, -1), repeat=n):
-            sp = math.prod(signs)
-            if even_only and sp < 0:
-                continue
-            key = tuple(signs[i] * v[perm[i]] for i in range(n))
-            s = ps * sp
-            terms[key] = terms.get(key, 0) + s
-    return {k: c for k, c in terms.items() if c}
+def _pairing(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _laurent_divide(num, den):
-    """Exact division of Laurent polynomials on Z^n, lex leading terms."""
-    if not den:
-        raise DomainError("division by the zero polynomial")
-    den_lead = max(den)
-    if den[den_lead] != 1:
-        raise AssertionError("denominator leading coefficient must be 1")
-    rem = dict(num)
-    quo = {}
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > 10**6:
-            raise AssertionError("non-exact character division")
-        lead = max(rem)
-        shift = tuple(a - b for a, b in zip(lead, den_lead))
-        coeff = rem[lead]
-        quo[shift] = quo.get(shift, 0) + coeff
-        for key, val in den.items():
-            nk = tuple(a + b for a, b in zip(key, shift))
-            nv = rem.get(nk, 0) - coeff * val
-            if nv:
-                rem[nk] = nv
+def _dominant_rep(kind, weight):
+    """The dominant weight in the Weyl orbit of ``weight``: absolute values
+    in decreasing order; for D the last entry is negated when an odd number
+    of entries is negative (a no-op when some entry, so the last, is zero)."""
+    rep = sorted((abs(v) for v in weight), reverse=True)
+    if kind == "D" and sum(v < 0 for v in weight) % 2:
+        rep[-1] = -rep[-1]
+    return tuple(rep)
+
+
+def _dominant_weights(kind, weight):
+    """Dominant mu with weight - mu a non-negative integer combination of
+    simple roots, read off the prefix sums S_t of d = weight - mu.
+
+    B (simple roots e_i - e_{i+1}, e_n): every S_t >= 0.
+    D (simple roots e_i - e_{i+1}, e_{n-1} + e_n): S_t >= 0 for t <= n-2,
+    S_n even and >= 0, and S_{n-1} - d_n >= 0.
+    """
+    n = len(weight)
+    out = []
+    for mu in itertools.combinations_with_replacement(range(weight[0], -1, -1), n):
+        signs = (1, -1) if kind == "D" and mu[-1] else (1,)
+        for sign in signs:
+            mu_signed = mu[:-1] + (sign * mu[-1],)
+            d = [a - b for a, b in zip(weight, mu_signed)]
+            sums = list(itertools.accumulate(d))
+            if kind == "B":
+                below = min(sums) >= 0
             else:
-                rem.pop(nk, None)
-    return quo
+                below = (
+                    all(s >= 0 for s in sums[: n - 2])
+                    and sums[-1] >= 0
+                    and sums[-1] % 2 == 0
+                    and sums[-2] - d[-1] >= 0
+                )
+            if below:
+                out.append(mu_signed)
+    return out
 
 
-def _doubled_rho(flavor):
-    n = flavor.n
-    if flavor.kind == "B":
-        return tuple(2 * (n - i) - 1 for i in range(n))  # 2n-1, 2n-3, ..., 1
-    return tuple(2 * (n - 1 - i) for i in range(n))  # 2n-2, ..., 2, 0
+def _orbit(kind, mu):
+    """The Weyl orbit of the dominant weight ``mu``: signed permutations for
+    B; for D those whose dominant representative is ``mu`` again."""
+    for perm in set(itertools.permutations(abs(v) for v in mu)):
+        for vec in itertools.product(*((v, -v) if v else (0,) for v in perm)):
+            if kind == "B" or _dominant_rep(kind, vec) == mu:
+                yield vec
 
 
 @lru_cache(maxsize=None)
 def _weyl_character_cached(kind, n, weight):
-    flavor = Flavor(kind, n)
-    even_only = kind == "D"
-    rho2 = _doubled_rho(flavor)
-    shifted = tuple(2 * w + r for w, r in zip(weight, rho2))
-    num = _alternating_sum(n, shifted, even_only)
-    den = _alternating_sum(n, rho2, even_only)
-    quo = _laurent_divide(num, den)
+    roots, rho2 = _root_system(kind, n)
+
+    def level(mu):  # |mu + rho|^2 - |rho|^2, an integer
+        return sum(v * (v + r) for v, r in zip(mu, rho2))
+
+    dominant = _dominant_weights(kind, weight)
+    known = set(dominant)
+    top = level(weight)
+    mult = {weight: 1}
+    # Freudenthal: (|weight+rho|^2 - |mu+rho|^2) m(mu)
+    #   = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha),
+    # solved in decreasing |mu+rho|^2, so every term on the right is known.
+    for mu in sorted(dominant, key=level, reverse=True):
+        if mu == weight:
+            continue
+        total = 0
+        for alpha in roots:
+            nu = tuple(a + b for a, b in zip(mu, alpha))
+            rep = _dominant_rep(kind, nu)
+            while rep in known:
+                total += mult[rep] * _pairing(nu, alpha)
+                nu = tuple(a + b for a, b in zip(nu, alpha))
+                rep = _dominant_rep(kind, nu)
+        m, rem = divmod(2 * total, top - level(mu))
+        if rem or m < 1:
+            raise AssertionError("Freudenthal multiplicity must be a positive integer")
+        mult[mu] = m
     out = {}
-    for key, mult in quo.items():
-        if any(v % 2 for v in key):
-            raise AssertionError("character support must lie on the weight lattice")
-        out[tuple(v // 2 for v in key)] = mult
+    for mu, m in mult.items():
+        for vec in _orbit(kind, mu):
+            out[vec] = m
     return tuple(sorted(out.items()))
 
 
@@ -204,41 +224,21 @@ def weyl_character(weight, flavor):
 
 def weyl_dim(weight, flavor):
     """Dimension by the product formula over positive roots (independent
-    of the character computation; used as its oracle)."""
+    of the character computation; used as its oracle):
+    prod (2 weight + 2 rho, alpha) / prod (2 rho, alpha), divided exactly."""
     weight = _check_weight(flavor, weight)
     if not is_dominant(weight, flavor):
         raise DomainError("highest weight must be dominant")
-    n = flavor.n
-    if flavor.kind == "B":
-        rho = [Fraction(2 * (n - i) - 1, 2) for i in range(n)]
-    else:
-        rho = [Fraction(n - 1 - i) for i in range(n)]
-    lam = [Fraction(w) for w in weight]
-    top = [a + b for a, b in zip(lam, rho)]
-
-    def pairing(v, coeffs):
-        return sum(c * x for c, x in zip(coeffs, v))
-
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            plus = [0] * n
-            plus[i], plus[j] = 1, 1
-            minusr = [0] * n
-            minusr[i], minusr[j] = 1, -1
-            roots.append(plus)
-            roots.append(minusr)
-    if flavor.kind == "B":
-        for i in range(n):
-            single = [0] * n
-            single[i] = 1
-            roots.append(single)
-    dim = Fraction(1)
-    for root in roots:
-        dim *= Fraction(pairing(top, root), 1) / pairing(rho, root)
-    if dim.denominator != 1:
+    roots, rho2 = _root_system(flavor.kind, flavor.n)
+    shifted = tuple(2 * w + r for w, r in zip(weight, rho2))
+    num = den = 1
+    for alpha in roots:
+        num *= _pairing(shifted, alpha)
+        den *= _pairing(rho2, alpha)
+    dim, rem = divmod(num, den)
+    if rem:
         raise AssertionError("dimension formula must produce an integer")
-    return int(dim)
+    return dim
 
 
 def character_mass(char):

@@ -347,6 +347,24 @@ def test_forms_missing_file():
     assert out.returncode == 2
 
 
+def test_sweep_over_a_large_prime_field_is_quick():
+    # Trial division up to 10^9 took minutes on this modulus; run_cli
+    # raises TimeoutExpired after 5 s.
+    out = run_cli(
+        "check", "--sweep", "--ring", "gw-field", "--field", "fq:1000000000000000003",
+        timeout=5,
+    )
+    assert out.returncode == 0
+
+
+def test_modulus_beyond_the_primality_bound_is_usage_error(capsys):
+    err = main_usage_error(
+        capsys, "check", "--sweep", "--ring", "gw-field",
+        "--field", "fq:%d" % (2**89 - 1),
+    )
+    assert "3317044064679887385961981" in err
+
+
 # ---------------------------------------------------------------------------
 # char
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwlambda.errors import DomainError, FormatError
-from gwlambda.fields import FinitePrime, SquareClass, field_model
+from gwlambda.fields import PRIMALITY_BOUND, FinitePrime, SquareClass, _is_prime, field_model
 from gwlambda.forms import (
     GWClass,
     GramForm,
@@ -143,6 +143,41 @@ def test_non_residue_is_smallest_non_square():
         f = field_model("fq:%d" % q)
         squares = {a * a % q for a in range(1, q)}
         assert f.non_residue == min(a for a in range(2, q) if a not in squares)
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Strong pseudoprimes to the first 11 and the first 12 prime bases.
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not _is_prime(3825123056546413051)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(10**18 + 3)
+
+
+def test_is_prime_refuses_at_the_bound():
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 2**89 - 1):
+        with pytest.raises(DomainError, match=str(PRIMALITY_BOUND)):
+            _is_prime(n)
+    with pytest.raises(DomainError, match=str(PRIMALITY_BOUND)):
+        field_model("fq:%d" % (2**89 - 1))
 
 
 def test_field_models_compare_by_spec():

@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import math
 
 import pytest
 
 from gwlambda.errors import DomainError, FormatError
+from gwlambda.lambda_rings import KTorusRing
 from gwlambda.weights import (
     Flavor,
     OrbitSimple,
@@ -165,6 +167,137 @@ def test_adjoint_dimensions():
     assert weyl_dim((2,), B1) == 5
     assert weyl_dim((1, 1), D2) == 3
     assert weyl_dim((1, 1, 0), D3) == 15
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Weyl character formula, alternating orbit sums divided exactly
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _alternating_sum(n, v, even_only):
+    """Sum of sign(w) e^{w(v)} over signed permutations (evenly signed if asked)."""
+    terms = {}
+    for perm in itertools.permutations(range(n)):
+        ps = _perm_sign(perm)
+        for signs in itertools.product((1, -1), repeat=n):
+            sp = math.prod(signs)
+            if even_only and sp < 0:
+                continue
+            key = tuple(signs[i] * v[perm[i]] for i in range(n))
+            terms[key] = terms.get(key, 0) + ps * sp
+    return {k: c for k, c in terms.items() if c}
+
+
+def _laurent_divide(num, den):
+    """Exact division of Laurent polynomials on Z^n, lex leading terms."""
+    den_lead = max(den)
+    assert den[den_lead] == 1
+    rem = dict(num)
+    quo = {}
+    while rem:
+        lead = max(rem)
+        shift = tuple(a - b for a, b in zip(lead, den_lead))
+        coeff = rem[lead]
+        quo[shift] = quo.get(shift, 0) + coeff
+        for key, val in den.items():
+            nk = tuple(a + b for a, b in zip(key, shift))
+            nv = rem.get(nk, 0) - coeff * val
+            if nv:
+                rem[nk] = nv
+            else:
+                rem.pop(nk, None)
+    return quo
+
+
+def _doubled_rho(flavor):
+    n = flavor.n
+    if flavor.kind == "B":
+        return tuple(2 * (n - i) - 1 for i in range(n))  # 2n-1, 2n-3, ..., 1
+    return tuple(2 * (n - 1 - i) for i in range(n))  # 2n-2, ..., 2, 0
+
+
+def weyl_formula_character(weight, flavor):
+    """The character as A_{weight+rho} / A_rho, on doubled weights."""
+    even_only = flavor.kind == "D"
+    rho2 = _doubled_rho(flavor)
+    shifted = tuple(2 * w + r for w, r in zip(weight, rho2))
+    num = _alternating_sum(flavor.n, shifted, even_only)
+    den = _alternating_sum(flavor.n, rho2, even_only)
+    quo = _laurent_divide(num, den)
+    assert all(v % 2 == 0 for key in quo for v in key)
+    return {tuple(v // 2 for v in key): m for key, m in quo.items()}
+
+
+def benchmark_weights(n):
+    """The B_n and D_n highest weights with entries in 0..2 summing to at most 4."""
+    tops = [
+        w for w in itertools.product(range(2, -1, -1), repeat=n)
+        if list(w) == sorted(w, reverse=True) and sum(w) <= 4
+    ]
+    return [(w, Flavor(kind, n)) for kind in ("B", "D") for w in tops]
+
+
+def test_character_matches_weyl_formula_small_ranks():
+    for flavor in (B1, B2, B3, D2, D3):
+        for w in dominant_box(flavor, 3):
+            assert weyl_character(w, flavor) == weyl_formula_character(w, flavor), w
+
+
+def test_character_matches_weyl_formula_rank_four():
+    cases = benchmark_weights(4)
+    assert len(cases) == 18
+    for w, flavor in cases:
+        assert weyl_character(w, flavor) == weyl_formula_character(w, flavor), w
+
+
+def test_character_matches_weyl_formula_b5(monkeypatch):
+    monkeypatch.setenv("GWLAMBDA_WEYL_RANK_CAP", "5")
+    b5 = Flavor("B", 5)
+    w = (1, 1, 0, 0, 0)
+    assert weyl_character(w, b5) == weyl_formula_character(w, b5)
+
+
+# ---------------------------------------------------------------------------
+# restriction oracle: exterior powers of the vector representation
+
+
+@pytest.mark.parametrize(
+    "flavor",
+    [B1, B2, B3, Flavor("B", 4), D2, D3, Flavor("D", 4)],
+    ids=lambda f: "%s%d" % (f.kind, f.n),
+)
+def test_exterior_powers_of_the_vector_representation(flavor):
+    # Lambda^k V = V(1^k) for k <= n (B) and k <= n-1 (D);
+    # Lambda^n V = V(1^n) + V(minus(1^n)) for D.
+    n = flavor.n
+    ring = KTorusRing(n)
+
+    def simple(weight):
+        return ring.elt(weyl_character(weight, flavor))
+
+    vector = simple((1,) + (0,) * (n - 1))
+    for k in range(1, n + 1):
+        top = (1,) * k + (0,) * (n - k)
+        expected = simple(top)
+        if flavor.kind == "D" and k == n:
+            expected = expected + simple(minus(top))
+        assert vector.lambda_k(k) == expected, k
 
 
 # ---------------------------------------------------------------------------
