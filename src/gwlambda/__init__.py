@@ -22,7 +22,6 @@ from .forms import (
     tensor,
 )
 from .lambda_rings import (
-    BasisSym,
     CheckRecord,
     CheckReport,
     DEFAULT_CONSTANTS,
@@ -33,7 +32,6 @@ from .lambda_rings import (
     IntegerRing,
     KExtTorusRing,
     KTorusRing,
-    LambdaSeries,
     augmentation,
     check_lambda1,
     check_lambda2,
@@ -44,6 +42,7 @@ from .lambda_rings import (
     hyperbolic_map,
     load_constants,
     load_element,
+    pair_key,
     parse_element,
 )
 from .symfun import (

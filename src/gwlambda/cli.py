@@ -137,7 +137,7 @@ def _sweep_elements(args, constants):
         raise DomainError("--bound must be >= 0")
     if ring_tag == "integers":
         ring = lr.IntegerRing()
-        return [(str(n), ring.elt(n)) for n in range(-bound, bound + 1)]
+        return [(str(n), n * ring.one) for n in range(-bound, bound + 1)]
     if ring_tag == "gw-field":
         field = _require_field(args)
         ring = lr.GWFieldRing(field)
@@ -152,7 +152,7 @@ def _sweep_elements(args, constants):
             ring = lr.KExtTorusRing(args.r)
         else:
             ring = lr.GWExtTorusRing(args.r, _require_field(args), constants)
-        return [(b.to_str(), ring.basis_elt(b)) for b in ring.basis_symbols(bound)]
+        return [(ring.basis.record(b), ring.basis_elt(b)) for b in ring.basis_symbols(bound)]
     raise DomainError("--sweep requires --ring")
 
 
@@ -194,12 +194,12 @@ def _cmd_check(args, emit):
     if args.x is not None or args.y is not None:
         if args.ring != "integers":
             raise DomainError("inline --x/--y operands are for --ring integers")
-        ints = lr.IntegerRing()
-        x = ints.elt(args.x if args.x is not None else 1)
-        y = ints.elt(args.y if args.y is not None else 1)
-        run(lr.check_lambda1(x, y, args.kmax), str(x.n), str(y.n))
+        nx = args.x if args.x is not None else 1
+        ny = args.y if args.y is not None else 1
+        one = lr.IntegerRing().one
+        run(lr.check_lambda1(nx * one, ny * one, args.kmax), str(nx), str(ny))
         if args.j is not None:
-            run(lr.check_lambda2(x, args.j, args.kmax), str(x.n), None)
+            run(lr.check_lambda2(nx * one, args.j, args.kmax), str(nx), None)
     elif args.x_file:
         x = lr.load_element(args.x_file, constants)
         did = False

@@ -1,23 +1,25 @@
 """Rings with lambda-operations, and checkers for the defining identities.
 
-Every ring shares one element protocol (operators ``+ - *``, integer
-scalars, ``lambda_k``, ``lambda_t``, ``augmentation``):
+Every ring is a ``FreeLambdaRing`` and every element a ``FreeElt``
+(operators ``+ - *``, integer scalars, ``lambda_k``, ``lambda_t``,
+``augmentation``): a free module on a basis of plain hashable keys, with
+coefficients in Z (plain ints) or in GW(F), itself a free lambda-ring.
+The five rings differ only in their basis and coefficients:
 
-* ``IntegerRing`` -- the integers, lambda^k = binomial coefficient;
-* ``GWFieldRing`` -- formal differences of diagonal forms over a model
-  field, held as signed counts per square class, equality by complete
-  invariants;
-* ``FreeLambdaRing`` -- a free module on a basis with coefficients in Z
-  (plain ints) or in GW(F) (a ``GWFieldRing``).  Its three instances:
-
-  - ``KTorusRing`` -- the group ring of Z^r, spanned by line elements e^g;
-  - ``KExtTorusRing`` -- character-level extension by an order-2
-    involution: basis 1, d (the sign character), and rank-2 symbols [e^g];
-  - ``GWExtTorusRing`` -- the same basis with GW(F) coefficients, so the
-    forgetful map sends each coefficient to its rank.  Multiplication and
-    lambda^2 on the rank-2 symbols follow structure constants that can be
-    overridden (so a deliberately corrupted table is observable through
-    the identity checks).
+* ``IntegerRing`` -- Z, free on the unit "one": lambda^k(n) = C(n, k);
+* ``GWFieldRing`` -- GW(F), free over Z on the lines <a>, one per square
+  class of a model field (keyed by index), taken modulo the Witt
+  relations: equality is decided by complete invariants;
+* ``KTorusRing`` -- the group ring of Z^r, spanned by line elements e^g
+  (keyed by the weight tuple g);
+* ``KExtTorusRing`` -- character-level extension by an order-2
+  involution: basis "one", "delta" (the sign character d), and rank-2
+  symbols [e^g] keyed by the sign-canonical weight ``pair_key(g)``;
+* ``GWExtTorusRing`` -- the same basis with GW(F) coefficients, so the
+  forgetful map sends each coefficient to its rank.  Multiplication and
+  lambda^2 on the rank-2 symbols follow structure constants that can be
+  overridden (so a deliberately corrupted table is observable through
+  the identity checks).
 
 lambda_t is a homomorphism from addition to the multiplicative group of
 power series with constant term 1; negative summands are handled by
@@ -27,7 +29,6 @@ compositions against the universal polynomial tables from ``symfun``.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, FormatError, _checked, _load_json
@@ -76,427 +77,12 @@ def _series_inv(a, d):
     return out
 
 
-class LambdaSeries:
-    """Truncation of lambda_t(x): coefficients lambda^0(x)..lambda^d(x)."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs or coeffs[0] != ring.one:
-            raise DomainError("lambda series must start at the ring unit")
-        self.ring = ring
-        self.coeffs = coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def __repr__(self):
-        return "LambdaSeries(degree=%d)" % self.degree
-
-
-def _lambda_t_from_atoms(ring, atoms, d):
-    """Multiply out per-atom series; sign -1 atoms contribute inverses."""
-    pos = [ring.one]
-    neg = [ring.one]
-    for series, sign in atoms:
-        if sign > 0:
-            pos = _series_mul(pos, series, d)
-        else:
-            neg = _series_mul(neg, series, d)
-    total = _series_mul(pos, _series_inv(neg, d), d)
-    return LambdaSeries(ring, total + [ring.zero] * (d + 1 - len(total)))
-
-
 def _binom_general(n, k):
     """Binomial coefficient with arbitrary integer top."""
     num = 1
     for i in range(k):
         num *= n - i
     return num // math.factorial(k)
-
-
-# ---------------------------------------------------------------------------
-# integers
-
-
-@dataclass(frozen=True)
-class IntegerRing:
-    """The integers as a lambda-ring: lambda^k(n) = C(n, k)."""
-
-    def elt(self, n):
-        return IntElt(self, int(n))
-
-    @property
-    def one(self):
-        return self.elt(1)
-
-    @property
-    def zero(self):
-        return self.elt(0)
-
-
-class IntElt:
-    __slots__ = ("ring", "n")
-
-    def __init__(self, ring, n):
-        self.ring = ring
-        self.n = n
-
-    def _coerce(self, other):
-        if isinstance(other, IntElt) and other.ring == self.ring:
-            return other
-        raise DomainError("mixed-ring arithmetic")
-
-    def __add__(self, other):
-        return IntElt(self.ring, self.n + self._coerce(other).n)
-
-    def __sub__(self, other):
-        return IntElt(self.ring, self.n - self._coerce(other).n)
-
-    def __neg__(self):
-        return IntElt(self.ring, -self.n)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntElt(self.ring, self.n * other)
-        return IntElt(self.ring, self.n * self._coerce(other).n)
-
-    def __rmul__(self, scalar):
-        return IntElt(self.ring, scalar * self.n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntElt) and other.ring == self.ring and other.n == self.n
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.n))
-
-    def augmentation(self):
-        return self.n
-
-    def is_line(self):
-        return self.n == 1
-
-    def lambda_t(self, d):
-        return LambdaSeries(
-            self.ring, [IntElt(self.ring, _binom_general(self.n, k)) for k in range(d + 1)]
-        )
-
-    def lambda_k(self, k):
-        if k < 0:
-            raise DomainError("lambda index must be >= 0")
-        return IntElt(self.ring, _binom_general(self.n, k))
-
-    def __repr__(self):
-        return "IntElt(%d)" % self.n
-
-
-# ---------------------------------------------------------------------------
-# diagonal forms over a model field, up to complete invariants
-
-
-class GWFieldRing:
-    """Formal differences of diagonal forms <a1,...,am> over a model field.
-
-    An element stores ``counts``: one signed int per square class of the
-    field, in the order of ``field.square_classes`` -- how many entries <a>
-    of that class are added, minus how many are subtracted.  Its ``pos`` and
-    ``neg`` (the class representatives repeated by the positive and the
-    negative counts) are the exchange format.  Equality is decided by the
-    complete invariants of the model (GWClass), built once per counts and
-    kept by the ring; counts alone do not decide it, since over fq
-    2<1> - 2<u> is zero.  ``*`` multiplies counts through the square-class
-    product table of the field.
-
-    It is also the coefficient ring of ``GWExtTorusRing``: the methods
-    from ``__contains__`` on are the coefficient protocol that
-    ``FreeLambdaRing`` uses (``INTEGERS`` has the same methods on plain
-    ints).
-    """
-
-    __slots__ = (
-        "field", "_index", "_table", "_memo", "_zero_class", "_rank_one", "one", "zero",
-    )
-
-    def __init__(self, field):
-        self.field = field
-        classes = field.square_classes
-        self._index = index = {a: i for i, a in enumerate(classes)}
-        # _table[i][j]: index of the square class of classes[i] * classes[j]
-        self._table = tuple(
-            tuple(index[field.square_class(field.mul(a, b))] for b in classes)
-            for a in classes
-        )
-        self._memo = {}  # {counts: GWClass}
-        self._zero_class = GWClass.zero(field)
-        # _rank_one[i]: the form <classes[i]>
-        self._rank_one = tuple(
-            GWFieldElt(self, tuple(int(i == j) for j in range(len(classes))))
-            for i in range(len(classes))
-        )
-        self.one = self._rank_one[index[field.one]]
-        self.zero = GWFieldElt(self, (0,) * len(classes))
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, GWFieldRing) and self.field == other.field)
-
-    def __hash__(self):
-        return hash(self.field)
-
-    def __repr__(self):
-        return "GWFieldRing(%r)" % (self.field,)
-
-    def elt(self, pos=(), neg=()):
-        """<pos entries> - <neg entries>; each entry is a nonzero field element."""
-        index, square_class = self._index, self.field.square_class
-        counts = [0] * len(index)
-        for a in pos:
-            counts[index[square_class(a)]] += 1
-        for a in neg:
-            counts[index[square_class(a)]] -= 1
-        return GWFieldElt(self, tuple(counts))
-
-    def diag(self, entries):
-        """The class of the diagonal form with the given entries."""
-        return self.elt(pos=entries)
-
-    def __contains__(self, coeff):
-        return isinstance(coeff, GWFieldElt) and coeff.ring == self
-
-    def is_zero(self, coeff):
-        return coeff.is_zero()
-
-    def rank(self, coeff):
-        return coeff.augmentation()
-
-    def lines(self, coeff):
-        """(<a>, sign) pairs whose signed sum is ``coeff``: pos, then neg."""
-        pos, neg = [], []
-        for line, c in zip(self._rank_one, coeff.counts):
-            if c > 0:
-                pos += [(line, 1)] * c
-            elif c < 0:
-                neg += [(line, -1)] * -c
-        return pos + neg
-
-    def scale(self, s):
-        """The rank-1 form <s>."""
-        return self.elt((self.field.from_int(s),))
-
-    def record(self, coeff):
-        field = self.field
-        return {
-            "pos": [field.to_str(a) for a in coeff.pos],
-            "neg": [field.to_str(a) for a in coeff.neg],
-        }
-
-    def parse(self, record, where):
-        """Inverse of :meth:`record`; ``where`` names the term in diagnostics."""
-        record = _checked(record, dict, "%s.coeff" % where)
-        field = self.field
-        sides = []
-        for name in ("pos", "neg"):
-            entries = _checked(record.get(name), list, "%s.coeff.%s" % (where, name))
-            try:
-                side = [field.parse(str(v)) for v in entries]
-            except FormatError as exc:
-                raise FormatError("%s.coeff: %s" % (where, exc)) from None
-            if any(field.is_zero(v) for v in side):
-                raise FormatError("%s.coeff.%s holds a zero entry" % (where, name))
-            sides.append(side)
-        return self.elt(*sides)
-
-    def to_str(self, coeff):
-        field = self.field
-        pos, neg = coeff.pos, coeff.neg
-        if not pos and not neg:
-            return "0"
-        pos = "<%s>" % ",".join(field.to_str(a) for a in pos) if pos else ""
-        neg = "<%s>" % ",".join(field.to_str(a) for a in neg) if neg else ""
-        if pos and neg:
-            return "(%s - %s)" % (pos, neg)
-        if neg:
-            return "(-%s)" % neg
-        return pos
-
-    def term_str(self, coeff, body):
-        return "%s*%s+" % (self.to_str(coeff), body)
-
-
-class GWFieldElt:
-    """An immutable coefficient: signed counts per square class of the field."""
-
-    __slots__ = ("ring", "counts")
-
-    def __init__(self, ring, counts):
-        self.ring = ring
-        self.counts = counts
-
-    @property
-    def pos(self):
-        """Representatives of the added entries, in class order."""
-        classes = self.ring.field.square_classes
-        return tuple(a for a, c in zip(classes, self.counts) for _ in range(c))
-
-    @property
-    def neg(self):
-        """Representatives of the subtracted entries, in class order."""
-        classes = self.ring.field.square_classes
-        return tuple(a for a, c in zip(classes, self.counts) for _ in range(-c))
-
-    def _coerce(self, other):
-        if isinstance(other, GWFieldElt) and other.ring == self.ring:
-            return other
-        raise DomainError("mixed-ring arithmetic")
-
-    def __add__(self, other):
-        counts = self._coerce(other).counts
-        return GWFieldElt(self.ring, tuple(map(operator.add, self.counts, counts)))
-
-    def __neg__(self):
-        return GWFieldElt(self.ring, tuple(map(operator.neg, self.counts)))
-
-    def __sub__(self, other):
-        counts = self._coerce(other).counts
-        return GWFieldElt(self.ring, tuple(map(operator.sub, self.counts, counts)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        theirs = self._coerce(other).counts
-        table = self.ring._table
-        out = [0] * len(theirs)
-        for i, a in enumerate(self.counts):
-            if a:
-                row = table[i]
-                for j, b in enumerate(theirs):
-                    out[row[j]] += a * b
-        return GWFieldElt(self.ring, tuple(out))
-
-    def __rmul__(self, scalar):
-        return GWFieldElt(self.ring, tuple(scalar * c for c in self.counts))
-
-    def gw_class(self):
-        memo = self.ring._memo
-        cls = memo.get(self.counts)
-        if cls is None:
-            cls = memo[self.counts] = GWClass.of_diagonal(self.ring.field, self.pos, self.neg)
-        return cls
-
-    def __eq__(self, other):
-        if not isinstance(other, GWFieldElt) or other.ring != self.ring:
-            return NotImplemented
-        return self.gw_class() == other.gw_class()
-
-    __hash__ = None
-
-    def is_zero(self):
-        return self.gw_class() == self.ring._zero_class
-
-    def augmentation(self):
-        return sum(self.counts)
-
-    def is_line(self):
-        return sum(map(abs, self.counts)) == 1 == sum(self.counts)
-
-    def lambda_t(self, d):
-        one = self.ring.one
-        atoms = [([one, line], sign) for line, sign in self.ring.lines(self)]
-        return _lambda_t_from_atoms(self.ring, atoms, d)
-
-    def lambda_k(self, k):
-        if k < 0:
-            raise DomainError("lambda index must be >= 0")
-        if k == 0:
-            return self.ring.one
-        return self.lambda_t(k)[k]
-
-    def __repr__(self):
-        return "GWFieldElt(%s)" % element_str(self)
-
-
-# ---------------------------------------------------------------------------
-# basis symbols for the extended torus
-
-
-@dataclass(frozen=True)
-class BasisSym:
-    """Basis of the extension: the unit, the sign character d, and the
-    rank-2 symbols [e^g] indexed by a weight up to global sign."""
-
-    kind: str
-    gamma: tuple = ()
-
-    ONE = "one"
-    DELTA = "delta"
-    PAIR = "pair"
-
-    def __post_init__(self):
-        if self.kind not in (self.ONE, self.DELTA, self.PAIR):
-            raise DomainError("unknown basis kind %r" % (self.kind,))
-        if self.kind == self.PAIR:
-            if not self.gamma or all(v == 0 for v in self.gamma):
-                raise DomainError("pair symbol requires a nonzero weight")
-            if tuple(self.gamma) != canonical_rep(self.gamma):
-                raise DomainError("pair weight must be sign-canonical")
-        elif self.gamma:
-            raise DomainError("only pair symbols carry a weight")
-
-    @classmethod
-    def one(cls):
-        return cls(cls.ONE)
-
-    @classmethod
-    def delta(cls):
-        return cls(cls.DELTA)
-
-    @classmethod
-    def pair(cls, gamma):
-        return cls(cls.PAIR, canonical_rep(tuple(int(v) for v in gamma)))
-
-    @property
-    def rank(self):
-        return 2 if self.kind == self.PAIR else 1
-
-    def sort_key(self):
-        order = {self.ONE: 0, self.DELTA: 1, self.PAIR: 2}
-        return (order[self.kind], self.gamma)
-
-    def to_str(self):
-        if self.kind == self.ONE:
-            return "one"
-        if self.kind == self.DELTA:
-            return "delta"
-        return "pair:" + ",".join(str(v) for v in self.gamma)
-
-
-_ONE = BasisSym.one()
-_DELTA = BasisSym.delta()
-
-
-def parse_basis(text, r):
-    if text == "one":
-        return BasisSym.one()
-    if text == "delta":
-        return BasisSym.delta()
-    if text.startswith("pair:"):
-        try:
-            coords = tuple(int(v) for v in text[5:].split(","))
-        except ValueError:
-            raise FormatError("bad pair weight in basis %r" % (text,)) from None
-        if len(coords) != r:
-            raise FormatError("basis %r has %d coordinates, expected %d" % (text, len(coords), r))
-        try:
-            return BasisSym.pair(coords)
-        except DomainError as exc:
-            raise FormatError("bad basis %r: %s" % (text, exc)) from None
-    raise FormatError("unknown basis %r" % (text,))
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +130,13 @@ def load_constants(path):
 
 
 # ---------------------------------------------------------------------------
-# the two coefficient rings and the two bases of the free lambda-rings
+# the coefficient ring Z, and the bases of the free lambda-rings
 
 
 class _Integers:
     """Z as a coefficient ring: coefficients are plain ints.
 
-    Same methods as the coefficient protocol of ``GWFieldRing``.
+    Same methods as the coefficient protocol of ``FreeLambdaRing``.
     """
 
     field = None
@@ -568,7 +154,7 @@ class _Integers:
     def lines(self, coeff):
         return [(1, 1 if coeff > 0 else -1)] * abs(coeff)
 
-    def scale(self, s):
+    def rank_one(self, s):
         return 1
 
     def record(self, coeff):
@@ -584,7 +170,188 @@ class _Integers:
 INTEGERS = _Integers()
 
 
-class _TorusWeights:
+class _Basis:
+    """What the bases share: lines as keys, no quotient, and the generic
+    exchange format and display of an element.
+
+    A basis validates its plain hashable keys (``check``, called by
+    ``FreeLambdaRing.elt``), multiplies them (``product``: the (key,
+    factor) pairs of k1*k2, factor None for 1) and gives lambda^2 of a
+    rank-2 key (None on a line).
+    """
+
+    field = None
+
+    def unit(self, r):
+        return "one"
+
+    def rank(self, key):
+        return 1
+
+    def lambda2(self, ring, key):
+        return None
+
+    def sort_key(self, key):
+        return key
+
+    def same(self, x, y):
+        theirs = y.terms
+        if x.terms.keys() != theirs.keys():
+            return False
+        return all(c == theirs[b] for b, c in x.terms.items())
+
+    def is_zero(self, x):
+        return not x.terms
+
+    def terms_record(self, x):
+        record = x.ring.coeff_ring.record
+        return [{"basis": self.record(b), "coeff": record(c)} for b, c in x.sorted_terms()]
+
+    def parse_term(self, ring, term, where):
+        """The (key, coefficient) pairs of one exchange-format term."""
+        key = self.parse(str(term.get("basis", "")), ring.r, where)
+        return ((key, ring.coeff_ring.parse(term.get("coeff"), where)),)
+
+    def show(self, x):
+        term_str = x.ring.coeff_ring.term_str
+        return " + ".join(term_str(c, self.display(b)) for b, c in x.sorted_terms()) or "0"
+
+
+class _Unit(_Basis):
+    """Basis of Z over itself: the unit alone, so lambda^k(n) = C(n, k)."""
+
+    def check(self, ring, key):
+        if key != "one":
+            raise DomainError("the only basis key of the integers is 'one'")
+        return key
+
+    def product(self, ring, k1, k2):
+        return (("one", None),)
+
+    def record(self, key):
+        return key
+
+    def parse(self, text, r, where):
+        if text != "one":
+            raise FormatError("%s.basis must be 'one'" % where)
+        return text
+
+    def show(self, x):
+        return str(x.augmentation())
+
+
+class _SquareClasses(_Basis):
+    """Basis of GW(F) over Z: the lines <a>, one per square class of the
+    field, keyed by the index of a in ``field.square_classes``.
+
+    The terms of an element are signed counts of entries <a> per class; its
+    ``pos`` and ``neg`` (the class representatives repeated by the positive
+    and the negative counts) are the exchange format.  GW(F) is the
+    quotient of this free ring by the Witt relations: equality is decided
+    by the complete invariants of the model (GWClass), built once per
+    counts and kept here, since over fq 2<1> - 2<u> is zero.  Products of
+    keys follow the square-class product table of the field.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        classes = field.square_classes
+        self.index = index = {a: i for i, a in enumerate(classes)}
+        # _table[i][j]: index of the square class of classes[i] * classes[j]
+        self._table = tuple(
+            tuple(index[field.square_class(field.mul(a, b))] for b in classes)
+            for a in classes
+        )
+        self._memo = {}  # {frozenset of (index, count): GWClass}
+        self._zero_class = GWClass.zero(field)
+
+    def unit(self, r):
+        return self.index[self.field.one]
+
+    def check(self, ring, key):
+        if not isinstance(key, int) or not 0 <= key < len(self._table):
+            raise DomainError("keys must be square-class indices")
+        return key
+
+    def product(self, ring, i, j):
+        return ((self._table[i][j], None),)
+
+    def entries(self, x, sign):
+        """Representatives of the added (sign 1) or subtracted (sign -1)
+        entries, in class order."""
+        classes = self.field.square_classes
+        return tuple(classes[i] for i, c in sorted(x.terms.items()) for _ in range(sign * c))
+
+    def gw_class(self, x):
+        key = frozenset(x.terms.items())
+        cls = self._memo.get(key)
+        if cls is None:
+            cls = self._memo[key] = GWClass.of_diagonal(
+                self.field, self.entries(x, 1), self.entries(x, -1)
+            )
+        return cls
+
+    def same(self, x, y):
+        return self.gw_class(x) == self.gw_class(y)
+
+    def is_zero(self, x):
+        return self.gw_class(x) == self._zero_class
+
+    def diag(self, ring, pos, neg):
+        index, square_class = self.index, self.field.square_class
+        counts = {}
+        for sign, side in ((1, pos), (-1, neg)):
+            for a in side:
+                i = index[square_class(a)]
+                counts[i] = counts.get(i, 0) + sign
+        return ring._reduced(counts)
+
+    def coeff_record(self, x):
+        to_str = self.field.to_str
+        return {
+            "pos": [to_str(a) for a in self.entries(x, 1)],
+            "neg": [to_str(a) for a in self.entries(x, -1)],
+        }
+
+    def coeff_parse(self, ring, record, where):
+        """Inverse of :meth:`coeff_record`; ``where`` names the term in diagnostics."""
+        record = _checked(record, dict, "%s.coeff" % where)
+        field = self.field
+        sides = []
+        for name in ("pos", "neg"):
+            entries = _checked(record.get(name), list, "%s.coeff.%s" % (where, name))
+            try:
+                side = [field.parse(str(v)) for v in entries]
+            except FormatError as exc:
+                raise FormatError("%s.coeff: %s" % (where, exc)) from None
+            if any(field.is_zero(v) for v in side):
+                raise FormatError("%s.coeff.%s holds a zero entry" % (where, name))
+            sides.append(side)
+        return self.diag(ring, *sides)
+
+    # The exchange format of GW(F) is one "one" term holding the counts as
+    # {pos, neg}, even for zero; the term's basis is not read back.
+    def terms_record(self, x):
+        return [{"basis": "one", "coeff": self.coeff_record(x)}]
+
+    def parse_term(self, ring, term, where):
+        return self.coeff_parse(ring, term.get("coeff"), where).terms.items()
+
+    def show(self, x):
+        to_str = self.field.to_str
+        pos, neg = self.entries(x, 1), self.entries(x, -1)
+        if not pos and not neg:
+            return "0"
+        pos = "<%s>" % ",".join(to_str(a) for a in pos) if pos else ""
+        neg = "<%s>" % ",".join(to_str(a) for a in neg) if neg else ""
+        if pos and neg:
+            return "(%s - %s)" % (pos, neg)
+        if neg:
+            return "(-%s)" % neg
+        return pos
+
+
+class _TorusWeights(_Basis):
     """Basis of K(T): the weights g in Z^r, each e^g a line."""
 
     def unit(self, r):
@@ -596,21 +363,12 @@ class _TorusWeights:
             raise DomainError("weight length must equal the torus rank")
         return gamma
 
-    def rank(self, gamma):
-        return 1
-
     def product(self, ring, g1, g2):
         return ((tuple(a + b for a, b in zip(g1, g2)), None),)
-
-    def lambda2(self, ring, gamma):
-        return None
 
     def symbols(self, r, bound):
         """Every weight with coordinates in [-bound, bound], in lex order."""
         return sorted(itertools.product(range(-bound, bound + 1), repeat=r))
-
-    def sort_key(self, gamma):
-        return gamma
 
     def record(self, gamma):
         return "wt:" + ",".join(str(v) for v in gamma)
@@ -630,71 +388,101 @@ class _TorusWeights:
         return "e[%s]" % ",".join(str(v) for v in gamma)
 
 
-class _ExtSymbols:
-    """Basis of the extended torus: 1, d, and the rank-2 symbols [e^g]."""
+def pair_key(gamma):
+    """Key of the rank-2 symbol [e^g]: g up to global sign, with its first
+    nonzero coordinate positive."""
+    gamma = canonical_rep(tuple(int(v) for v in gamma))
+    if not any(gamma):
+        raise DomainError("pair symbol requires a nonzero weight")
+    return gamma
 
-    def unit(self, r):
-        return _ONE
 
-    def check(self, ring, basis):
-        if not isinstance(basis, BasisSym):
-            raise DomainError("keys must be basis symbols")
-        if basis.kind == BasisSym.PAIR and len(basis.gamma) != ring.r:
-            raise DomainError("pair weight length must equal the torus rank")
-        return basis
+def parse_basis(text, r):
+    """Key of an extension basis name: 'one', 'delta' or 'pair:<coords>'."""
+    if text in ("one", "delta"):
+        return text
+    if text.startswith("pair:"):
+        try:
+            coords = tuple(int(v) for v in text[5:].split(","))
+        except ValueError:
+            raise FormatError("bad pair weight in basis %r" % (text,)) from None
+        if len(coords) != r:
+            raise FormatError("basis %r has %d coordinates, expected %d" % (text, len(coords), r))
+        try:
+            return pair_key(coords)
+        except DomainError as exc:
+            raise FormatError("bad basis %r: %s" % (text, exc)) from None
+    raise FormatError("unknown basis %r" % (text,))
 
-    def rank(self, basis):
-        return basis.rank
+
+_EXT_ORDER = {"one": 0, "delta": 1}
+
+
+class _ExtSymbols(_Basis):
+    """Basis of the extended torus: the lines 1 ("one") and d ("delta"),
+    and the rank-2 symbols [e^g] keyed by ``pair_key(g)``."""
+
+    def check(self, ring, key):
+        if key in _EXT_ORDER or (
+            isinstance(key, tuple)
+            and len(key) == ring.r
+            and all(isinstance(v, int) for v in key)
+            and any(key)
+            and key == canonical_rep(key)
+        ):
+            return key
+        raise DomainError(
+            "keys must be basis symbols: 'one', 'delta' or a sign-canonical nonzero weight"
+            " of the torus rank"
+        )
+
+    def rank(self, key):
+        return 2 if isinstance(key, tuple) else 1
 
     def product(self, ring, b1, b2):
-        """b1*b2 as (basis, factor) pairs, factor None for 1.
+        """b1*b2 as (key, factor) pairs, factor None for 1.
 
         [e^g][e^h] = [e^(g+h)] + [e^(g-h)], and [e^0] = <s>*1 + <s>*d with
         the ring's scale <s>.
         """
-        if b1.kind == BasisSym.ONE:
+        if b1 == "one":
             return ((b2, None),)
-        if b2.kind == BasisSym.ONE:
+        if b2 == "one":
             return ((b1, None),)
-        if b1.kind == BasisSym.DELTA and b2.kind == BasisSym.DELTA:
-            return ((_ONE if ring.constants.delta_delta == "one" else _DELTA, None),)
-        if b1.kind == BasisSym.DELTA:
+        if b1 == "delta" and b2 == "delta":
+            return ((ring.constants.delta_delta, None),)
+        if b1 == "delta":
             return ((b2, None),)
-        if b2.kind == BasisSym.DELTA:
+        if b2 == "delta":
             return ((b1, None),)
         out = []
-        g1, g2 = b1.gamma, b2.gamma
         for gamma in (
-            tuple(a + b for a, b in zip(g1, g2)),
-            tuple(a - b for a, b in zip(g1, g2)),
+            tuple(a + b for a, b in zip(b1, b2)),
+            tuple(a - b for a, b in zip(b1, b2)),
         ):
             if any(gamma):
-                out.append((BasisSym.pair(gamma), None))
+                out.append((canonical_rep(gamma), None))
             else:
-                out += [(_ONE, ring.scale), (_DELTA, ring.scale)]
+                out += [("one", ring.scale), ("delta", ring.scale)]
         return out
 
-    def lambda2(self, ring, basis):
+    def lambda2(self, ring, key):
         """lambda^2 of a rank-2 symbol; None on the lines 1 and d."""
-        if basis.kind != BasisSym.PAIR:
+        if not isinstance(key, tuple):
             return None
         target = ring.constants.lambda2_pair
-        if target == "zero":
-            return ring.zero
-        return ring.basis_elt(_ONE if target == "one" else _DELTA)
+        return ring.zero if target == "zero" else ring.basis_elt(target)
 
     def symbols(self, r, bound):
         """1, d, and the canonical pair symbols with coordinates in [-bound, bound]."""
         simples = classify_semidirect(r, bound)
-        return [_ONE, _DELTA] + [
-            BasisSym.pair(s.rep) for s in simples if s.kind == "induced"
-        ]
+        return ["one", "delta"] + [pair_key(s.rep) for s in simples if s.kind == "induced"]
 
-    def sort_key(self, basis):
-        return basis.sort_key()
+    def sort_key(self, key):
+        return (2, key) if isinstance(key, tuple) else (_EXT_ORDER[key], ())
 
-    def record(self, basis):
-        return basis.to_str()
+    def record(self, key):
+        return "pair:" + ",".join(str(v) for v in key) if isinstance(key, tuple) else key
 
     def parse(self, text, r, where):
         try:
@@ -702,14 +490,13 @@ class _ExtSymbols:
         except FormatError as exc:
             raise FormatError("%s: %s" % (where, exc)) from None
 
-    def display(self, basis):
-        if basis.kind == BasisSym.ONE:
-            return "1"
-        if basis.kind == BasisSym.DELTA:
-            return "d"
-        return "[e^(%s)]" % ",".join(str(v) for v in basis.gamma)
+    def display(self, key):
+        if isinstance(key, tuple):
+            return "[e^(%s)]" % ",".join(str(v) for v in key)
+        return "1" if key == "one" else "d"
 
 
+_UNIT = _Unit()
 TORUS_WEIGHTS = _TorusWeights()
 EXT_SYMBOLS = _ExtSymbols()
 
@@ -721,31 +508,36 @@ EXT_SYMBOLS = _ExtSymbols()
 class FreeLambdaRing:
     """A free module on ``basis`` with coefficients in ``coeff_ring``.
 
-    ``coeff_ring`` (``INTEGERS`` or a ``GWFieldRing``) says when a
-    coefficient is zero, gives its rank and splits it into signed lines;
-    ``basis`` (``TORUS_WEIGHTS`` or ``EXT_SYMBOLS``) multiplies basis
-    elements and gives lambda^2 of a rank-2 one.  ``tag`` names the ring in
-    element records.  Rings compare by (tag, r, coefficient ring,
+    ``coeff_ring`` (``INTEGERS``, or GW(F) as a free lambda-ring) says when
+    a coefficient is zero, gives its rank and splits it into signed lines;
+    ``basis`` multiplies its keys, gives lambda^2 of a rank-2 one, and
+    decides equality (a quotient on the square classes of GW(F)).  ``tag``
+    names the ring in element records and ``r`` is the torus rank (None
+    for Z and GW(F)).  Rings compare by (tag, r, coefficient ring, field,
     constants).
+
+    A free lambda-ring is also a coefficient ring: the methods from
+    ``__contains__`` on are the protocol that ``INTEGERS`` shares; the
+    last three need the square-class basis of GW(F).
     """
 
     __slots__ = ("tag", "r", "coeff_ring", "basis", "constants", "field", "scale", "one", "zero")
 
     def __init__(self, tag, r, coeff_ring, basis, constants=DEFAULT_CONSTANTS):
-        if r < 1:
+        if r is not None and r < 1:
             raise DomainError("torus rank must be >= 1")
         self.tag = tag
         self.r = r
         self.coeff_ring = coeff_ring
         self.basis = basis
         self.constants = constants
-        self.field = coeff_ring.field
-        self.scale = coeff_ring.scale(constants.pair_zero_scale)
+        self.field = basis.field or coeff_ring.field
+        self.scale = coeff_ring.rank_one(constants.pair_zero_scale)
         self.one = FreeElt(self, {basis.unit(r): coeff_ring.one})
         self.zero = FreeElt(self, {})
 
     def _key(self):
-        return (self.tag, self.r, self.coeff_ring, self.constants)
+        return (self.tag, self.r, self.coeff_ring, self.field, self.constants)
 
     def __eq__(self, other):
         if self is other:
@@ -756,10 +548,10 @@ class FreeLambdaRing:
         return hash(self._key())
 
     def __repr__(self):
-        return "FreeLambdaRing(%r, r=%d)" % (self.tag, self.r)
+        return "FreeLambdaRing(%r, r=%r)" % (self.tag, self.r)
 
     def elt(self, terms):
-        """The element with ``terms`` {basis: coefficient}; checks both."""
+        """The element with ``terms`` {basis key: coefficient}; checks both."""
         clean = {}
         for basis, coeff in dict(terms).items():
             basis = self.basis.check(self, basis)
@@ -782,9 +574,45 @@ class FreeLambdaRing:
     def basis_symbols(self, bound):
         return self.basis.symbols(self.r, bound)
 
+    def diag(self, pos, neg=()):
+        """<pos entries> - <neg entries> in GW(F); each entry is a nonzero
+        field element."""
+        return self.basis.diag(self, pos, neg)
+
+    def __contains__(self, coeff):
+        return isinstance(coeff, FreeElt) and coeff.ring == self
+
+    def is_zero(self, coeff):
+        return self.basis.is_zero(coeff)
+
+    def rank(self, coeff):
+        return coeff.augmentation()
+
+    def lines(self, coeff):
+        """(line, sign) pairs whose signed sum is ``coeff``: pos, then neg."""
+        lines = [
+            (FreeElt(self, {b: line}), sign)
+            for b, c in coeff.sorted_terms()
+            for line, sign in self.coeff_ring.lines(c)
+        ]
+        return [ls for ls in lines if ls[1] > 0] + [ls for ls in lines if ls[1] < 0]
+
+    def term_str(self, coeff, body):
+        return "%s*%s+" % (element_str(coeff), body)
+
+    def rank_one(self, s):
+        """The rank-1 form <s>."""
+        return self.diag((self.field.from_int(s),))
+
+    def record(self, coeff):
+        return self.basis.coeff_record(coeff)
+
+    def parse(self, record, where):
+        return self.basis.coeff_parse(self, record, where)
+
 
 class FreeElt:
-    """An element of a ``FreeLambdaRing``: ``terms`` maps basis elements to
+    """An element of a ``FreeLambdaRing``: ``terms`` maps basis keys to
     nonzero coefficients and is never changed after construction."""
 
     __slots__ = ("ring", "terms")
@@ -831,12 +659,24 @@ class FreeElt:
     def __eq__(self, other):
         if not isinstance(other, FreeElt) or other.ring != self.ring:
             return NotImplemented
-        theirs = other.terms
-        if self.terms.keys() != theirs.keys():
-            return False
-        return all(c == theirs[b] for b, c in self.terms.items())
+        return self.ring.basis.same(self, other)
 
     __hash__ = None
+
+    def is_zero(self):
+        return self.ring.basis.is_zero(self)
+
+    # GW(F) only: the exchange format and the complete invariants.
+    @property
+    def pos(self):
+        return self.ring.basis.entries(self, 1)
+
+    @property
+    def neg(self):
+        return self.ring.basis.entries(self, -1)
+
+    def gw_class(self):
+        return self.ring.basis.gw_class(self)
 
     def sorted_terms(self):
         sort_key = self.ring.basis.sort_key
@@ -854,19 +694,24 @@ class FreeElt:
         return self.ring.basis.rank(basis) == 1 and len(lines) == 1 and lines[0][1] == 1
 
     def lambda_t(self, d):
-        """One series 1 + l*t per signed line l = <a>*b of the coefficients,
-        plus lambda^2(b)*t^2 on a rank-2 b, since
-        lambda^2(<a>[e^g]) = <a^2> lambda^2([e^g]) = lambda^2([e^g])."""
+        """[lambda^0(x), ..., lambda^d(x)]: the product of one series 1 + l*t
+        per signed line l = <a>*b of the coefficients, plus lambda^2(b)*t^2
+        on a rank-2 b, since lambda^2(<a>[e^g]) = <a^2> lambda^2([e^g]) =
+        lambda^2([e^g]); the series of a negative line is inverted."""
         ring = self.ring
-        atoms = []
+        pos = neg = [ring.one]
         for basis, coeff in self.terms.items():
             top = ring.basis.lambda2(ring, basis)
             for line, sign in ring.coeff_ring.lines(coeff):
                 series = [ring.one, FreeElt(ring, {basis: line})]
                 if top is not None:
                     series.append(top)
-                atoms.append((series, sign))
-        return _lambda_t_from_atoms(ring, atoms, d)
+                if sign > 0:
+                    pos = _series_mul(pos, series, d)
+                else:
+                    neg = _series_mul(neg, series, d)
+        total = _series_mul(pos, _series_inv(neg, d), d)
+        return total + [ring.zero] * (d + 1 - len(total))
 
     def lambda_k(self, k):
         if k < 0:
@@ -879,8 +724,19 @@ class FreeElt:
         return "FreeElt(%s)" % element_str(self)
 
 
-# perfbench/child.py wraps the element classes under these names.
-KTorusElt = KExtElt = GWExtElt = FreeElt
+# perfbench/child.py wraps the element class under these names.
+IntElt = GWFieldElt = KTorusElt = KExtElt = GWExtElt = FreeElt
+
+
+def IntegerRing():
+    """Z, free on its unit: lambda^k(n) = C(n, k)."""
+    return FreeLambdaRing("integers", None, INTEGERS, _UNIT)
+
+
+def GWFieldRing(field):
+    """GW(F): formal differences of diagonal forms <a1,...,am> over a model
+    field, up to complete invariants."""
+    return FreeLambdaRing("gw-field", None, INTEGERS, _SquareClasses(field))
 
 
 def KTorusRing(r):
@@ -936,7 +792,7 @@ def hyperbolic_map(x, gw_ring):
     ):
         raise DomainError("target ring must extend the same torus")
     field = gw_ring.field
-    split = gw_ring.coeff_ring.elt(pos=(field.one, field.neg(field.one)))
+    split = gw_ring.coeff_ring.diag((field.one, field.neg(field.one)))
     return gw_ring.elt({b: c * split for b, c in x.terms.items()})
 
 
@@ -1067,33 +923,13 @@ def check_line_special(line, x, kmax=None):
 
 def element_record(x):
     """JSON-ready record: ring tag, torus rank, field spec, and terms."""
-    if isinstance(x, IntElt):
-        return {
-            "ring": "integers",
-            "rank_r": None,
-            "field": None,
-            "terms": [{"basis": "one", "coeff": x.n}] if x.n else [],
-        }
-    if isinstance(x, GWFieldElt):
-        return {
-            "ring": "gw-field",
-            "rank_r": None,
-            "field": x.ring.field.spec,
-            "terms": [{"basis": "one", "coeff": x.ring.record(x)}],
-        }
-    if isinstance(x, FreeElt):
-        ring = x.ring
-        terms = [
-            {"basis": ring.basis.record(b), "coeff": ring.coeff_ring.record(c)}
-            for b, c in x.sorted_terms()
-        ]
-        return {
-            "ring": ring.tag,
-            "rank_r": ring.r,
-            "field": None if ring.field is None else ring.field.spec,
-            "terms": terms,
-        }
-    raise DomainError("unknown element type %r" % type(x).__name__)
+    ring = x.ring
+    return {
+        "ring": ring.tag,
+        "rank_r": ring.r,
+        "field": None if ring.field is None else ring.field.spec,
+        "terms": ring.basis.terms_record(x),
+    }
 
 
 def parse_element(record, constants=DEFAULT_CONSTANTS):
@@ -1107,19 +943,9 @@ def parse_element(record, constants=DEFAULT_CONSTANTS):
     ]
     if tag == "integers":
         ring = IntegerRing()
-        total = 0
-        for where, term in terms:
-            if term.get("basis") != "one":
-                raise FormatError("%s.basis must be 'one'" % where)
-            total += _checked(term.get("coeff"), int, where + ".coeff")
-        return ring.elt(total)
-    if tag == "gw-field":
+    elif tag == "gw-field":
         ring = GWFieldRing(field_model(_checked(record.get("field"), str, "field")))
-        out = ring.zero
-        for where, term in terms:
-            out = out + ring.parse(term.get("coeff"), where)
-        return out
-    if tag in ("k-torus", "k-ext-torus", "gw-ext-torus"):
+    elif tag in ("k-torus", "k-ext-torus", "gw-ext-torus"):
         r = _checked(record.get("rank_r"), int, "rank_r")
         if r < 1:
             raise FormatError("rank_r must be a positive integer")
@@ -1128,13 +954,13 @@ def parse_element(record, constants=DEFAULT_CONSTANTS):
             ring = GWExtTorusRing(r, field, constants)
         else:
             ring = (KTorusRing if tag == "k-torus" else KExtTorusRing)(r)
-        acc = {}
-        for where, term in terms:
-            basis = ring.basis.parse(str(term.get("basis", "")), r, where)
-            coeff = ring.coeff_ring.parse(term.get("coeff"), where)
-            acc[basis] = acc[basis] + coeff if basis in acc else coeff
-        return ring.elt(acc)
-    raise FormatError("unknown ring tag %r" % (tag,))
+    else:
+        raise FormatError("unknown ring tag %r" % (tag,))
+    acc = {}
+    for where, term in terms:
+        for key, coeff in ring.basis.parse_term(ring, term, where):
+            acc[key] = acc[key] + coeff if key in acc else coeff
+    return ring.elt(acc)
 
 
 def load_element(path, constants=DEFAULT_CONSTANTS):
@@ -1147,14 +973,4 @@ def load_element(path, constants=DEFAULT_CONSTANTS):
 
 def element_str(x):
     """Readable one-line form of any ring element."""
-    if isinstance(x, IntElt):
-        return str(x.n)
-    if isinstance(x, GWFieldElt):
-        return x.ring.to_str(x)
-    if isinstance(x, FreeElt):
-        ring = x.ring
-        parts = [
-            ring.coeff_ring.term_str(c, ring.basis.display(b)) for b, c in x.sorted_terms()
-        ]
-        return " + ".join(parts) or "0"
-    return repr(x)
+    return x.ring.basis.show(x)

@@ -16,6 +16,7 @@ the output orbits grow as 2^n n!.
 """
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,6 +63,19 @@ def is_dominant(weight, flavor):
     return n < 2 or w[n - 2] >= abs(w[n - 1])
 
 
+def _partial_sums(flavor, w):
+    """The prefix sums S_1..S_n of a checked weight; for D also S_n - 2 w_n,
+    the full sum with the last coordinate negated."""
+    sums = list(itertools.accumulate(w))
+    if flavor.kind == "D":
+        sums.append(sums[-1] - 2 * w[-1])
+    return sums
+
+
+def _below(sums, upper_sums):
+    return all(map(operator.le, sums, upper_sums))
+
+
 def dominance_leq(lower, upper, flavor):
     """Partial-sum order: lower <= upper.
 
@@ -70,14 +84,7 @@ def dominance_leq(lower, upper, flavor):
     """
     a = _check_weight(flavor, lower)
     b = _check_weight(flavor, upper)
-    n = flavor.n
-    for t in range(1, n + 1):
-        if sum(a[:t]) > sum(b[:t]):
-            return False
-    if flavor.kind == "D":
-        if sum(a[:-1]) - a[-1] > sum(b[:-1]) - b[-1]:
-            return False
-    return True
+    return _below(_partial_sums(flavor, a), _partial_sums(flavor, b))
 
 
 def minus(weight):
@@ -251,7 +258,8 @@ def check_triangularity(weight, flavor):
     char = weyl_character(weight, flavor)
     if char.get(weight) != 1:
         return False
-    return all(dominance_leq(mu, weight, flavor) for mu in char)
+    top = _partial_sums(flavor, weight)
+    return all(_below(_partial_sums(flavor, mu), top) for mu in char)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""End-to-end tests driving the installed CLI as a subprocess."""
+"""End-to-end tests driving the CLI of this checkout as a subprocess."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +12,17 @@ from gwlambda import cli
 from gwlambda.fields import field_model
 from gwlambda.forms import diagonal_form, form_record, hyperbolic
 from gwlambda.lambda_rings import (
-    BasisSym,
     GWExtTorusRing,
     IntegerRing,
     element_record,
+    pair_key,
+)
+
+
+# The child imports gwlambda from this checkout's src/, installed or not.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 )
 
 
@@ -22,6 +31,7 @@ def run_cli(*argv, **kwargs):
         [sys.executable, "-m", "gwlambda", *argv],
         capture_output=True,
         text=True,
+        env=ENV,
         **kwargs,
     )
 
@@ -83,7 +93,7 @@ def test_check_inline_integers():
 
 def test_check_element_files(tmp_path):
     er = GWExtTorusRing(1, field_model("fq:5"))
-    x = er.basis_elt(BasisSym.pair((1,)))
+    x = er.basis_elt(pair_key((1,)))
     xf = write_json(tmp_path / "x.json", element_record(x))
     yf = write_json(tmp_path / "y.json", element_record(er.one + x))
     out = run_cli("check", "--x-file", xf, "--y-file", yf, "--kmax", "3")
@@ -93,7 +103,7 @@ def test_check_element_files(tmp_path):
 
 def test_check_composition_via_file(tmp_path):
     ints = IntegerRing()
-    xf = write_json(tmp_path / "x.json", element_record(ints.elt(4)))
+    xf = write_json(tmp_path / "x.json", element_record(4 * ints.one))
     out = run_cli("check", "--x-file", xf, "--j", "2", "--kmax", "2", "--format", "records")
     assert out.returncode == 0
     records = [json.loads(l) for l in out.stdout.splitlines()]

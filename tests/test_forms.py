@@ -473,7 +473,7 @@ def test_closed_form_of_diagonal_matches_fold(case):
 @given(diagonals())
 def test_coefficient_class_matches_fold(case):
     field, entries, minus = case
-    x = GWFieldRing(field).elt(entries, minus)
+    x = GWFieldRing(field).diag(entries, minus)
     expected = fold_of_diagonal(field, x.pos) - fold_of_diagonal(field, x.neg)
     assert same_invariants(x.gw_class(), expected)
     # The canonical multisets carry the class of the input entries.

@@ -54,6 +54,10 @@ CASES = {
         ("--ring", "gw-field", "--field", "fq:7"),
         "0f373910eae58219279aa1fcdf1a5e5fe1812366d417e3390909b2d21c3802c9",
     ),
+    "integers-bound2": (
+        ("--ring", "integers", "--bound", "2"),
+        "39a6d6291f949c4ed586e013f6286560fe42447ddeee3a2faf5f9ab4e63aa64d",
+    ),
 }
 
 # Corrupted constants: the failing records carry their lhs and rhs, so
@@ -68,6 +72,28 @@ HUMAN_SWEEP = ("check", "--sweep", "--bound", "1", "--format", "human")
 
 HUMAN_K_TORUS_R2 = "f42c57959c2278079101a3001c32b8733ecee435b30f66a6cc9a9a8b4821c720"
 HUMAN_CORRUPTED_FQ5 = "d6c47cdfb3117bebccd2bed56a07363e7b842c2c8538d32daa92a0533ac58a92"
+
+HUMAN_CASES = {
+    "integers-bound2": (
+        ("--ring", "integers", "--bound", "2"),
+        "0f167bc3c5825cb650077a823ff15bdcf37bd2b62aab958714c860667b87e218",
+    ),
+    "gw-field-rc": (
+        ("--ring", "gw-field", "--field", "rc"),
+        "7dad93f1c762484261467697362d787c56930a0ce895e18286fae64fe286e49d",
+    ),
+    "gw-field-fq5": (
+        ("--ring", "gw-field", "--field", "fq:5"),
+        "92ea8905d84592d1ab80f2ce5abe75de17faddca2d34f032f5a1a99b0eb4cd4a",
+    ),
+}
+
+# Inline integer operands: a product check and a composition check.
+INLINE = ("check", "--ring", "integers", "--x", "5", "--y", "-3", "--j", "2", "--kmax", "3")
+INLINE_DIGESTS = {
+    "records": "3b2bc6128345ce41fe98b113fa18a7430ebe7d89b1f9a22a0696af691966fea3",
+    "human": "fb1f33507321b3d257dd41763842ce482a979d228808ef9e934bca3b1f40823b",
+}
 
 
 def records_digest(capsys, argv):
@@ -96,6 +122,18 @@ def test_corrupted_constants_records_digest(capsys, tmp_path, field):
 def test_k_torus_human_digest(capsys):
     argv = HUMAN_SWEEP + ("--ring", "k-torus", "--r", "2")
     assert records_digest(capsys, argv) == (0, HUMAN_K_TORUS_R2)
+
+
+@pytest.mark.parametrize("name", HUMAN_CASES)
+def test_sweep_human_digest(capsys, name):
+    flags, digest = HUMAN_CASES[name]
+    assert records_digest(capsys, HUMAN_SWEEP + flags) == (0, digest)
+
+
+@pytest.mark.parametrize("fmt", INLINE_DIGESTS)
+def test_inline_integers_digest(capsys, fmt):
+    argv = INLINE + ("--format", fmt)
+    assert records_digest(capsys, argv) == (0, INLINE_DIGESTS[fmt])
 
 
 def test_corrupted_constants_human_digest(capsys, tmp_path):

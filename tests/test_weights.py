@@ -162,6 +162,28 @@ def test_triangularity_on_a_box():
             assert check_triangularity(w, flavor)
 
 
+def slicing_dominance_leq(lower, upper, flavor):
+    """Oracle: the partial-sum order recomputed by slicing at every index."""
+    for t in range(1, flavor.n + 1):
+        if sum(lower[:t]) > sum(upper[:t]):
+            return False
+    if flavor.kind == "D":
+        return sum(lower[:-1]) - lower[-1] <= sum(upper[:-1]) - upper[-1]
+    return True
+
+
+def test_dominance_matches_slicing_oracle():
+    for flavor in (B1, B2, B3, D2, D3):
+        for hw in dominant_box(flavor, 2):
+            char = weyl_character(hw, flavor)
+            verdicts = [slicing_dominance_leq(mu, hw, flavor) for mu in char]
+            assert [dominance_leq(mu, hw, flavor) for mu in char] == verdicts
+            assert check_triangularity(hw, flavor) == (char[hw] == 1 and all(verdicts))
+        weights = list(box(flavor.n, 1))
+        for a, b in itertools.product(weights, repeat=2):
+            assert dominance_leq(a, b, flavor) == slicing_dominance_leq(a, b, flavor)
+
+
 def test_adjoint_dimensions():
     assert weyl_dim((1, 1), B2) == 10
     assert weyl_dim((2,), B1) == 5
