@@ -154,6 +154,9 @@ class _Integers:
     def lines(self, coeff):
         return [(1, 1 if coeff > 0 else -1)] * abs(coeff)
 
+    def is_line(self, coeff):
+        return coeff == 1
+
     def rank_one(self, s):
         return 1
 
@@ -215,6 +218,15 @@ class _Basis:
     def show(self, x):
         term_str = x.ring.coeff_ring.term_str
         return " + ".join(term_str(c, self.display(b)) for b, c in x.sorted_terms()) or "0"
+
+    # GW(F) only; AttributeError keeps hasattr(x, "pos") False elsewhere.
+    def entries(self, x, sign):
+        raise AttributeError("pos and neg are defined on GW(F) only")
+
+    def _gw_only(self, *args):
+        raise DomainError("diagonal forms and their classes exist in GW(F) only")
+
+    diag = coeff_record = coeff_parse = gw_class = _gw_only
 
 
 class _Unit(_Basis):
@@ -517,8 +529,9 @@ class FreeLambdaRing:
     constants).
 
     A free lambda-ring is also a coefficient ring: the methods from
-    ``__contains__`` on are the protocol that ``INTEGERS`` shares; the
-    last three need the square-class basis of GW(F).
+    ``__contains__`` on are the protocol that ``INTEGERS`` shares.  Only
+    GW(F) serves as one: ``diag``, ``rank_one``, ``record``, ``parse`` and
+    an element's ``pos``, ``neg``, ``gw_class`` fail on the other bases.
     """
 
     __slots__ = ("tag", "r", "coeff_ring", "basis", "constants", "field", "scale", "one", "zero")
@@ -596,6 +609,9 @@ class FreeLambdaRing:
             for line, sign in self.coeff_ring.lines(c)
         ]
         return [ls for ls in lines if ls[1] > 0] + [ls for ls in lines if ls[1] < 0]
+
+    def is_line(self, coeff):
+        return coeff.is_line()
 
     def term_str(self, coeff, body):
         return "%s*%s+" % (element_str(coeff), body)
@@ -690,18 +706,26 @@ class FreeElt:
         if len(self.terms) != 1:
             return False
         ((basis, coeff),) = self.terms.items()
-        lines = self.ring.coeff_ring.lines(coeff)
-        return self.ring.basis.rank(basis) == 1 and len(lines) == 1 and lines[0][1] == 1
+        return self.ring.basis.rank(basis) == 1 and self.ring.coeff_ring.is_line(coeff)
 
     def lambda_t(self, d):
         """[lambda^0(x), ..., lambda^d(x)]: the product of one series 1 + l*t
         per signed line l = <a>*b of the coefficients, plus lambda^2(b)*t^2
         on a rank-2 b, since lambda^2(<a>[e^g]) = <a^2> lambda^2([e^g]) =
-        lambda^2([e^g]); the series of a negative line is inverted."""
+        lambda^2([e^g]); the series of a negative line is inverted.  An
+        integer n on a line b gives sum C(n, k) b^k t^k at once: sums over Z
+        are exact, so their order cannot matter."""
         ring = self.ring
         pos = neg = [ring.one]
         for basis, coeff in self.terms.items():
             top = ring.basis.lambda2(ring, basis)
+            if top is None and ring.coeff_ring is INTEGERS:
+                line, power, series = FreeElt(ring, {basis: 1}), ring.one, [ring.one]
+                for k in range(1, (d if coeff < 0 else min(d, coeff)) + 1):
+                    power = power * line
+                    series.append(_binom_general(coeff, k) * power)
+                pos = _series_mul(pos, series, d)
+                continue
             for line, sign in ring.coeff_ring.lines(coeff):
                 series = [ring.one, FreeElt(ring, {basis: line})]
                 if top is not None:

@@ -3,12 +3,10 @@ budget, printing a single pass/fail line."""
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 from gwlambda import lambda_rings as lr
 from gwlambda import weights
@@ -276,16 +274,11 @@ def test_criterion_7_appendix_classification():
 
 
 def test_criterion_8_cli_contract(tmp_path):
-    # The child imports gwlambda from this checkout's src/, installed or not.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-
     def run(*argv):
         return subprocess.run(
             [sys.executable, "-m", "gwlambda", *argv],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
         )
 
     sweep = (

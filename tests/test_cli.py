@@ -1,10 +1,8 @@
 """End-to-end tests driving the CLI of this checkout as a subprocess."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,19 +17,11 @@ from gwlambda.lambda_rings import (
 )
 
 
-# The child imports gwlambda from this checkout's src/, installed or not.
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-ENV = dict(
-    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-)
-
-
 def run_cli(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "gwlambda", *argv],
         capture_output=True,
         text=True,
-        env=ENV,
         **kwargs,
     )
 
@@ -89,6 +79,31 @@ def test_check_inline_integers():
     assert lines[0] == "[PASS] lambda1 k=1 x=5 y=-3"
     assert len([l for l in lines if l.startswith("[PASS]")]) == 5
     assert lines[-1] == "checks: 5 passed, 0 failed"
+
+
+def test_check_inline_integers_beyond_machine_size(capsys):
+    n = 10**20
+    code = cli.main(
+        ["check", "--ring", "integers", "--x", str(n), "--y", "1", "--kmax", "2",
+         "--format", "records"]
+    )
+    assert code == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["lhs"]["terms"] for r in records] == [
+        [{"basis": "one", "coeff": n}],
+        [{"basis": "one", "coeff": n * (n - 1) // 2}],
+    ]
+    assert all(r["pass"] and r["lhs"] == r["rhs"] for r in records)
+
+
+def test_composition_on_a_large_integer_is_quick():
+    # lambda_t(n) is one binomial series, not a product of n series;
+    # run_cli raises TimeoutExpired after 5 s.
+    out = run_cli(
+        "check", "--ring", "integers", "--x", "100000", "--j", "2", "--kmax", "2", timeout=5
+    )
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "checks: 4 passed, 0 failed"
 
 
 def test_check_element_files(tmp_path):

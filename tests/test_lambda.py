@@ -81,6 +81,36 @@ def test_integer_lambda_t_multiplicative(a, b):
         assert lhs[k].augmentation() == cauchy
 
 
+@pytest.mark.parametrize("m", range(-3, 4))
+@pytest.mark.parametrize("n", range(-3, 4))
+def test_lambda_t_over_z_is_binomial_in_each_line(n, m):
+    # lambda_t(n a + m b) = (1 + a t)^n (1 + b t)^m for lines a, b.
+    kt = KTorusRing(2)
+    x = n * kt.line((1, 0)) + m * kt.line((0, 1))
+    d = 5
+    series = x.lambda_t(d)
+    for k in range(d + 1):
+        expected = kt.zero
+        for i in range(k + 1):
+            expected += _binom(n, i) * _binom(m, k - i) * kt.line((i, k - i))
+        assert series[k] == expected
+
+
+def _binom(n, k):
+    """C(n, k) for any integer n: the coefficient of t^k in (1 + t)^n."""
+    return math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
+
+
+def test_gw_only_methods_fail_on_other_bases():
+    kt = KTorusRing(1)
+    assert not hasattr(kt.one, "pos") and not hasattr(kt.one, "neg")
+    for call in (lambda: kt.diag((1,)), kt.one.gw_class, lambda: kt.record(kt.one)):
+        with pytest.raises(DomainError, match="GW\\(F\\) only"):
+            call()
+    gw = GWFieldRing(field_model("rc"))
+    assert gw.one.pos == (gw.field.one,) and gw.one.neg == ()
+
+
 def test_integer_checks_pass():
     ints = IntegerRing()
     assert check_lambda1(5 * ints.one, -3 * ints.one, kmax=5).all_pass
