@@ -14,10 +14,18 @@ canonical representative for every square class:
 Elements are plain ``Fraction`` values (qc, rc) or plain ``int`` residues
 in ``[0, q)`` (fq).  All arithmetic goes through the model so that callers
 never need to branch on the representation.
+
+Matrix kernels run on integers behind the same models: ``lift(rows)`` gives
+an integer matrix M and an integer d > 0 with rows = M/d (fq: the residues,
+d = 1), ``int_det(M)`` is its determinant (fraction-free Bareiss elimination
+over Z for qc, rc; elimination mod q for fq), and ``from_ratio(n, d)`` is the
+element n/d.  So det(rows) is ``from_ratio(int_det(M), d**n)`` in every
+model, and callers still never branch on the representation.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DomainError, FormatError
 
@@ -82,6 +90,19 @@ class FieldModel:
     #: Every canonical representative, in output order.
     square_classes = ()
 
+    # -- integer matrices ------------------------------------------------
+    def lift(self, rows):
+        """Integer matrix M and integer d > 0 with rows = M / d."""
+        raise NotImplementedError
+
+    def from_ratio(self, n, d):
+        """The element n/d of integers n and d, d nonzero in the field."""
+        raise NotImplementedError
+
+    def int_det(self, m):
+        """Determinant of an integer matrix, as an integer for from_ratio."""
+        raise NotImplementedError
+
     # -- serialization ---------------------------------------------------
     def parse(self, text):
         raise NotImplementedError
@@ -103,87 +124,102 @@ class FieldModel:
         return "field_model(%r)" % self.spec
 
 
-def _parse_fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError("bad rational %r: %s" % (text, exc)) from None
+class _Rational(FieldModel):
+    """Shared by qc and rc, whose elements are ``Fraction`` values."""
 
-
-def _fraction_str(a):
-    return str(a)  # Fraction prints "p" or "p/q" in lowest terms
-
-
-class QuadraticallyClosed(FieldModel):
-    kind = "qc"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     @property
     def spec(self):
-        return "qc"
+        return self.kind
 
     def inv(self, a):
         if a == 0:
             raise DomainError("division by zero")
         return 1 / a
 
-    zero = Fraction(0)
-    one = Fraction(1)
-    square_classes = (Fraction(1),)
-
     def from_int(self, n):
         return Fraction(n)
+
+    def square_class(self, a):
+        return self.one if self.is_square(a) else -self.one
+
+    def parse(self, text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError("bad rational %r: %s" % (text, exc)) from None
+
+    def to_str(self, a):
+        return str(a)  # Fraction prints "p" or "p/q" in lowest terms
+
+    def lift(self, rows):
+        d = lcm(*(v.denominator for row in rows for v in row))
+        return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+
+    def from_ratio(self, n, d):
+        return Fraction(n, d)
+
+    def int_det(self, m):
+        """Bareiss elimination over Z: every division is exact, and checked.
+
+        Row i holds its Bareiss row times level[i] / prev, prev being the
+        last pivot.  A row with a zero in the pivot column is left as it
+        is, so sparse and diagonal matrices cost no rescaling; level[i] is
+        the divisor when the row is next eliminated or becomes the pivot.
+        """
+        m = [list(row) for row in m]
+        n = len(m)
+        level = [1] * n
+        sign, prev = 1, 1
+        for k in range(n):
+            if not m[k][k]:
+                swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+                if swap is None:
+                    return 0
+                m[k], m[swap] = m[swap], m[k]
+                level[k], level[swap] = level[swap], level[k]
+                sign = -sign
+            pivot_row = m[k]
+            if level[k] != prev:
+                for j in range(k, n):
+                    pivot_row[j], rest = divmod(pivot_row[j] * prev, level[k])
+                    if rest:
+                        raise AssertionError("Bareiss division is not exact")
+            pk = pivot_row[k]
+            for i in range(k + 1, n):
+                row = m[i]
+                a = row[k]
+                if a:
+                    s = level[i]
+                    for j in range(k + 1, n):
+                        row[j], rest = divmod(pk * row[j] - a * pivot_row[j], s)
+                        if rest:
+                            raise AssertionError("Bareiss division is not exact")
+                    level[i] = pk
+            prev = pk
+        return sign * prev
+
+
+class QuadraticallyClosed(_Rational):
+    kind = "qc"
+    square_classes = (Fraction(1),)
 
     def is_square(self, a):
         if a == 0:
             raise DomainError("zero has no square class")
         return True
 
-    def square_class(self, a):
-        if a == 0:
-            raise DomainError("zero has no square class")
-        return Fraction(1)
 
-    def parse(self, text):
-        return _parse_fraction(text)
-
-    def to_str(self, a):
-        return _fraction_str(a)
-
-
-class RealClosed(FieldModel):
+class RealClosed(_Rational):
     kind = "rc"
-
-    @property
-    def spec(self):
-        return "rc"
-
-    def inv(self, a):
-        if a == 0:
-            raise DomainError("division by zero")
-        return 1 / a
-
-    zero = Fraction(0)
-    one = Fraction(1)
     square_classes = (Fraction(-1), Fraction(1))
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def is_square(self, a):
         if a == 0:
             raise DomainError("zero has no square class")
         return a > 0
-
-    def square_class(self, a):
-        if a == 0:
-            raise DomainError("zero has no square class")
-        return Fraction(1) if a > 0 else Fraction(-1)
-
-    def parse(self, text):
-        return _parse_fraction(text)
-
-    def to_str(self, a):
-        return _fraction_str(a)
 
 
 class FinitePrime(FieldModel):
@@ -220,13 +256,8 @@ class FinitePrime(FieldModel):
             raise DomainError("division by zero")
         return pow(a, -1, self.q)
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def from_int(self, n):
         return n % self.q
@@ -256,6 +287,35 @@ class FinitePrime(FieldModel):
 
     def to_str(self, a):
         return str(a % self.q)
+
+    def lift(self, rows):
+        return rows, 1
+
+    def from_ratio(self, n, d):
+        return n * pow(d, -1, self.q) % self.q
+
+    def int_det(self, m):
+        """Gaussian elimination on residues, which stay below q."""
+        q = self.q
+        m = [[v % q for v in row] for row in m]
+        n = len(m)
+        det = 1
+        for k in range(n):
+            if not m[k][k]:
+                swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+                if swap is None:
+                    return 0
+                m[k], m[swap] = m[swap], m[k]
+                det = -det
+            pivot_row = m[k]
+            det = det * pivot_row[k] % q
+            inv = pow(pivot_row[k], -1, q)
+            for row in m[k + 1:]:
+                f = row[k] * inv % q
+                if f:
+                    for j in range(k + 1, n):
+                        row[j] = (row[j] - f * pivot_row[j]) % q
+        return det
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -12,6 +12,7 @@ with the induced virtual (formal-difference) ring structure.
 """
 
 import itertools
+from operator import mul
 
 from .errors import DomainError, FormatError, _checked, _load_json
 from .fields import FieldModel, SquareClass, field_model
@@ -24,7 +25,7 @@ class GramForm:
     core of a metabolic form under sub-Lagrangian reduction.
     """
 
-    __slots__ = ("field", "gram")
+    __slots__ = ("field", "gram", "_det")
 
     def __init__(self, field, gram):
         gram = tuple(tuple(row) for row in gram)
@@ -36,17 +37,19 @@ class GramForm:
             for j in range(i + 1, n):
                 if gram[i][j] != gram[j][i]:
                     raise DomainError("gram matrix is not symmetric")
-        if n and field.is_zero(_det(field, gram)):
+        det = _det(field, gram)
+        if field.is_zero(det):
             raise DomainError("gram matrix is singular")
         self.field = field
         self.gram = gram
+        self._det = det
 
     @property
     def dim(self):
         return len(self.gram)
 
     def det(self):
-        return _det(self.field, self.gram)
+        return self._det
 
     def is_diagonal(self):
         return all(
@@ -85,37 +88,9 @@ def diagonal_form(field, entries):
 
 
 def _det(field, rows):
-    """Determinant by Gaussian elimination with exact field arithmetic."""
-    n = len(rows)
-    if n == 0:
-        return field.one
-    if all(field.is_zero(rows[i][j]) for i in range(n) for j in range(n) if i != j):
-        det = field.one
-        for i in range(n):
-            det = field.mul(det, rows[i][i])
-        return det
-    m = [list(row) for row in rows]
-    det = field.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not field.is_zero(m[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = field.neg(det)
-        det = field.mul(det, m[col][col])
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            if field.is_zero(m[r][col]):
-                continue
-            f = field.mul(m[r][col], inv)
-            for c in range(col, n):
-                m[r][c] = field.sub(m[r][c], field.mul(f, m[col][c]))
-    return det
+    """Determinant, from the integer determinant of the lifted matrix."""
+    m, d = field.lift(rows)
+    return field.from_ratio(field.int_det(m), d ** len(m))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +154,16 @@ def exterior_power(a, k):
                 v = field.mul(v, a.gram[i][i])
             diag.append(v)
         return diagonal_form(field, diag)
-    gram = [
-        [
-            _det(field, [[a.gram[r][c] for c in cols] for r in rows])
-            for cols in subsets
-        ]
-        for rows in subsets
-    ]
+    # Minors of the lifted matrix M = d * gram scale by d**k; the Gram
+    # matrix is symmetric, so only the minors with I <= J are computed.
+    m, d = field.lift(a.gram)
+    scale = d ** k
+    gram = [[None] * len(subsets) for _ in subsets]
+    for x, rows in enumerate(subsets):
+        picked = [m[r] for r in rows]
+        for y in range(x, len(subsets)):
+            minor = [[row[c] for c in subsets[y]] for row in picked]
+            gram[x][y] = gram[y][x] = field.from_ratio(field.int_det(minor), scale)
     return GramForm(field, gram)
 
 
@@ -212,6 +190,9 @@ def diagonalize(a):
     Symmetric Gaussian elimination; when every remaining diagonal entry
     vanishes, a basis vector is replaced by its sum with a non-orthogonal
     one, which produces the nonzero diagonal value 2*g_ij (char != 2).
+    Step i leaves row and column i zero off the diagonal, so only the
+    trailing block, rows and columns >= i, is updated: its upper triangle,
+    mirrored to the lower.
     """
     field = a.field
     n = a.dim
@@ -223,7 +204,7 @@ def diagonalize(a):
                 (j for j in range(i + 1, n) if not field.is_zero(g[j][j])), None
             )
             if swap is not None:
-                for r in range(n):
+                for r in range(i, n):
                     g[r][i], g[r][swap] = g[r][swap], g[r][i]
                 g[i], g[swap] = g[swap], g[i]
             else:
@@ -232,21 +213,19 @@ def diagonalize(a):
                 )
                 if j is None:
                     raise DomainError("gram matrix is singular")
-                for r in range(n):
+                for r in range(i, n):
                     g[r][i] = field.add(g[r][i], g[r][j])
-                for c in range(n):
+                for c in range(i, n):
                     g[i][c] = field.add(g[i][c], g[j][c])
-        pivot = g[i][i]
-        inv = field.inv(pivot)
+        pivot_row = g[i]
+        inv = field.inv(pivot_row[i])
         for j in range(i + 1, n):
-            if field.is_zero(g[i][j]):
+            if field.is_zero(pivot_row[j]):
                 continue
-            f = field.mul(g[i][j], inv)
-            for c in range(n):
-                g[j][c] = field.sub(g[j][c], field.mul(f, g[i][c]))
-            for r in range(n):
-                g[r][j] = field.sub(g[r][j], field.mul(f, g[r][i]))
-        out.append(pivot)
+            f = field.mul(pivot_row[j], inv)
+            for c in range(j, n):
+                g[j][c] = g[c][j] = field.sub(g[j][c], field.mul(f, pivot_row[c]))
+        out.append(pivot_row[i])
     return out
 
 
@@ -568,15 +547,14 @@ def hyperbolic_lemma_witness(a):
 
 
 def _congruence(field, g, b):
-    """B^T G B with exact arithmetic."""
-    n = len(g)
-    gb = [
-        [sum_field(field, (field.mul(g[i][k], b[k][j]) for k in range(n))) for j in range(n)]
-        for i in range(n)
-    ]
+    """B^T G B, on the lifted integer matrices: (M/d)^T (N/e) (M/d)."""
+    bm, d = field.lift(b)
+    gm, e = field.lift(g)
+    bcols = list(zip(*bm))
+    gb_cols = [[sum(map(mul, row, col)) for row in gm] for col in bcols]
     return [
-        [sum_field(field, (field.mul(b[k][i], gb[k][j]) for k in range(n))) for j in range(n)]
-        for i in range(n)
+        [field.from_ratio(sum(map(mul, bi, gbj)), d * d * e) for gbj in gb_cols]
+        for bi in bcols
     ]
 
 

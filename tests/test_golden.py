@@ -144,3 +144,67 @@ def test_corrupted_constants_human_digest(capsys, tmp_path):
         "--constants", str(constants),
     )
     assert records_digest(capsys, argv) == (1, HUMAN_CORRUPTED_FQ5)
+
+
+# ``gwlambda forms`` on two Gram matrices with non-integer rational entries
+# and zero diagonal entries, read over every field kind.  Each digest covers
+# one form, field and format: every exterior power, the class, a
+# sub-Lagrangian reduction, the hyperbolic witness and ``hyperbolic --n 3``.
+# The zero diagonals take the pivot-swap and sum-of-basis-vectors paths of
+# diagonalization; the fractions exercise every field's parsing.
+FORMS = {
+    "zero-pivot-3": (
+        [["1/2", "0", "3"], ["0", "0", "-2/3"], ["3", "-2/3", "5"]],
+        "0,1,0",
+    ),
+    "hyperbolic-like-4": (
+        [["0", "1/2", "2", "0"], ["1/2", "0", "0", "-3"],
+         ["2", "0", "0", "1"], ["0", "-3", "1", "0"]],
+        "1,0,0,0;0,0,0,1",
+    ),
+}
+
+FORMS_DIGESTS = {
+    ("zero-pivot-3", "qc", "records"): "987e8a7c2926c1faf3bfc916f4b8929aceafffdabc180e402df1d61d86a58052",
+    ("zero-pivot-3", "qc", "human"): "643e1c05f1be487bad250f9e553619d71549d2e837400b8a26f23cc7a52fdbed",
+    ("zero-pivot-3", "rc", "records"): "9a4fefcd72c080304e557450cde54a47723820a7705eee8cc815cd8795c5b946",
+    ("zero-pivot-3", "rc", "human"): "991627ec0cdc9ba6ffb1ff0c3b9ed2706a15af100872ad90fa805ab9e81a6236",
+    ("zero-pivot-3", "fq:5", "records"): "a0040aa7b4d55387dab66bf3bf2fc0775a64361c67c4df6fee8f0141b7fe5a36",
+    ("zero-pivot-3", "fq:5", "human"): "fb709d0f5c03a0e7cc65be26f7525ded43e6bbddb7e4cbc0a1b48fa54b09b0e6",
+    ("zero-pivot-3", "fq:7", "records"): "98fcaa1a89267e99d225c4c7744f973791a9dfafb13e5017a38abf88a99e08c1",
+    ("zero-pivot-3", "fq:7", "human"): "3aac6ed1e32861e94c0c31f2976db99e32dd8b073fae7afa409888a343d33de5",
+    ("hyperbolic-like-4", "qc", "records"): "ca409414b0015ecab74f4f6ad94a3378329f0b4d78638685648e9d226e408c1c",
+    ("hyperbolic-like-4", "qc", "human"): "a71da2ee159d2254008542b34360e06bcd76392899903adc890029eefcc8ab3f",
+    ("hyperbolic-like-4", "rc", "records"): "d74f44c8260b0e2a3783e76c78ea92e14c3979826dc52751325100c0f991c77c",
+    ("hyperbolic-like-4", "rc", "human"): "bc308811c48162fa3cbc5a734cbdfbd070171bd198f18442ace3afcfb7e1035f",
+    ("hyperbolic-like-4", "fq:5", "records"): "d0db8be4ed4f0c786eaf701a85174f95795c3cd7cde28aa98d5543f42a1fdfff",
+    ("hyperbolic-like-4", "fq:5", "human"): "5fc2154e9c0085ec9a82df6628c42a8b5200caaf234e459f8023c76d74fac118",
+    ("hyperbolic-like-4", "fq:7", "records"): "d0bdacd0af35266a686330e77ae6e1d98e991cd773036769ac2f9c167d3602d1",
+    ("hyperbolic-like-4", "fq:7", "human"): "e0dd5068596196d5a615d916b98ba087f83e29874dd3c56146f39474672591db",
+}
+
+
+def forms_transcript(capsys, path, field, fmt, dim, vectors):
+    """Every ``gwlambda forms`` action on one form file, output concatenated."""
+    runs = [("exterior", "--in", path, "--k", str(k)) for k in range(dim + 1)]
+    runs += [
+        ("class", "--in", path),
+        ("reduce", "--in", path, "--vectors", vectors),
+        ("hyperbolic-witness", "--in", path),
+        ("hyperbolic", "--n", "3", "--field", field),
+    ]
+    out = []
+    for run in runs:
+        assert cli.main(["forms", *run, "--format", fmt]) == 0
+        out.append(capsys.readouterr().out)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("key", sorted(FORMS_DIGESTS))
+def test_forms_digest(capsys, tmp_path, key):
+    name, field, fmt = key
+    gram, vectors = FORMS[name]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"field": field, "gram": gram}))
+    text = forms_transcript(capsys, str(path), field, fmt, len(gram), vectors)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FORMS_DIGESTS[key]

@@ -1,0 +1,297 @@
+"""The integer matrix kernels of the field models, against oracles that
+share no code with them.
+
+The oracles are the earlier implementations: Gaussian elimination with the
+model's own field arithmetic for the determinant, and symmetric
+elimination on the full matrix for ``diagonalize``.  Sylvester-Franke,
+det(Lambda^k G) = det(G)^C(n-1, k-1), is a formula oracle for the
+exterior powers.  The hyperbolic witness is checked with this file's own
+product B^T (G perp -G) B.
+"""
+
+import itertools
+import math
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gwlambda import fields
+from gwlambda.errors import DomainError
+from gwlambda.fields import field_model
+from gwlambda.forms import (
+    GramForm,
+    diagonal_form,
+    diagonalize,
+    exterior_power,
+    gw_class,
+    hyperbolic,
+    hyperbolic_lemma_witness,
+)
+
+SPECS = ("qc", "rc", "fq:3", "fq:5", "fq:7", "fq:11")
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def oracle_det(field, rows):
+    """Determinant by Gaussian elimination with exact field arithmetic."""
+    n = len(rows)
+    if n == 0:
+        return field.one
+    if all(field.is_zero(rows[i][j]) for i in range(n) for j in range(n) if i != j):
+        det = field.one
+        for i in range(n):
+            det = field.mul(det, rows[i][i])
+        return det
+    m = [list(row) for row in rows]
+    det = field.one
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if not field.is_zero(m[r][col]):
+                pivot = r
+                break
+        if pivot is None:
+            return field.zero
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = field.neg(det)
+        det = field.mul(det, m[col][col])
+        inv = field.inv(m[col][col])
+        for r in range(col + 1, n):
+            if field.is_zero(m[r][col]):
+                continue
+            f = field.mul(m[r][col], inv)
+            for c in range(col, n):
+                m[r][c] = field.sub(m[r][c], field.mul(f, m[col][c]))
+    return det
+
+
+def oracle_diagonalize(field, rows):
+    """Symmetric Gaussian elimination on the full matrix."""
+    n = len(rows)
+    g = [list(row) for row in rows]
+    out = []
+    for i in range(n):
+        if field.is_zero(g[i][i]):
+            swap = next(
+                (j for j in range(i + 1, n) if not field.is_zero(g[j][j])), None
+            )
+            if swap is not None:
+                for r in range(n):
+                    g[r][i], g[r][swap] = g[r][swap], g[r][i]
+                g[i], g[swap] = g[swap], g[i]
+            else:
+                j = next(
+                    (j for j in range(i + 1, n) if not field.is_zero(g[i][j])), None
+                )
+                for r in range(n):
+                    g[r][i] = field.add(g[r][i], g[r][j])
+                for c in range(n):
+                    g[i][c] = field.add(g[i][c], g[j][c])
+        pivot = g[i][i]
+        inv = field.inv(pivot)
+        for j in range(i + 1, n):
+            if field.is_zero(g[i][j]):
+                continue
+            f = field.mul(g[i][j], inv)
+            for c in range(n):
+                g[j][c] = field.sub(g[j][c], field.mul(f, g[i][c]))
+            for r in range(n):
+                g[r][j] = field.sub(g[r][j], field.mul(f, g[r][i]))
+        out.append(pivot)
+    return out
+
+
+def oracle_exterior(field, rows, k):
+    """The k x k minors on lex-ordered k-subsets, each by oracle_det."""
+    subsets = list(itertools.combinations(range(len(rows)), k))
+    return tuple(
+        tuple(oracle_det(field, [[rows[r][c] for c in cols] for r in idx]) for cols in subsets)
+        for idx in subsets
+    )
+
+
+def oracle_class(field, rows):
+    """(rank, signed discriminant rep, signature) from the oracles."""
+    n = len(rows)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    disc = field.square_class(field.mul(field.from_int(sign), oracle_det(field, rows)))
+    signature = None
+    if field.kind == "rc":
+        signature = sum(1 if p > 0 else -1 for p in oracle_diagonalize(field, rows))
+    return n, disc, signature
+
+
+def field_pow(field, x, e):
+    out = field.one
+    for _ in range(e):
+        out = field.mul(out, x)
+    return out
+
+
+@st.composite
+def symmetric(draw, min_dim=0, max_dim=6):
+    """A field model and a random symmetric matrix over it, often singular:
+    zero entries are likely, rationals have denominators 1 to 3."""
+    field = field_model(draw(st.sampled_from(SPECS)))
+    n = draw(st.integers(min_dim, max_dim))
+    if field.kind == "fq":
+        entry = st.integers(0, field.q - 1)
+    else:
+        entry = st.one_of(
+            st.just(Fraction(0)),
+            st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+        )
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entry)
+    return field, g
+
+
+# ---------------------------------------------------------------------------
+# forms against the oracles
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric())
+def test_forms_match_the_elimination_oracle(case):
+    field, g = case
+    det = oracle_det(field, g)
+    if field.is_zero(det):
+        with pytest.raises(DomainError, match="singular"):
+            GramForm(field, g)
+        return
+    a = GramForm(field, g)
+    assert a.det() == det
+    assert diagonalize(a) == oracle_diagonalize(field, g)
+    cls = gw_class(a)
+    assert (cls.rank, cls.disc.rep, cls.signature) == oracle_class(field, g)
+    for k in range(a.dim + 1):
+        assert exterior_power(a, k).gram == oracle_exterior(field, g, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric(min_dim=1, max_dim=5))
+def test_exterior_determinants_follow_sylvester_franke(case):
+    field, g = case
+    det = oracle_det(field, g)
+    assume(not field.is_zero(det))
+    a = GramForm(field, g)
+    n = a.dim
+    for k in range(1, n + 1):
+        expected = field_pow(field, det, math.comb(n - 1, k - 1))
+        assert exterior_power(a, k).det() == expected
+
+
+# ---------------------------------------------------------------------------
+# int_det on its own
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-(10**12), 10**12), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.booleans(),
+    st.sampled_from(SPECS),
+)
+def test_int_det_matches_the_oracle_on_large_entries(rows, singular, spec):
+    if singular and len(rows) >= 2:
+        # The last row becomes an integer combination of the rows before it.
+        rows[-1] = [3 * x - 7 * y for x, y in zip(rows[0], rows[-2])]
+    field = field_model(spec)
+    element = (lambda v: v % field.q) if field.kind == "fq" else Fraction
+    expected = oracle_det(field, [[element(v) for v in row] for row in rows])
+    assert field.int_det(rows) == expected
+    if singular and len(rows) >= 2:
+        assert expected == 0
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_lift_and_from_ratio_round_trip(spec):
+    field = field_model(spec)
+    rows = [[field.parse(t) for t in row] for row in (["1/2", "0"], ["-4/13", "5"])]
+    m, d = field.lift(rows)
+    assert d > 0 and all(isinstance(v, int) for row in m for v in row)
+    assert [[field.from_ratio(v, d) for v in row] for row in m] == rows
+
+
+@pytest.mark.parametrize("spec", ("qc", "fq:5"))
+def test_hyperbolic_forty_is_fast(spec):
+    field = field_model(spec)
+    start = time.perf_counter()
+    h = hyperbolic(40, field)
+    assert gw_class(h).rank == 80
+    assert time.perf_counter() - start < 2.0
+
+
+def test_sparse_rows_cost_no_divisions(monkeypatch):
+    """Rows with a zero in the pivot column are not rescaled: on hyperbolic
+    and diagonal matrices the divisions grow quadratically, not cubically."""
+    calls = []
+
+    def counting_divmod(x, d):
+        calls.append(d)
+        return divmod(x, d)
+
+    monkeypatch.setattr(fields, "divmod", counting_divmod, raising=False)
+    field = field_model("qc")
+    n = 40
+    m, _ = field.lift(hyperbolic(n // 2, field).gram)
+    assert abs(field.int_det(m)) == 1
+    assert calls == []
+    diag = diagonal_form(field, [Fraction(i % 5 + 2, i % 3 + 1) for i in range(n)])
+    m, d = field.lift(diag.gram)
+    calls.clear()
+    assert field.from_ratio(field.int_det(m), d**n) == oracle_det(field, diag.gram)
+    assert len(calls) <= n * (n - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# the hyperbolic witness is always reached
+
+
+def own_congruence(field, a, b):
+    """B^T (G perp -G) B in plain Fraction arithmetic, or mod q."""
+    n = a.dim
+    g = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            g[i][j] = a.gram[i][j]
+            g[n + i][n + j] = -a.gram[i][j]
+    out = [
+        [
+            sum(b[k][i] * g[k][l] * b[l][j] for k in range(2 * n) for l in range(2 * n))
+            for j in range(2 * n)
+        ]
+        for i in range(2 * n)
+    ]
+    if field.kind == "fq":
+        out = [[v % field.q for v in row] for row in out]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric(min_dim=1, max_dim=5))
+def test_witness_returns_on_every_nondegenerate_form(case):
+    """The AssertionError in hyperbolic_lemma_witness is unreachable: on
+    random nondegenerate forms over all four field kinds it returns, and an
+    independent product confirms the congruence."""
+    field, g = case
+    assume(not field.is_zero(oracle_det(field, g)))
+    a = GramForm(field, g)
+    b = hyperbolic_lemma_witness(a)
+    n = a.dim
+    target = [[1 if abs(i - j) == n else 0 for j in range(2 * n)] for i in range(2 * n)]
+    assert own_congruence(field, a, b) == target
