@@ -1,7 +1,7 @@
-"""Byte-identical records output for a fixed set of small sweeps.
+"""Byte-identical output for a fixed set of small runs.
 
-Each case pins the sha256 of the full ``--format records`` output of one
-``gwlambda check --sweep`` run.  A change to the engine that keeps every
+Each sweep case pins the sha256 of the full ``--format records`` output of
+one ``gwlambda check --sweep`` run.  A change to the engine that keeps every
 result but alters a single byte of a record (term order, coefficient
 representatives, the pass flag) fails here; such a change must say why in
 CHANGES.md and update the digest.  The ``--format human`` cases pin the
@@ -208,3 +208,36 @@ def test_forms_digest(capsys, tmp_path, key):
     path.write_text(json.dumps({"field": field, "gram": gram}))
     text = forms_transcript(capsys, str(path), field, fmt, len(gram), vectors)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FORMS_DIGESTS[key]
+
+
+# ``gwlambda poly --format records``: P_k for k = 1..6, and P_kj for every
+# j >= 2 with kj <= 9.  These pin the table engine's output byte for byte:
+# term order, signs and the text of every coefficient.
+POLY_DIGESTS = {
+    (1, None): "d43a4c2334a01a50d82938f2ab072337bddc1804515a83f7f4352d8a5245da2d",
+    (2, None): "cc09bc07fd4ada447ca4e66cb88fefd61dfc827838eb0b01d09fb7364a86a915",
+    (3, None): "fb4dba2996c4f8e481883c82ddbf8683325c18ecd1b9bd85b678cb6d52727d34",
+    (4, None): "d1ca7f2d893172d9740da75b1449f2fc21cac63f21d647184d235b48b1c8447e",
+    (5, None): "0a36f3bb149dbc491af025b6f2eb09b8825ac02aa6305ca27f57a7d4a4d59a69",
+    (6, None): "68e76673b4ff932de62c64acd80a54b8d0bbec4fb232b4dd623c1d009afcd2e2",
+    (1, 2): "8964e89916f371d1cfdd4dcca250020313617749013f416143c5adbb4f14ecdc",
+    (2, 2): "7bbf73b9d42012e0e82e91f491f0574aa8982c313e239b5bfa956c04631fca9b",
+    (3, 2): "8e440be1a7b263932cbcb463123f8bdb9a07e8593aabb6b999935699e3dd5afc",
+    (4, 2): "3b744e60a0a6b1828af3d07ff2b13b4544186920d6525740edd94ccfc011d267",
+    (1, 3): "5157987889546a19683661e601f26e54e396fbaa32ce67f09fcbbafadb6cfca5",
+    (2, 3): "34a33388ff340eaa02ca634ab319e9edc944a16548404d30e9eaf4322549027b",
+    (3, 3): "db2173e8b4466b703ccfe5387e8c1d94ba89a7bef91ecb045fccfec0031eded1",
+    (1, 4): "31087ae635da3c2f385cb55cc3d716be27f5b16ae9c0ee063f5bd1109b0325b6",
+    (2, 4): "8653640725c753c74ccf9aceccf823858617b710cb97110f6369d1a4bf37f701",
+    (1, 5): "aa773cac4d7c3fc6a9a1a7505eb6b2ea74514fe8ae282c9a14af0cdb4565d45b",
+    (1, 6): "cccdd5c12481395f3c3a1e0ea00c397c8021735b1fc07ab0550a38badb4a453f",
+    (1, 7): "f0489284c1dab1333ff42856c3955c8e157b2f1dbba2642ac5d867af4eb2a79b",
+    (1, 8): "bb3344f11b45f1a58f69784b75eb7a2242a9af6fea532564a18172bc897e0245",
+    (1, 9): "aa32832c340b6e58f2562a1e88d36d7d03def831872babcb4d87066c8c4e863b",
+}
+
+
+@pytest.mark.parametrize("k, j", list(POLY_DIGESTS), ids=str)
+def test_poly_records_digest(capsys, k, j):
+    argv = ("poly", "--k", str(k)) + (() if j is None else ("--j", str(j)))
+    assert records_digest(capsys, argv + ("--format", "records")) == (0, POLY_DIGESTS[k, j])
