@@ -2,7 +2,7 @@
 representations: universal polynomial tables, bilinear-form algebra over
 model fields, extension rings of a split torus, and Weyl characters."""
 
-from .errors import DomainError, FormatError, NotSymmetricError
+from .errors import DomainError, FormatError
 from .fields import FieldModel, SquareClass, field_model
 from .forms import (
     GramForm,
@@ -45,15 +45,7 @@ from .lambda_rings import (
     pair_key,
     parse_element,
 )
-from .symfun import (
-    EPolynomial,
-    SymPolynomial,
-    e_substitute,
-    elem_sym,
-    reduce_to_elementary,
-    universal_P,
-    universal_P_kj,
-)
+from .symfun import EPolynomial, universal_P, universal_P_kj
 from .weights import (
     Flavor,
     OrbitSimple,

@@ -7,10 +7,6 @@ class DomainError(ValueError):
     """An operation was applied outside its stated domain."""
 
 
-class NotSymmetricError(DomainError):
-    """A polynomial expected to be symmetric in each alphabet is not."""
-
-
 class FormatError(DomainError):
     """A serialized record violates the exchange format."""
 

@@ -379,10 +379,6 @@ class SquareClass:
         self.field = field
         self.rep = field.square_class(a)
 
-    @property
-    def is_trivial(self):
-        return self.rep == self.field.one
-
     def __mul__(self, other):
         if self.field != other.field:
             raise DomainError("square classes over different fields")

@@ -490,29 +490,16 @@ def sum_field(field, items):
 
 
 def _inverse(field, rows):
-    """Matrix inverse by Gauss-Jordan elimination."""
+    """Matrix inverse: row-reduce [G | I] and read off the right half."""
     n = len(rows)
     aug = [
-        list(rows[i]) + [field.one if j == i else field.zero for j in range(n)]
-        for i in range(n)
+        list(row) + [field.one if j == i else field.zero for j in range(n)]
+        for i, row in enumerate(rows)
     ]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if not field.is_zero(aug[r][col])), None
-        )
-        if piv is None:
-            raise DomainError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = field.inv(aug[col][col])
-        aug[col] = [field.mul(scale, v) for v in aug[col]]
-        for r in range(n):
-            if r != col and not field.is_zero(aug[r][col]):
-                factor = aug[r][col]
-                aug[r] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(aug[r], aug[col])
-                ]
-    return [row[n:] for row in aug]
+    reduced, pivots = _rref(field, aug)
+    if pivots != list(range(n)):
+        raise DomainError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 def hyperbolic_lemma_witness(a):

@@ -380,7 +380,7 @@ class _TorusWeights(_Basis):
 
     def symbols(self, r, bound):
         """Every weight with coordinates in [-bound, bound], in lex order."""
-        return sorted(itertools.product(range(-bound, bound + 1), repeat=r))
+        return list(itertools.product(range(-bound, bound + 1), repeat=r))
 
     def record(self, gamma):
         return "wt:" + ",".join(str(v) for v in gamma)
@@ -488,7 +488,7 @@ class _ExtSymbols(_Basis):
     def symbols(self, r, bound):
         """1, d, and the canonical pair symbols with coordinates in [-bound, bound]."""
         simples = classify_semidirect(r, bound)
-        return ["one", "delta"] + [pair_key(s.rep) for s in simples if s.kind == "induced"]
+        return ["one", "delta"] + [s.rep for s in simples if s.kind == "induced"]
 
     def sort_key(self, key):
         return (2, key) if isinstance(key, tuple) else (_EXT_ORDER[key], ())

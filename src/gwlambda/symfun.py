@@ -1,27 +1,24 @@
-"""Symmetric polynomials over the integers and their elementary-basis form.
+"""The universal polynomial tables that control lambda-operations.
 
-Polynomials live in one alphabet x1..xn or two alphabets x1..xn, y1..yn and
-are stored sparsely as {exponent vector: coefficient}.  The fundamental
-reduction rewrites a (bi)symmetric polynomial as a polynomial in the
-elementary symmetric polynomials of each alphabet by repeatedly clearing
-the lexicographic leading term.
-
-On top of the reduction sit the two universal polynomial families that
-control lambda-operations: the coefficient of T^k in
+Two families: the coefficient of T^k in
 
     prod_{i,j} (1 + x_i y_j T)        (products of line bundles), and
     prod_{i1<...<ij} (1 + x_{i1}...x_{ij} T)   (composition with lambda^j),
 
-expressed in elementary symmetric variables.  Truncation degree k only
-requires n = k (resp. n = k*j) variables; stability in n is a testable
-property, not an assumption baked into the data structures.
+expressed in the elementary symmetric polynomials of each alphabet
+(x1..xn, and y1..yn for the first family) as an :class:`EPolynomial`.
+Each table is built by expanding the product into a sparse
+{exponent vector: coefficient} dict and then repeatedly clearing the
+lexicographic leading term.  Truncation degree k only requires n = k
+(resp. n = k*j) variables; stability in n is a testable property, not an
+assumption baked into the data structures.
 """
 
 import itertools
 import math
 from functools import lru_cache
 
-from .errors import DomainError, NotSymmetricError
+from .errors import DomainError
 
 
 def _strip(exps):
@@ -30,111 +27,6 @@ def _strip(exps):
     while exps and exps[-1] == 0:
         exps = exps[:-1]
     return exps
-
-
-class SymPolynomial:
-    """Integer polynomial in one or two alphabets of ``n_vars`` variables.
-
-    ``terms`` maps combined exponent vectors (the x block followed by the
-    y block when ``alphabets == 2``) to nonzero integer coefficients.
-    Instances are treated as immutable.
-    """
-
-    __slots__ = ("n_vars", "alphabets", "terms")
-
-    def __init__(self, n_vars, terms, alphabets=1):
-        if alphabets not in (1, 2):
-            raise DomainError("alphabets must be 1 or 2")
-        width = n_vars * alphabets
-        clean = {}
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != width:
-                raise DomainError("exponent vector has wrong length")
-            if any(e < 0 for e in exps):
-                raise DomainError("exponents must be >= 0")
-            if coeff:
-                clean[exps] = coeff
-        self.n_vars = n_vars
-        self.alphabets = alphabets
-        self.terms = clean
-
-    def is_symmetric(self):
-        """Invariance under adjacent transpositions within each alphabet."""
-        n = self.n_vars
-        for i in range(n - 1):
-            for block in range(self.alphabets):
-                a, b = block * n + i, block * n + i + 1
-                for exps, coeff in self.terms.items():
-                    swapped = list(exps)
-                    swapped[a], swapped[b] = swapped[b], swapped[a]
-                    if self.terms.get(tuple(swapped), 0) != coeff:
-                        return False
-        return True
-
-    def __add__(self, other):
-        self._compat(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return SymPolynomial(self.n_vars, terms, self.alphabets)
-
-    def __neg__(self):
-        return SymPolynomial(
-            self.n_vars, {e: -c for e, c in self.terms.items()}, self.alphabets
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._compat(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return SymPolynomial(self.n_vars, terms, self.alphabets)
-
-    def _compat(self, other):
-        if self.n_vars != other.n_vars or self.alphabets != other.alphabets:
-            raise DomainError("polynomials over different variable sets")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymPolynomial)
-            and self.n_vars == other.n_vars
-            and self.alphabets == other.alphabets
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n_vars, self.alphabets, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return "SymPolynomial(n=%d, alphabets=%d, %d terms)" % (
-            self.n_vars,
-            self.alphabets,
-            len(self.terms),
-        )
-
-
-def elem_sym(n, i):
-    """The elementary symmetric polynomial e_i of x1..xn."""
-    if not 0 <= i <= n:
-        raise DomainError("elem_sym needs 0 <= i <= n")
-    return SymPolynomial(n, dict(_elem_sym_terms(n, i)))
-
-
-@lru_cache(maxsize=None)
-def _elem_sym_terms(n, i):
-    terms = {}
-    for subset in itertools.combinations(range(n), i):
-        exps = [0] * n
-        for v in subset:
-            exps[v] = 1
-        terms[tuple(exps)] = 1
-    return tuple(terms.items())
 
 
 class EPolynomial:
@@ -183,16 +75,6 @@ class EPolynomial:
             if len(key[0]) <= max_index and len(key[1]) <= max_index
         }
         return EPolynomial(min(self.degree_bound, max_index), kept, self.alphabets)
-
-    def weighted_degrees(self):
-        """Set of (x weight, y weight) with e_i carrying weight i."""
-        return {
-            (
-                sum((i + 1) * e for i, e in enumerate(ex)),
-                sum((i + 1) * e for i, e in enumerate(ey)),
-            )
-            for ex, ey in self.terms
-        }
 
     def evaluate(self, xs, ys=(), one=1):
         """Substitute values for the e-variables; ``xs[i]`` stands for ex(i+1).
@@ -266,50 +148,6 @@ class EPolynomial:
         return "EPolynomial(%s)" % self.to_text()
 
 
-def e_substitute(ep, n):
-    """Expand an EPolynomial back into x (and y) variables with n per alphabet."""
-    if n < ep.degree_bound and any(
-        len(ex) > n or len(ey) > n for ex, ey in ep.terms
-    ):
-        raise DomainError("need at least as many variables as the largest e-index")
-    width = n * ep.alphabets
-    out = {}
-    for (ex, ey), coeff in ep.terms.items():
-        for xkey, xval in _e_monomial(n, ex).items():
-            if ep.alphabets == 1:
-                key = xkey
-                out[key] = out.get(key, 0) + coeff * xval
-            else:
-                for ykey, yval in _e_monomial(n, ey).items():
-                    key = xkey + ykey
-                    out[key] = out.get(key, 0) + coeff * xval * yval
-    if ep.alphabets == 1:
-        return SymPolynomial(n, out, 1)
-    return SymPolynomial(n, {k: v for k, v in out.items() if len(k) == width}, 2)
-
-
-@lru_cache(maxsize=None)
-def _e_monomial(n, exps):
-    """Expansion of prod_i e_i(x1..xn)^exps[i-1] as an exponent dict."""
-    poly = {(0,) * n: 1}
-    for i, e in enumerate(exps):
-        base = dict(_elem_sym_terms(n, i + 1))
-        for _ in range(e):
-            poly = _dict_mul(poly, base)
-    return poly
-
-
-def _dict_mul(a, b):
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(p + q for p, q in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
 def _partition_to_e(part):
     """Exponents (a1-a2, a2-a3, ...) of the e-monomial with leading term part."""
     exps = []
@@ -319,23 +157,11 @@ def _partition_to_e(part):
     return tuple(exps)
 
 
-def reduce_to_elementary(p):
-    """Rewrite a symmetric polynomial in the elementary basis.
-
-    Raises :class:`NotSymmetricError` unless ``p`` is invariant under
-    permutations within each alphabet; then clears lexicographic leading
-    terms on partition-shaped exponents (see ``_elementary_table``).
-    """
-    if not p.is_symmetric():
-        raise NotSymmetricError("input is not symmetric in each alphabet")
-    return _elementary_table(p.terms, p.n_vars, p.alphabets == 2)
-
-
 # ---------------------------------------------------------------------------
 # universal polynomial tables
 
-# The leading-term reduction (``reduce_to_elementary`` and the table
-# builders) runs on partition representatives only: a symmetric polynomial
+# The leading-term reduction (``_elementary_table``) runs on partition
+# representatives only: a symmetric polynomial
 # is determined by its coefficients on weakly decreasing exponent vectors,
 # and the coefficient of x^cols in prod_r e_{rows[r]} is the number of 0/1
 # matrices with the given row and column sums.  Expanding e-monomials over
@@ -432,7 +258,12 @@ def _reduce_symmetric_parts(work, n, two):
 
 
 def _elementary_table(terms, n, two):
-    """Reduce a symmetric coefficient dict to an EPolynomial, fast path."""
+    """Reduce a symmetric coefficient dict to an EPolynomial.
+
+    ``terms`` maps exponent vectors (the x block of length n, then the y
+    block when ``two``) to coefficients; it must be symmetric within each
+    block, and only its partition-shaped keys are read.
+    """
     work = {}
     for exps, c in terms.items():
         x, y = exps[:n], exps[n:]

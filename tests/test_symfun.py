@@ -1,28 +1,18 @@
-"""Tests for symmetric polynomials and the universal lambda tables."""
+"""Tests for the universal lambda tables and their elementary-basis reduction."""
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwlambda.errors import DomainError, NotSymmetricError
+from gwlambda import symfun
+from gwlambda.errors import DomainError
 from gwlambda.fields import field_model
 from gwlambda.lambda_rings import GWExtTorusRing
-from gwlambda.symfun import (
-    EPolynomial,
-    SymPolynomial,
-    e_substitute,
-    elem_sym,
-    reduce_to_elementary,
-    universal_P,
-    universal_P_kj,
-)
-
-
-def indicator(n, subset):
-    return tuple(1 if i in subset else 0 for i in range(n))
+from gwlambda.symfun import EPolynomial, universal_P, universal_P_kj
 
 
 def elem_values(vals, upto):
@@ -49,90 +39,62 @@ def truncated_product(monomial_values, k):
 
 
 # ---------------------------------------------------------------------------
-# elem_sym
+# reduction to the elementary basis, checked on an exact grid
 
 
-def test_elem_sym_rank_two():
-    e = elem_sym(2, 1)
-    assert e.terms == {(1, 0): 1, (0, 1): 1}
+def assert_grid_equal(terms, ep, n, two):
+    """``terms`` (a monomial dict) and ``ep`` at e-values agree on {0..D}^w.
 
-
-def test_elem_sym_top():
-    e = elem_sym(3, 3)
-    assert e.terms == {(1, 1, 1): 1}
-
-
-def test_elem_sym_zero_is_one():
-    e = elem_sym(3, 0)
-    assert e.terms == {(0, 0, 0): 1}
-
-
-def test_elem_sym_four_choose_two():
-    e = elem_sym(4, 2)
-    expected = {
-        indicator(4, c): 1 for c in itertools.combinations(range(4), 2)
-    }
-    assert e.terms == expected
-    assert len(e.terms) == 6
-
-
-def test_elem_sym_matches_subset_enumeration():
-    for n in range(1, 6):
-        for i in range(n + 1):
-            e = elem_sym(n, i)
-            expected = {
-                indicator(n, c): 1 for c in itertools.combinations(range(n), i)
-            }
-            assert e.terms == expected
-            assert e.is_symmetric()
-
-
-def test_elem_sym_range_errors():
-    with pytest.raises(DomainError):
-        elem_sym(2, 3)
-    with pytest.raises(DomainError):
-        elem_sym(2, -1)
-
-
-# ---------------------------------------------------------------------------
-# reduction to the elementary basis
+    w is the number of variables and D the largest degree in any one of
+    them on either side: the largest exponent in ``terms``, and for ``ep``
+    the largest sum of e-exponents of one alphabet (each e_i has degree 1
+    in x1).  Two polynomials of degree at most D in each variable that agree
+    on this grid are equal.
+    """
+    width = 2 * n if two else n
+    degree = max(
+        [max(exps) for exps in terms] + [sum(side) for key in ep.terms for side in key],
+        default=0,
+    )
+    for point in itertools.product(range(degree + 1), repeat=width):
+        direct = sum(
+            c * math.prod(v**e for v, e in zip(point, exps)) for exps, c in terms.items()
+        )
+        ys = elem_values(point[n:], n) if two else []
+        assert ep.evaluate(elem_values(point[:n], n), ys) == direct, point
 
 
 def test_reduce_power_sum_two():
-    p = SymPolynomial(2, {(2, 0): 1, (0, 2): 1})
-    got = reduce_to_elementary(p)
+    terms = {(2, 0): 1, (0, 2): 1}
+    got = symfun._elementary_table(terms, 2, False)
     assert got == EPolynomial(2, {((2,), ()): 1, ((0, 1), ()): -2})
+    assert_grid_equal(terms, got, 2, False)
 
 
 def test_reduce_round_trip_handmade():
-    p = SymPolynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1,
-                          (1, 1, 0): 4, (1, 0, 1): 4, (0, 1, 1): 4})
-    assert e_substitute(reduce_to_elementary(p), 3) == p
-
-
-def test_reduce_rejects_antisymmetric():
-    p = SymPolynomial(2, {(1, 0): 1, (0, 1): -1})
-    with pytest.raises(NotSymmetricError, match="not symmetric"):
-        reduce_to_elementary(p)
+    terms = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1,
+             (1, 1, 0): 4, (1, 0, 1): 4, (0, 1, 1): 4}
+    assert_grid_equal(terms, symfun._elementary_table(terms, 3, False), 3, False)
 
 
 def test_reduce_two_alphabets():
-    p = SymPolynomial(
-        2,
-        {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1},
-        alphabets=2,
-    )
-    assert p.is_symmetric()
-    assert reduce_to_elementary(p) == EPolynomial(2, {((1,), (1,)): 1}, alphabets=2)
+    terms = {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1}
+    got = symfun._elementary_table(terms, 2, True)
+    assert got == EPolynomial(2, {((1,), (1,)): 1}, alphabets=2)
+    assert_grid_equal(terms, got, 2, True)
+    px = symmetrize([((2, 0), 1), ((1, 1), 3)])
+    py = symmetrize([((2, 0), 1), ((1, 0), -2)])
+    terms = {a + b: c * d for a, c in px.items() for b, d in py.items()}
+    assert_grid_equal(terms, symfun._elementary_table(terms, 2, True), 2, True)
 
 
-def symmetrize(n, orbits):
+def symmetrize(orbits):
     """Sum of full permutation orbits of the given exponent tuples."""
     terms = {}
     for exps, coeff in orbits:
         for perm in set(itertools.permutations(exps)):
             terms[perm] = terms.get(perm, 0) + coeff
-    return SymPolynomial(n, terms)
+    return {exps: c for exps, c in terms.items() if c}
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,19 +110,8 @@ def symmetrize(n, orbits):
     ),
 )
 def test_reduce_round_trip_random(n, raw_orbits):
-    orbits = [(tuple(exps[:n]), coeff) for exps, coeff in raw_orbits]
-    p = symmetrize(n, orbits)
-    if not p.terms:
-        return
-    assert p.is_symmetric()
-    ep = reduce_to_elementary(p)
-    assert e_substitute(ep, n) == p
-
-
-def test_e_substitute_needs_enough_variables():
-    ep = EPolynomial(3, {((0, 0, 1), ()): 1})
-    with pytest.raises(DomainError):
-        e_substitute(ep, 2)
+    terms = symmetrize([(tuple(exps[:n]), coeff) for exps, coeff in raw_orbits])
+    assert_grid_equal(terms, symfun._elementary_table(terms, n, False), n, False)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +317,18 @@ def test_stability_small():
     assert universal_P_kj(3, 2) == universal_P_kj(3, 2, 7)
 
 
+def weight(exps):
+    """Weighted degree of an e-monomial, e_i carrying weight i."""
+    return sum((i + 1) * e for i, e in enumerate(exps))
+
+
 def test_weighted_degrees_P():
     for k in range(1, 5):
-        assert universal_P(k).weighted_degrees() == {(k, k)}
+        weights = {(weight(ex), weight(ey)) for ex, ey in universal_P(k).terms}
+        assert weights == {(k, k)}
 
 
 def test_weighted_degrees_P_kj():
     for k, j in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]:
-        assert universal_P_kj(k, j).weighted_degrees() == {(k * j, 0)}
+        weights = {(weight(ex), weight(ey)) for ex, ey in universal_P_kj(k, j).terms}
+        assert weights == {(k * j, 0)}
