@@ -26,8 +26,9 @@ from .errors import DomainError
 from .fields import field_model
 
 
-def _json_line(record):
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# One encoder for all records (json.dumps with options builds one per call);
+# records are fresh acyclic trees, so it skips the cycle bookkeeping.
+_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def _common_flags(sub):
@@ -347,8 +348,13 @@ def _cmd_char(args, emit):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as "-1,0" as an option, so hand it over
+    # as "--vectors=-1,0", which it never splits.
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--vectors":
+            argv[i : i + 2] = ["--vectors=" + argv[i + 1]]
+    args = build_parser().parse_args(argv)
     lines = []
     emit = lines.append
     handlers = {

@@ -9,7 +9,9 @@ expressed in the elementary symmetric polynomials of each alphabet
 (x1..xn, and y1..yn for the first family) as an :class:`EPolynomial`.
 Each table is built by expanding the product into a sparse
 {exponent vector: coefficient} dict and then repeatedly clearing the
-lexicographic leading term.  Truncation degree k only requires n = k
+lexicographic leading term.  The expansion packs each exponent vector into
+one int, a byte per variable (so k < 256), and decodes only the
+partition-shaped keys of T^k.  Truncation degree k only requires n = k
 (resp. n = k*j) variables; stability in n is a testable property, not an
 assumption baked into the data structures.
 """
@@ -275,18 +277,37 @@ def _elementary_table(terms, n, two):
     return EPolynomial(n, _reduce_symmetric_parts(work, n, two), 2 if two else 1)
 
 
-def _truncated_elem(monomials, k, width):
-    """Coefficient dicts of T^0..T^k in prod (1 + m*T) over the monomials."""
-    coeffs = [{(0,) * width: 1}] + [{} for _ in range(k)]
-    seen = 0
-    for mono in monomials:
-        seen += 1
+def _truncated_elem(monomials, k, blocks):
+    """Partition-shaped coefficients of T^k in prod (1 + m*T) over the monomials.
+
+    Each exponent vector is packed into one int, one byte per variable with
+    variable 0 in the most significant byte, so that multiplying by a
+    monomial is one integer addition.  The monomials are 0/1 vectors, so no
+    exponent exceeds k and k < 256 keeps every digit from carrying.
+    ``blocks`` gives the alphabet sizes; only T^k keys weakly decreasing
+    within each block are decoded and returned, as exponent tuples.
+    """
+    if k >= 256:
+        raise DomainError("tables need k < 256 (one byte per exponent)")
+    coeffs = [{0: 1}] + [{} for _ in range(k)]
+    for seen, mono in enumerate(monomials, 1):
+        m = int.from_bytes(bytes(mono), "big")
         for t in range(min(seen, k), 0, -1):
             cur = coeffs[t]
             for key, val in coeffs[t - 1].items():
-                nk = tuple(a + b for a, b in zip(key, mono))
+                nk = key + m
                 cur[nk] = cur.get(nk, 0) + val
-    return coeffs
+    starts = itertools.accumulate(blocks, initial=0)
+    steps = [i for s, size in zip(starts, blocks) for i in range(s, s + size - 1)]
+    width, out = sum(blocks), {}
+    for key, val in coeffs[k].items():
+        exps = key.to_bytes(width, "big")
+        for i in steps:
+            if exps[i] < exps[i + 1]:
+                break
+        else:
+            out[tuple(exps)] = val
+    return out
 
 
 def universal_P(k, n_vars=None):
@@ -312,16 +333,10 @@ def _universal_P_cached(k):
 
 
 def _universal_P_build(k, n):
-    width = 2 * n
-    monomials = []
-    for i in range(n):
-        for j in range(n):
-            mono = [0] * width
-            mono[i] = 1
-            mono[n + j] = 1
-            monomials.append(tuple(mono))
-    coeff = _truncated_elem(monomials, k, width)[k]
-    return _elementary_table(coeff, n, two=True)
+    monomials = (
+        [int(v in (i, n + j)) for v in range(2 * n)] for i in range(n) for j in range(n)
+    )
+    return _elementary_table(_truncated_elem(monomials, k, (n, n)), n, two=True)
 
 
 def universal_P_kj(k, j, n_vars=None):
@@ -346,11 +361,8 @@ def _universal_P_kj_cached(k, j):
 
 
 def _universal_P_kj_build(k, j, n):
-    monomials = []
-    for subset in itertools.combinations(range(n), j):
-        mono = [0] * n
-        for v in subset:
-            mono[v] = 1
-        monomials.append(tuple(mono))
-    coeff = _truncated_elem(monomials, k, n)[k]
-    return _elementary_table(coeff, n, two=False)
+    monomials = (
+        [int(v in subset) for v in range(n)]
+        for subset in itertools.combinations(range(n), j)
+    )
+    return _elementary_table(_truncated_elem(monomials, k, (n,)), n, two=False)

@@ -315,6 +315,29 @@ def test_forms_reduce_lagrangian(h1_file):
     assert out.stdout.splitlines() == ["sublagrangian_rank=1", "[]"]
 
 
+# A value that starts with "-" must reach --vectors whether it is a separate
+# argument or joined by "=": argparse alone reads "-1,0" as an option.
+REDUCE_CASES = [
+    (1, "-1,0", ["sublagrangian_rank=1", "[]"]),
+    (2, "-1,0,0,0", ["sublagrangian_rank=1", "[0, 1]", "[1, 0]"]),
+    (2, "-1,0,0,0;0,-1,0,0", ["sublagrangian_rank=2", "[]"]),
+]
+
+
+@pytest.mark.parametrize("rank, vectors, expected", REDUCE_CASES)
+def test_forms_reduce_negative_vectors_separate(tmp_path, rank, vectors, expected):
+    f = write_json(tmp_path / "h.json", form_record(hyperbolic(rank, field_model("qc"))))
+    out = run_cli("forms", "reduce", "--in", f, "--vectors", vectors)
+    assert (out.returncode, out.stdout.splitlines()) == (0, expected), out.stderr
+
+
+@pytest.mark.parametrize("rank, vectors, expected", REDUCE_CASES)
+def test_forms_reduce_negative_vectors_joined(tmp_path, rank, vectors, expected):
+    f = write_json(tmp_path / "h.json", form_record(hyperbolic(rank, field_model("qc"))))
+    out = run_cli("forms", "reduce", "--in", f, "--vectors=" + vectors)
+    assert (out.returncode, out.stdout.splitlines()) == (0, expected), out.stderr
+
+
 def test_forms_hyperbolic_witness(tmp_path):
     qc = field_model("qc")
     f = write_json(tmp_path / "one.json", form_record(diagonal_form(qc, [qc.one])))

@@ -210,9 +210,10 @@ def test_forms_digest(capsys, tmp_path, key):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FORMS_DIGESTS[key]
 
 
-# ``gwlambda poly --format records``: P_k for k = 1..6, and P_kj for every
-# j >= 2 with kj <= 9.  These pin the table engine's output byte for byte:
-# term order, signs and the text of every coefficient.
+# ``gwlambda poly --format records``: P_k for k = 1..6, P_kj for every
+# j >= 2 with kj <= 9, and P_kj(5, 2), the table the fq:5 kmax=5 sweep
+# builds.  These pin the table engine's output byte for byte: term order,
+# signs and the text of every coefficient.
 POLY_DIGESTS = {
     (1, None): "d43a4c2334a01a50d82938f2ab072337bddc1804515a83f7f4352d8a5245da2d",
     (2, None): "cc09bc07fd4ada447ca4e66cb88fefd61dfc827838eb0b01d09fb7364a86a915",
@@ -234,6 +235,7 @@ POLY_DIGESTS = {
     (1, 7): "f0489284c1dab1333ff42856c3955c8e157b2f1dbba2642ac5d867af4eb2a79b",
     (1, 8): "bb3344f11b45f1a58f69784b75eb7a2242a9af6fea532564a18172bc897e0245",
     (1, 9): "aa32832c340b6e58f2562a1e88d36d7d03def831872babcb4d87066c8c4e863b",
+    (5, 2): "8f6f59c97d277290208d5a072ecb0d8f9c64378f7c3c4953461855ed657e0a4e",
 }
 
 

@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwlambda import symfun
+from gwlambda import cli, symfun
 from gwlambda.errors import DomainError
 from gwlambda.fields import field_model
 from gwlambda.lambda_rings import GWExtTorusRing
@@ -304,6 +305,90 @@ def test_universal_P_oracle_with_more_variables():
         ys = [rng.randint(-2, 2) for _ in range(n)]
         direct = truncated_product([x * y for x in xs for y in ys], k)[k]
         assert table.evaluate(elem_values(xs, k), elem_values(ys, k)) == direct
+
+
+# ---------------------------------------------------------------------------
+# the packed expansion against tuple exponent keys
+
+
+def tuple_truncated_elem(monomials, k, width):
+    """Coefficient dicts of T^0..T^k in prod (1 + m*T), keyed by exponent tuples.
+
+    The brute-force reference for ``symfun._truncated_elem``: every product
+    is a tuple built term by term, with no packing and no filtering.
+    """
+    coeffs = [{(0,) * width: 1}] + [{} for _ in range(k)]
+    seen = 0
+    for mono in monomials:
+        seen += 1
+        for t in range(min(seen, k), 0, -1):
+            cur = coeffs[t]
+            for key, val in coeffs[t - 1].items():
+                nk = tuple(a + b for a, b in zip(key, mono))
+                cur[nk] = cur.get(nk, 0) + val
+    return coeffs
+
+
+def partition_shaped(exps, blocks):
+    start = 0
+    for size in blocks:
+        block = list(exps[start : start + size])
+        if block != sorted(block, reverse=True):
+            return False
+        start += size
+    return True
+
+
+def assert_expansion_matches(monomials, k, blocks):
+    full = tuple_truncated_elem(monomials, k, sum(blocks))[k]
+    expected = {e: c for e, c in full.items() if partition_shaped(e, blocks)}
+    assert symfun._truncated_elem(iter(monomials), k, blocks) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("extra", [0, 1])
+def test_packed_expansion_P(k, extra):
+    n = k + extra
+    monomials = []
+    for i in range(n):
+        for j in range(n):
+            mono = [0] * (2 * n)
+            mono[i] = mono[n + j] = 1
+            monomials.append(tuple(mono))
+    assert_expansion_matches(monomials, k, (n, n))
+
+
+@pytest.mark.parametrize(
+    "k, j", [(k, j) for k in range(1, 9) for j in range(1, 9) if k * j <= 8]
+)
+def test_packed_expansion_P_kj(k, j):
+    n = k * j
+    monomials = [
+        tuple(int(v in subset) for v in range(n))
+        for subset in itertools.combinations(range(n), j)
+    ]
+    assert_expansion_matches(monomials, k, (n,))
+
+
+def test_packed_expansion_largest_digit_does_not_carry():
+    # (1 + xyT)^255: the T^255 coefficient is x^255 y^255, both digits full.
+    assert symfun._truncated_elem([(1, 1)] * 255, 255, (2,)) == {(255, 255): 1}
+    assert symfun._truncated_elem([(1, 0)] * 255, 255, (1, 1)) == {(255, 0): 1}
+
+
+def test_digit_overflow_is_refused_before_expanding():
+    start = time.perf_counter()
+    for build in (lambda: universal_P(256), lambda: universal_P_kj(256, 2)):
+        with pytest.raises(DomainError, match="k < 256"):
+            build()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_poly_k_256_is_a_usage_error(capsys):
+    assert cli.main(["poly", "--k", "256"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
