@@ -105,6 +105,17 @@ def build_parser():
     return parser
 
 
+def _write(args, emit, records, lines):
+    """Emit the records as JSON lines, or the human lines, as --format asks."""
+    for line in map(_json_line, records) if args.format == "records" else lines:
+        emit(line)
+
+
+def _matrix_lines(rows):
+    """Human rendering of a matrix of element strings, one row a line."""
+    return ["[%s]" % ", ".join(row) for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # poly
 
@@ -119,10 +130,7 @@ def _cmd_poly(args, emit):
             raise DomainError("--j must be >= 1")
         poly = symfun.universal_P_kj(args.k, args.j)
     text = poly.to_text()
-    if args.format == "records":
-        emit(_json_line({"k": args.k, "j": args.j, "poly": text}))
-    else:
-        emit(text)
+    _write(args, emit, [{"k": args.k, "j": args.j, "poly": text}], [text])
     return 0
 
 
@@ -234,89 +242,55 @@ def _cmd_check(args, emit):
 # forms
 
 
-def _print_gram(form, emit):
-    for row in form.gram:
-        emit("[%s]" % ", ".join(form.field.to_str(v) for v in row))
-
-
 def _cmd_forms(args, emit):
     if args.action == "hyperbolic":
         if args.n is None or not args.field:
             raise DomainError("hyperbolic needs --n and --field")
-        form = forms_mod.hyperbolic(args.n, field_model(args.field))
-        if args.format == "records":
-            emit(_json_line(forms_mod.form_record(form)))
-        else:
-            _print_gram(form, emit)
+        record = forms_mod.form_record(forms_mod.hyperbolic(args.n, field_model(args.field)))
+        _write(args, emit, [record], _matrix_lines(record["gram"]))
         return 0
 
     if not args.infile:
         raise DomainError("--in is required")
     form = forms_mod.load_form(args.infile)
+    field = form.field
 
     if args.action == "exterior":
         if args.k is None:
             raise DomainError("exterior needs --k")
-        out = forms_mod.exterior_power(form, args.k)
-        if args.format == "records":
-            emit(_json_line(forms_mod.form_record(out)))
-        else:
-            _print_gram(out, emit)
-        return 0
-
-    if args.action == "class":
+        record = forms_mod.form_record(forms_mod.exterior_power(form, args.k))
+        lines = _matrix_lines(record["gram"])
+    elif args.action == "class":
         cls = forms_mod.gw_class(form)
         record = {
-            "field": cls.field.spec,
+            "field": field.spec,
             "rank": cls.rank,
-            "disc": cls.field.to_str(cls.disc.rep),
+            "disc": field.to_str(cls.disc.rep),
             "signature": cls.signature,
         }
-        if args.format == "records":
-            emit(_json_line(record))
-        else:
-            parts = ["field=%s" % record["field"], "rank=%d" % cls.rank]
-            parts.append("disc=%s" % record["disc"])
-            if cls.signature is not None:
-                parts.append("signature=%d" % cls.signature)
-            emit(" ".join(parts))
-        return 0
-
-    if args.action == "reduce":
+        lines = [
+            " ".join("%s=%s" % (key, v) for key, v in record.items() if v is not None)
+        ]
+    elif args.action == "reduce":
         if not args.vectors:
             raise DomainError("reduce needs --vectors")
         vectors = []
         for row in args.vectors.split(";"):
-            vectors.append([form.field.parse(v.strip()) for v in row.split(",")])
+            vectors.append([field.parse(v.strip()) for v in row.split(",")])
         reduced, rank = forms_mod.sublagrangian_reduce(form, vectors)
-        if args.format == "records":
-            record = forms_mod.form_record(reduced)
-            record["sublagrangian_rank"] = rank
-            emit(_json_line(record))
-        else:
-            emit("sublagrangian_rank=%d" % rank)
-            if reduced.dim:
-                _print_gram(reduced, emit)
-            else:
-                emit("[]")
-        return 0
-
-    if args.action == "hyperbolic-witness":
+        record = forms_mod.form_record(reduced)
+        record["sublagrangian_rank"] = rank
+        lines = ["sublagrangian_rank=%d" % rank] + (_matrix_lines(record["gram"]) or ["[]"])
+    else:  # hyperbolic-witness
         witness = forms_mod.hyperbolic_lemma_witness(form)
         record = {
-            "field": form.field.spec,
-            "matrix": [[form.field.to_str(v) for v in row] for row in witness],
+            "field": field.spec,
+            "matrix": [[field.to_str(v) for v in row] for row in witness],
             "verified": True,
         }
-        if args.format == "records":
-            emit(_json_line(record))
-        else:
-            emit("verified: true")
-            for row in record["matrix"]:
-                emit("[%s]" % ", ".join(row))
-        return 0
-
-    raise DomainError("unknown forms action %r" % (args.action,))
+        lines = ["verified: true"] + _matrix_lines(record["matrix"])
+    _write(args, emit, [record], lines)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +307,16 @@ def _cmd_char(args, emit):
     mass = weights.character_mass(char)
     dim = weights.weyl_dim(hw, flavor)
     triangular = weights.check_triangularity(hw, flavor)
-    if args.format == "records":
-        emit(_json_line(weights.char_record(char, args.n)))
-        emit(_json_line({"dim": dim, "mass": mass, "triangular": triangular}))
-    else:
-        emit("dim=%d mass=%d triangular=%s" % (dim, mass, str(triangular).lower()))
-        for weight, mult in sorted(char.items()):
-            emit("weight (%s): %d" % (", ".join(str(v) for v in weight), mult))
+    records = [
+        weights.char_record(char, args.n),
+        {"dim": dim, "mass": mass, "triangular": triangular},
+    ]
+    lines = ["dim=%d mass=%d triangular=%s" % (dim, mass, str(triangular).lower())]
+    lines += [
+        "weight (%s): %d" % (", ".join(str(v) for v in weight), mult)
+        for weight, mult in sorted(char.items())
+    ]
+    _write(args, emit, records, lines)
     return 0 if mass == dim and triangular else 1
 
 

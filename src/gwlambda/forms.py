@@ -51,14 +51,6 @@ class GramForm:
     def det(self):
         return self._det
 
-    def is_diagonal(self):
-        return all(
-            self.field.is_zero(self.gram[i][j])
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j
-        )
-
     def __eq__(self, other):
         """Literal equality of Gram matrices (not isometry)."""
         return (
@@ -135,25 +127,15 @@ def exterior_power(a, k):
     """k-th exterior power, rows and columns indexed by k-subsets in lex order.
 
     The (I, J) entry is the k x k minor of the Gram matrix on rows I and
-    columns J.  Lambda^0 is <1> and the top power is the determinant line.
+    columns J.  Lambda^0 is <1> (the empty minor) and the top power is the
+    determinant line.
     """
     if k < 0:
         raise DomainError("exterior power index must be >= 0")
     if k > a.dim:
         raise DomainError("exterior power index exceeds dimension")
     field = a.field
-    if k == 0:
-        return GramForm(field, [[field.one]])
     subsets = list(itertools.combinations(range(a.dim), k))
-    if a.is_diagonal():
-        # Off-diagonal minors of a diagonal matrix vanish.
-        diag = []
-        for idx in subsets:
-            v = field.one
-            for i in idx:
-                v = field.mul(v, a.gram[i][i])
-            diag.append(v)
-        return diagonal_form(field, diag)
     # Minors of the lifted matrix M = d * gram scale by d**k; the Gram
     # matrix is symmetric, so only the minors with I <= J are computed.
     m, d = field.lift(a.gram)
@@ -442,28 +424,12 @@ def sublagrangian_reduce(a, vectors):
     _, pivots = _rref(field, vectors)
     if len(pivots) != len(vectors):
         raise DomainError("sub-Lagrangian basis is linearly dependent")
-
-    def pair(u, v):
-        s = field.zero
-        for i in range(n):
-            for j in range(n):
-                s = field.add(s, field.mul(field.mul(u[i], a.gram[i][j]), v[j]))
-        return s
-
-    for i in range(len(vectors)):
-        for j in range(i, len(vectors)):
-            if not field.is_zero(pair(vectors[i], vectors[j])):
-                raise DomainError("sub-Lagrangian is not totally isotropic")
+    pairings = _product(field, vectors, a.gram, list(zip(*vectors)))
+    if not all(field.is_zero(v) for row in pairings for v in row):
+        raise DomainError("sub-Lagrangian is not totally isotropic")
 
     # N-perp is the kernel of v |-> (pairings with the spanning vectors).
-    pairing_rows = [
-        [
-            sum_field(field, (field.mul(v[i], a.gram[i][j]) for i in range(n)))
-            for j in range(n)
-        ]
-        for v in vectors
-    ]
-    perp = _kernel_basis(field, pairing_rows, n)
+    perp = _kernel_basis(field, _product(field, vectors, a.gram), n)
 
     # Extend the basis of N to a basis of N-perp; the added vectors span a
     # complement on which the induced form lives.
@@ -474,15 +440,20 @@ def sublagrangian_reduce(a, vectors):
         if len(piv) > len(chosen):
             chosen.append(list(w))
             complement.append(w)
-    gram = [[pair(u, v) for v in complement] for u in complement]
+    gram = _product(field, complement, a.gram, list(zip(*complement)))
     return GramForm(field, gram), len(vectors)
 
 
-def sum_field(field, items):
-    s = field.zero
-    for v in items:
-        s = field.add(s, v)
-    return s
+def _product(field, *mats):
+    """The matrix product, on the lifted integer matrices: with each factor
+    M_i / d_i, the product of the M_i divided once by the product of the d_i."""
+    acc, scale = field.lift(mats[0])
+    for mat in mats[1:]:
+        m, d = field.lift(mat)
+        cols = list(zip(*m))
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        scale *= d
+    return [[field.from_ratio(v, scale) for v in row] for row in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -527,22 +498,10 @@ def hyperbolic_lemma_witness(a):
             b[n + i][n + j] = field.neg(v)
     source = perp_sum(a, negate(a)).gram
     target = hyperbolic(n, field).gram
-    got = tuple(tuple(row) for row in _congruence(field, source, b))
+    got = tuple(tuple(row) for row in _product(field, list(zip(*b)), source, b))
     if got != target:
         raise AssertionError("hyperbolic witness failed verification")
     return tuple(tuple(row) for row in b)
-
-
-def _congruence(field, g, b):
-    """B^T G B, on the lifted integer matrices: (M/d)^T (N/e) (M/d)."""
-    bm, d = field.lift(b)
-    gm, e = field.lift(g)
-    bcols = list(zip(*bm))
-    gb_cols = [[sum(map(mul, row, col)) for row in gm] for col in bcols]
-    return [
-        [field.from_ratio(sum(map(mul, bi, gbj)), d * d * e) for gbj in gb_cols]
-        for bi in bcols
-    ]
 
 
 # ---------------------------------------------------------------------------

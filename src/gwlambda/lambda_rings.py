@@ -29,7 +29,7 @@ compositions against the universal polynomial tables from ``symfun``.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, FormatError, _checked, _load_json
 from .fields import field_model
@@ -89,30 +89,40 @@ def _binom_general(n, k):
 # structure constants for the extension rings
 
 
-@dataclass(frozen=True)
-class ExtTorusConstants:
+class ExtTorusConstants(
+    namedtuple(
+        "ExtTorusConstants", "delta_delta delta_pair lambda2_pair pair_zero_scale"
+    )
+):
     """Multiplication and lambda^2 targets on the extension basis.
 
-    The defaults are the true constants.  Alternative values that are
-    structurally well-formed (rank-compatible) are accepted so that a
-    corrupted table can be loaded and then caught by the identity checks
-    rather than by the parser.
+    The defaults are the true constants, in the convention where d is the
+    sign character carrying the form <-1>: d * d = 1, [e^0] = <2>*1 + <2>*d
+    and lambda^2([e^g]) = d.  Alternative values that are structurally
+    well-formed (rank-compatible) are accepted so that a corrupted table
+    can be loaded and then caught by the identity checks rather than by the
+    parser.  ``delta_pair`` stays in the file format but is accepted only
+    as "pair": ``_ExtSymbols.product`` hard-codes d * [e^g] = [e^g].
     """
 
-    delta_delta: str = "one"  # d * d
-    delta_pair: str = "pair"  # d * [e^g]
-    lambda2_pair: str = "delta"  # lambda^2([e^g])
-    pair_zero_scale: int = 2  # [e^0] = <s>*1 + <s>*d
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.delta_delta not in ("one", "delta"):
+    def __new__(
+        cls,
+        delta_delta="one",  # d * d
+        delta_pair="pair",  # d * [e^g]
+        lambda2_pair="delta",  # lambda^2([e^g])
+        pair_zero_scale=2,  # [e^0] = <s>*1 + <s>*d
+    ):
+        if delta_delta not in ("one", "delta"):
             raise FormatError("delta_delta must be 'one' or 'delta'")
-        if self.delta_pair != "pair":
+        if delta_pair != "pair":
             raise FormatError("delta_pair must be 'pair'")
-        if self.lambda2_pair not in ("delta", "one", "zero"):
+        if lambda2_pair not in ("delta", "one", "zero"):
             raise FormatError("lambda2_pair must be 'delta', 'one', or 'zero'")
-        if _checked(self.pair_zero_scale, int, "pair_zero_scale") == 0:
+        if _checked(pair_zero_scale, int, "pair_zero_scale") == 0:
             raise FormatError("pair_zero_scale must be a nonzero integer")
+        return super().__new__(cls, delta_delta, delta_pair, lambda2_pair, pair_zero_scale)
 
 
 DEFAULT_CONSTANTS = ExtTorusConstants()
@@ -432,7 +442,13 @@ _EXT_ORDER = {"one": 0, "delta": 1}
 
 class _ExtSymbols(_Basis):
     """Basis of the extended torus: the lines 1 ("one") and d ("delta"),
-    and the rank-2 symbols [e^g] keyed by ``pair_key(g)``."""
+    and the rank-2 symbols [e^g] keyed by ``pair_key(g)``.
+
+    d is the sign character carrying the form <-1>; with the default
+    constants [e^0] = <2>*1 + <2>*d and lambda^2([e^g]) = d.  ``product``
+    hard-codes d * [e^g] = [e^g], which is why ``delta_pair`` is accepted
+    only as "pair".
+    """
 
     def check(self, ring, key):
         if key in _EXT_ORDER or (

@@ -18,7 +18,7 @@ the output orbits grow as 2^n n!.
 import itertools
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError, FormatError, _checked
@@ -28,20 +28,19 @@ RANK_CAP_ENV = "GWLAMBDA_WEYL_RANK_CAP"
 _DEFAULT_RANK_CAP = 4
 
 
-@dataclass(frozen=True)
-class Flavor:
+class Flavor(namedtuple("Flavor", "kind n")):
     """Series of the special orthogonal group: B (odd) or D (even)."""
 
-    kind: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("B", "D"):
+    def __new__(cls, kind, n):
+        if kind not in ("B", "D"):
             raise DomainError("flavor kind must be 'B' or 'D'")
-        if self.kind == "B" and self.n < 1:
+        if kind == "B" and n < 1:
             raise DomainError("B flavor needs n >= 1")
-        if self.kind == "D" and self.n < 2:
+        if kind == "D" and n < 2:
             raise DomainError("D flavor needs n >= 2")
+        return super().__new__(cls, kind, n)
 
 
 def _check_weight(flavor, weight):
@@ -306,8 +305,9 @@ def fold_restriction(char):
 # simple modules of the extension, over a splitting coefficient field
 
 
-@dataclass(frozen=True)
-class OrbitSimple:
+class OrbitSimple(
+    namedtuple("OrbitSimple", "kind label rep endo_dim", defaults=("", (), 1))
+):
     """A simple module tagged by its source orbit on the weight lattice.
 
     kind 'fixed' (the zero orbit, which lifts; label names the extension
@@ -315,10 +315,7 @@ class OrbitSimple:
     {g, -g} orbit with canonical representative ``rep``).
     """
 
-    kind: str
-    label: str = ""
-    rep: tuple = ()
-    endo_dim: int = 1
+    __slots__ = ()
 
 
 def classify_semidirect(r, bound):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -457,3 +458,14 @@ def test_out_file_redirects_stdout(tmp_path):
     assert out.returncode == 0
     assert out.stdout == ""
     assert path.read_text() == "ex1*ey1\n"
+
+
+def test_import_skips_dataclasses_and_inspect():
+    # Each process imports the CLI; dataclasses would pull in inspect.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, %r); import gwlambda.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % src
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")

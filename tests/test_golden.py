@@ -243,3 +243,70 @@ POLY_DIGESTS = {
 def test_poly_records_digest(capsys, k, j):
     argv = ("poly", "--k", str(k)) + (() if j is None else ("--j", str(j)))
     assert records_digest(capsys, argv + ("--format", "records")) == (0, POLY_DIGESTS[k, j])
+
+
+# Virtual elements (negative counts and coefficients), read from element
+# files: ``check --x-file --y-file`` and ``check --x-file --j 2``, both with
+# ``--kmax 3``.  Every x and y has a negative term, so its lambda-series
+# does not stop and goes through truncated series inversion; summation
+# order decides which fq counts print for a class (see the comment above
+# ``lambda_rings._series_mul``).  The basis sweeps above pin only positive
+# elements.
+def _c(pos=(), neg=()):
+    return {"pos": list(pos), "neg": list(neg)}
+
+
+def _elt(ring, r, field, terms):
+    return {
+        "ring": ring, "rank_r": r, "field": field,
+        "terms": [{"basis": b, "coeff": k} for b, k in terms],
+    }
+
+
+VIRTUAL = {
+    # x = (<2> - <1,1>)[e^2] + (<2> - <1>)*1 - <2,2>[e^1],
+    # y = -<1,1,2>*d + <1,1,2,2>*1: reversing either summation order, in
+    # _series_mul or in _series_inv, changes the printed counts.
+    "gw-ext-torus-fq5": (
+        _elt("gw-ext-torus", 1, "fq:5", [
+            ("pair:2", _c(["2"], ["1", "1"])), ("one", _c(["2"], ["1"])), ("pair:1", _c([], ["2", "2"])),
+        ]),
+        _elt("gw-ext-torus", 1, "fq:5", [
+            ("delta", _c([], ["1", "1", "2"])), ("one", _c(["1", "1", "2", "2"])),
+        ]),
+    ),
+    # x = (<1> - <-1>)[e^1] + <-1>*d - <1,1>*1,  y = <-1,-1>[e^2] - <1>*d
+    "gw-ext-torus-rc": (
+        _elt("gw-ext-torus", 1, "rc", [
+            ("pair:1", _c(["1"], ["-1"])), ("delta", _c(["-1"])), ("one", _c([], ["1", "1"])),
+        ]),
+        _elt("gw-ext-torus", 1, "rc", [("pair:2", _c(["-1", "-1"])), ("delta", _c([], ["1"]))]),
+    ),
+    # x = [e^(1,0)] - 2[e^(1,1)] + d,  y = [e^(0,1)] - 1
+    "k-ext-torus-r2": (
+        _elt("k-ext-torus", 2, None, [("pair:1,0", 1), ("pair:1,1", -2), ("delta", 1)]),
+        _elt("k-ext-torus", 2, None, [("pair:0,1", 1), ("one", -1)]),
+    ),
+}
+
+VIRTUAL_DIGESTS = {
+    ("gw-ext-torus-fq5", "product"): "9862b4775636ad0758cecf85f72d665a490e2ecc1e71cec39bb9b567dfbbf889",
+    ("gw-ext-torus-fq5", "composition"): "a8dbc07871c986da589e20e04d1224b5f5dfefdb5e10167a17a91608bffdff28",
+    ("gw-ext-torus-rc", "product"): "29d9a4234db065b4aeaeecf534bf9db0721bd3387779b75d21898b89f0e0442e",
+    ("gw-ext-torus-rc", "composition"): "9ceac614fa9c219db0358501eb2d5489fc22a2527de239249899762a40b51cef",
+    ("k-ext-torus-r2", "product"): "6fcb19f249c905a43cde8135280eb05ea204acca5e6133284588f67e5cc38bbb",
+    ("k-ext-torus-r2", "composition"): "c51f681afbf1fa1124683069315b6d85a611c27aeb452f38743e81afe72c260d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(VIRTUAL_DIGESTS), ids="-".join)
+def test_virtual_element_records_digest(capsys, tmp_path, key):
+    name, check = key
+    paths = []
+    for tag, record in zip("xy", VIRTUAL[name]):
+        path = tmp_path / ("%s.json" % tag)
+        path.write_text(json.dumps(record))
+        paths.append(str(path))
+    argv = ["check", "--x-file", paths[0], "--kmax", "3", "--format", "records"]
+    argv += ["--y-file", paths[1]] if check == "product" else ["--j", "2"]
+    assert records_digest(capsys, argv) == (0, VIRTUAL_DIGESTS[key])

@@ -491,6 +491,20 @@ def test_rank_cap_override(monkeypatch):
     assert character_mass(char) == 11
 
 
+def test_exactness_assertions_hold_within_rank_cap_five(monkeypatch):
+    # Every dominant weight of B1-B5 and D2-D5 with entries 0..2, both signs
+    # of a nonzero last entry for D: the exactness assertions of Freudenthal's
+    # formula and of weyl_dim are never reached.
+    monkeypatch.setenv("GWLAMBDA_WEYL_RANK_CAP", "5")
+    flavors = [Flavor("B", n) for n in range(1, 6)] + [Flavor("D", n) for n in range(2, 6)]
+    cases = [(w, flavor) for flavor in flavors for w in dominant_box(flavor, 2)]
+    assert len(cases) == 125
+    for w, flavor in cases:
+        char = weyl_character(w, flavor)
+        assert character_mass(char) == weyl_dim(w, flavor), (w, flavor)
+        assert check_triangularity(w, flavor), (w, flavor)
+
+
 def test_rank_cap_malformed(monkeypatch):
     monkeypatch.setenv("GWLAMBDA_WEYL_RANK_CAP", "many")
     with pytest.raises(DomainError):
