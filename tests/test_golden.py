@@ -14,6 +14,7 @@ import json
 import pytest
 
 from gwlambda import cli
+from gwlambda.forms import diagonalize, exterior_power, gw_class, parse_form, perp_sum, tensor
 
 SWEEP = ("check", "--sweep", "--bound", "1", "--format", "records")
 
@@ -310,3 +311,43 @@ def test_virtual_element_records_digest(capsys, tmp_path, key):
     argv = ["check", "--x-file", paths[0], "--kmax", "3", "--format", "records"]
     argv += ["--y-file", paths[1]] if check == "product" else ["--j", "2"]
     assert records_digest(capsys, argv) == (0, VIRTUAL_DIGESTS[key])
+
+
+# The classes and diagonalizations of the forms built from the two ``FORMS``
+# Gram matrices, a = hyperbolic-like-4 and b = zero-pivot-3: every exterior
+# power of a, of b and of a perp b, and every product Lambda^i a (x)
+# Lambda^j b.  One line per form: rank, signed discriminant, signature, then
+# the diagonal entries.
+FORMS_CLASS_DIGESTS = {
+    "qc": "1cfb66c41c5ca02c2eb26780ef4de9168edf9c6d4546c7a12db522a51546d95b",
+    "rc": "833a4c05f65a4cf0797af34f52683dd876da29fcbd9ddc50a8500ad88e8471bb",
+    "fq:5": "674ea79f744abb2844a8d157faee58ecfd22aa0aac540fd43bdc7fcfbc65ccb4",
+    "fq:7": "3dda64ed25e320c166db74a9e4ab1fc33c10cc18fa48a9215be31832b2905da2",
+}
+
+
+def forms_class_transcript(field):
+    a, b = (parse_form({"field": field, "gram": FORMS[name][0]}) for name in sorted(FORMS))
+    built = [("a^%d" % k, exterior_power(a, k)) for k in range(a.dim + 1)]
+    built += [("b^%d" % k, exterior_power(b, k)) for k in range(b.dim + 1)]
+    whole = perp_sum(a, b)
+    built += [("ab^%d" % k, exterior_power(whole, k)) for k in range(whole.dim + 1)]
+    built += [
+        ("a^%d*b^%d" % (i, j), tensor(exterior_power(a, i), exterior_power(b, j)))
+        for i in range(a.dim + 1)
+        for j in range(b.dim + 1)
+    ]
+    lines = []
+    for label, form in built:
+        cls = gw_class(form)
+        diag = ",".join(form.field.to_str(v) for v in diagonalize(form))
+        lines.append(
+            "%s %d %s %s %s" % (label, cls.rank, form.field.to_str(cls.disc.rep), cls.signature, diag)
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field", FORMS_CLASS_DIGESTS)
+def test_forms_class_and_diagonal_digest(field):
+    text = forms_class_transcript(field)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FORMS_CLASS_DIGESTS[field]
