@@ -21,6 +21,11 @@ d = 1), ``int_det(M)`` is its determinant (fraction-free Bareiss elimination
 over Z for qc, rc; elimination mod q for fq), and ``from_ratio(n, d)`` is the
 element n/d.  So det(rows) is ``from_ratio(int_det(M), d**n)`` in every
 model, and callers still never branch on the representation.
+
+``sym_minors(M)`` is the symmetric elimination of a symmetric M: its
+pivoting is a congruence P, and it returns the leading principal minors
+D_1..D_n of P^T M P (fq: mod q).  The rows M/d then have determinant
+D_n/d**n and the congruent diagonal entries D_i/(D_(i-1) d), D_0 = 1.
 """
 
 from fractions import Fraction
@@ -103,6 +108,11 @@ class FieldModel:
         """Determinant of an integer matrix, as an integer for from_ratio."""
         raise NotImplementedError
 
+    def sym_minors(self, m):
+        """Leading principal minors of a symmetric integer matrix after the
+        congruence of symmetric elimination; a DomainError if singular."""
+        raise NotImplementedError
+
     # -- serialization ---------------------------------------------------
     def parse(self, text):
         raise NotImplementedError
@@ -169,6 +179,8 @@ class _Rational(FieldModel):
         is, so sparse and diagonal matrices cost no rescaling; level[i] is
         the divisor when the row is next eliminated or becomes the pivot.
         """
+        if len(m) <= 3:
+            return _small_det(m)
         m = [list(row) for row in m]
         n = len(m)
         level = [1] * n
@@ -200,6 +212,102 @@ class _Rational(FieldModel):
                     level[i] = pk
             prev = pk
         return sign * prev
+
+    def sym_minors(self, m):
+        """Symmetric Bareiss elimination over Z, with int_det's levels.
+
+        The pivoting of :func:`_pivot` acts on rows and columns alike, so
+        the trailing block stays a multiple of the symmetric Schur
+        complement, and pivot k is the minor D_k.  The sum e_k + e_j adds
+        row j, at its Bareiss values, to the settled pivot row.
+        """
+        m = [list(row) for row in m]
+        n = len(m)
+        level = [1] * n
+        prev = 1
+        minors = []
+        for k in range(n):
+            other = _pivot(m, k)
+            if other is not None and m[other][other]:
+                _swap(m, k, other)
+                level[k], level[other] = level[other], level[k]
+                other = None
+            if level[k] != prev:
+                m[k][k:] = _exact([v * prev for v in m[k][k:]], level[k])
+                level[k] = prev
+            if other is not None:
+                _add(m, k, other, _exact([v * prev for v in m[other][k:]], level[other]))
+            pivot_row = m[k]
+            pk = pivot_row[k]
+            for i in range(k + 1, n):
+                row = m[i]
+                a = row[k]
+                if a:
+                    row[k + 1:] = _exact(
+                        [pk * x - a * y for x, y in zip(row[k + 1:], pivot_row[k + 1:])],
+                        level[i],
+                    )
+                    level[i] = pk
+            prev = pk
+            minors.append(pk)
+        return minors
+
+
+def _small_det(m):
+    """The determinant of a matrix of size at most 3, by its closed form."""
+    if len(m) < 2:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _exact(values, s):
+    """values // s, each division checked exact; no division when s is 1."""
+    if s == 1:
+        return values
+    out = []
+    for v in values:
+        v, rest = divmod(v, s)
+        if rest:
+            raise AssertionError("Bareiss division is not exact")
+        out.append(v)
+    return out
+
+
+def _pivot(m, k):
+    """None when m[k][k] is a pivot.  Otherwise the j > k of the congruence
+    that makes one: the first nonzero m[j][j] (swap e_k and e_j), else the
+    first nonzero m[k][j] (e_k + e_j, with diagonal 2 m[k][j], char != 2).
+    Zero tests only, so a row may be stored at any nonzero scale."""
+    if m[k][k]:
+        return None
+    n = len(m)
+    for j in range(k + 1, n):
+        if m[j][j]:
+            return j
+    for j in range(k + 1, n):
+        if m[k][j]:
+            return j
+    raise DomainError("gram matrix is singular")
+
+
+# The basis changes of _pivot, on rows and columns >= k: the rows before k
+# are finished and are not read again.
+def _swap(m, k, j):
+    for row in m[k:]:
+        row[k], row[j] = row[j], row[k]
+    m[k], m[j] = m[j], m[k]
+
+
+def _add(m, k, j, jrow):
+    """e_k + e_j: add jrow (row j from column k on, on row k's scale) to
+    row k, then column j to column k."""
+    m[k][k:] = [x + y for x, y in zip(m[k][k:], jrow)]
+    for row in m[k:]:
+        row[k] += row[j]
 
 
 class QuadraticallyClosed(_Rational):
@@ -297,6 +405,8 @@ class FinitePrime(FieldModel):
     def int_det(self, m):
         """Gaussian elimination on residues, which stay below q."""
         q = self.q
+        if len(m) <= 3:
+            return _small_det(m) % q
         m = [[v % q for v in row] for row in m]
         n = len(m)
         det = 1
@@ -316,6 +426,34 @@ class FinitePrime(FieldModel):
                     for j in range(k + 1, n):
                         row[j] = (row[j] - f * pivot_row[j]) % q
         return det
+
+    def sym_minors(self, m):
+        """Symmetric elimination on residues, pivoting as the rational
+        models do; D_k is the product of the first k pivots.  A sum of
+        basis vectors leaves row and column k unreduced, and each of their
+        entries is reduced where it is read."""
+        q = self.q
+        m = [[v % q for v in row] for row in m]
+        n = len(m)
+        det = 1
+        minors = []
+        for k in range(n):
+            other = _pivot(m, k)
+            if other is not None:
+                if m[other][other]:
+                    _swap(m, k, other)
+                else:
+                    _add(m, k, other, m[other][k:])
+            pivot_row = m[k]
+            det = det * pivot_row[k] % q
+            inv = pow(pivot_row[k], -1, q)
+            for row in m[k + 1:]:
+                f = row[k] * inv % q
+                if f:
+                    for j in range(k + 1, n):
+                        row[j] = (row[j] - f * pivot_row[j]) % q
+            minors.append(det)
+        return minors
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -1,10 +1,13 @@
 """Nondegenerate symmetric bilinear forms over the model fields.
 
-A form is carried by its Gram matrix.  The constructions here are the ones
-needed to realize exterior-power operations on Witt-style invariants:
-orthogonal sum, tensor product, exterior power, hyperbolic forms,
-diagonalization, sub-Lagrangian reduction, and an explicit change-of-basis
-witness identifying ``a + (-a)`` with a hyperbolic form.
+A form is carried by its Gram matrix, kept as a lifted integer matrix M/d.
+Sums, tensor products, exterior powers, determinants and invariants work
+on those integers; field elements appear where entries are read or written,
+in sub-Lagrangian reduction and in the witness.  The constructions here are
+the ones needed to realize exterior-power operations on Witt-style
+invariants: orthogonal sum, tensor product, exterior power, hyperbolic
+forms, diagonalization, sub-Lagrangian reduction, and an explicit
+change-of-basis witness identifying ``a + (-a)`` with a hyperbolic form.
 
 Complete invariants per model (rank over qc; rank and signature over rc;
 rank and signed discriminant over fq) are packaged as :class:`GWClass`,
@@ -15,41 +18,60 @@ import itertools
 from operator import mul
 
 from .errors import DomainError, FormatError, _checked, _load_json
-from .fields import FieldModel, SquareClass, field_model
+from .fields import SquareClass, field_model
 
 
 class GramForm:
     """A symmetric bilinear form with invertible Gram matrix.
 
+    The form is held as its lifted integer matrix (``field.lift``): M and
+    d > 0 with Gram matrix M/d.  The constructions below build the M and d
+    of their result from those of their operands, and ``gram`` is made
+    from them on first read.  The leading principal minors of one
+    symmetric elimination (``field.sym_minors``) give the determinant, the
+    rc signature and :func:`diagonalize`.
+
     The zero-dimensional form (empty matrix) is allowed; it arises as the
     core of a metabolic form under sub-Lagrangian reduction.
     """
 
-    __slots__ = ("field", "gram", "_det")
+    __slots__ = ("field", "_m", "_d", "_minors", "_gram")
 
     def __init__(self, field, gram):
         gram = tuple(tuple(row) for row in gram)
-        n = len(gram)
-        for row in gram:
+        self._init(field, *field.lift(gram), gram)
+
+    @classmethod
+    def _lifted(cls, field, m, d):
+        """The form with Gram matrix m/d, through the same checks."""
+        form = cls.__new__(cls)
+        form._init(field, m, d, None)
+        return form
+
+    def _init(self, field, m, d, gram):
+        n = len(m)
+        for row in m:
             if len(row) != n:
                 raise DomainError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if gram[i][j] != gram[j][i]:
-                    raise DomainError("gram matrix is not symmetric")
-        det = _det(field, gram)
-        if field.is_zero(det):
-            raise DomainError("gram matrix is singular")
-        self.field = field
-        self.gram = gram
-        self._det = det
+        if tuple(map(tuple, m)) != tuple(zip(*m)):
+            raise DomainError("gram matrix is not symmetric")
+        self._minors = field.sym_minors(m)
+        self.field, self._m, self._d, self._gram = field, m, d, gram
+
+    @property
+    def gram(self):
+        if self._gram is None:
+            from_ratio, d = self.field.from_ratio, self._d
+            self._gram = tuple(tuple(from_ratio(v, d) for v in row) for row in self._m)
+        return self._gram
 
     @property
     def dim(self):
-        return len(self.gram)
+        return len(self._m)
 
     def det(self):
-        return self._det
+        n = self.dim
+        return self.field.from_ratio(self._minors[-1] if n else 1, self._d**n)
 
     def __eq__(self, other):
         """Literal equality of Gram matrices (not isometry)."""
@@ -79,12 +101,6 @@ def diagonal_form(field, entries):
     return GramForm(field, gram)
 
 
-def _det(field, rows):
-    """Determinant, from the integer determinant of the lifted matrix."""
-    m, d = field.lift(rows)
-    return field.from_ratio(field.int_det(m), d ** len(m))
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -93,34 +109,18 @@ def perp_sum(a, b):
     """Orthogonal sum: block-diagonal Gram matrix."""
     if a.field != b.field:
         raise DomainError("orthogonal sum of forms over different fields")
-    field = a.field
     n, m = a.dim, b.dim
-    gram = [
-        [
-            a.gram[i][j]
-            if i < n and j < n
-            else (b.gram[i - n][j - n] if i >= n and j >= n else field.zero)
-            for j in range(n + m)
-        ]
-        for i in range(n + m)
-    ]
-    return GramForm(field, gram)
+    rows = [[v * b._d for v in row] + [0] * m for row in a._m]
+    rows += [[0] * n + [v * a._d for v in row] for row in b._m]
+    return GramForm._lifted(a.field, rows, a._d * b._d)
 
 
 def tensor(a, b):
     """Tensor product: Kronecker product of Gram matrices."""
     if a.field != b.field:
         raise DomainError("tensor product of forms over different fields")
-    field = a.field
-    n, m = a.dim, b.dim
-    gram = [
-        [
-            field.mul(a.gram[i // m][j // m], b.gram[i % m][j % m])
-            for j in range(n * m)
-        ]
-        for i in range(n * m)
-    ]
-    return GramForm(field, gram)
+    rows = [[x * y for x in ra for y in rb] for ra in a._m for rb in b._m]
+    return GramForm._lifted(a.field, rows, a._d * b._d)
 
 
 def exterior_power(a, k):
@@ -138,32 +138,26 @@ def exterior_power(a, k):
     subsets = list(itertools.combinations(range(a.dim), k))
     # Minors of the lifted matrix M = d * gram scale by d**k; the Gram
     # matrix is symmetric, so only the minors with I <= J are computed.
-    m, d = field.lift(a.gram)
-    scale = d ** k
-    gram = [[None] * len(subsets) for _ in subsets]
+    cut = [[[row[c] for c in cols] for row in a._m] for cols in subsets]
+    minors = [[None] * len(subsets) for _ in subsets]
     for x, rows in enumerate(subsets):
-        picked = [m[r] for r in rows]
         for y in range(x, len(subsets)):
-            minor = [[row[c] for c in subsets[y]] for row in picked]
-            gram[x][y] = gram[y][x] = field.from_ratio(field.int_det(minor), scale)
-    return GramForm(field, gram)
+            columns = cut[y]
+            minors[x][y] = minors[y][x] = field.int_det([columns[r] for r in rows])
+    return GramForm._lifted(field, minors, a._d**k)
 
 
 def hyperbolic(n, field):
     """The hyperbolic form on a rank-n summand and its dual: [[0, I], [I, 0]]."""
     if n < 1:
         raise DomainError("hyperbolic rank must be >= 1")
-    gram = [
-        [field.one if abs(i - j) == n else field.zero for j in range(2 * n)]
-        for i in range(2 * n)
-    ]
-    return GramForm(field, gram)
+    rows = [[1 if abs(i - j) == n else 0 for j in range(2 * n)] for i in range(2 * n)]
+    return GramForm._lifted(field, rows, 1)
 
 
 def negate(a):
     """The form -a, with negated Gram matrix."""
-    field = a.field
-    return GramForm(field, [[field.neg(v) for v in row] for row in a.gram])
+    return GramForm._lifted(a.field, [[-v for v in row] for row in a._m], a._d)
 
 
 def diagonalize(a):
@@ -172,43 +166,10 @@ def diagonalize(a):
     Symmetric Gaussian elimination; when every remaining diagonal entry
     vanishes, a basis vector is replaced by its sum with a non-orthogonal
     one, which produces the nonzero diagonal value 2*g_ij (char != 2).
-    Step i leaves row and column i zero off the diagonal, so only the
-    trailing block, rows and columns >= i, is updated: its upper triangle,
-    mirrored to the lower.
+    Entry i is D_i / (D_(i-1) d), from the minors of ``field.sym_minors``.
     """
-    field = a.field
-    n = a.dim
-    g = [list(row) for row in a.gram]
-    out = []
-    for i in range(n):
-        if field.is_zero(g[i][i]):
-            swap = next(
-                (j for j in range(i + 1, n) if not field.is_zero(g[j][j])), None
-            )
-            if swap is not None:
-                for r in range(i, n):
-                    g[r][i], g[r][swap] = g[r][swap], g[r][i]
-                g[i], g[swap] = g[swap], g[i]
-            else:
-                j = next(
-                    (j for j in range(i + 1, n) if not field.is_zero(g[i][j])), None
-                )
-                if j is None:
-                    raise DomainError("gram matrix is singular")
-                for r in range(i, n):
-                    g[r][i] = field.add(g[r][i], g[r][j])
-                for c in range(i, n):
-                    g[i][c] = field.add(g[i][c], g[j][c])
-        pivot_row = g[i]
-        inv = field.inv(pivot_row[i])
-        for j in range(i + 1, n):
-            if field.is_zero(pivot_row[j]):
-                continue
-            f = field.mul(pivot_row[j], inv)
-            for c in range(j, n):
-                g[j][c] = g[c][j] = field.sub(g[j][c], field.mul(f, pivot_row[c]))
-        out.append(pivot_row[i])
-    return out
+    d, minors = a._d, a._minors
+    return [a.field.from_ratio(x, y * d) for x, y in zip(minors, [1] + minors)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +212,15 @@ class GWClass:
         n = a.dim
         if n == 0:
             return cls.zero(field)
-        det = a.det()
+        minors = a._minors
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        disc = SquareClass(field, field.mul(field.from_int(sign), det))
+        # det = D_n / d**n lies in the square class of D_n * d**(n % 2).
+        disc = SquareClass(field, field.from_int(sign * minors[-1] * a._d ** (n % 2)))
         signature = None
         if field.kind == "rc":
-            signature = sum(1 if d > 0 else -1 for d in diagonalize(a))
+            signature = sum(
+                1 if (x > 0) == (y > 0) else -1 for x, y in zip(minors, [1] + minors)
+            )
         return cls(field, n, disc, signature)
 
     @classmethod

@@ -29,6 +29,8 @@ from gwlambda.forms import (
     gw_class,
     hyperbolic,
     hyperbolic_lemma_witness,
+    perp_sum,
+    tensor,
 )
 
 SPECS = ("qc", "rc", "fq:3", "fq:5", "fq:7", "fq:11")
@@ -136,10 +138,11 @@ def field_pow(field, x, e):
 
 
 @st.composite
-def symmetric(draw, min_dim=0, max_dim=6):
-    """A field model and a random symmetric matrix over it, often singular:
-    zero entries are likely, rationals have denominators 1 to 3."""
-    field = field_model(draw(st.sampled_from(SPECS)))
+def symmetric(draw, min_dim=0, max_dim=6, spec=None):
+    """A field model (``spec``, else drawn) and a random symmetric matrix
+    over it, often singular: zero entries are likely, rationals have
+    denominators 1 to 3."""
+    field = field_model(spec or draw(st.sampled_from(SPECS)))
     n = draw(st.integers(min_dim, max_dim))
     if field.kind == "fq":
         entry = st.integers(0, field.q - 1)
@@ -256,6 +259,109 @@ def test_sparse_rows_cost_no_divisions(monkeypatch):
     calls.clear()
     assert field.from_ratio(field.int_det(m), d**n) == oracle_det(field, diag.gram)
     assert len(calls) <= n * (n - 1) // 2
+    # The symmetric elimination keeps the rule: a row is rescaled only
+    # when its level is not 1, and these rows never leave level 1.
+    calls.clear()
+    minors = field.sym_minors(m)
+    assert field.from_ratio(minors[-1], d**n) == oracle_det(field, diag.gram)
+    assert field.sym_minors(field.lift(hyperbolic(n // 2, field).gram)[0])[-1] in (1, -1)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# sym_minors on its own
+
+
+def check_sym_minors(field, m, rows):
+    """sym_minors(m), m the lifted matrix of rows, against the oracles:
+    det, signature and the diagonal entries; singular input is refused.
+    An AssertionError from an inexact division fails the test."""
+    _, d = field.lift(rows)
+    det = oracle_det(field, rows)
+    if field.is_zero(det):
+        with pytest.raises(DomainError, match="singular"):
+            field.sym_minors(m)
+        return
+    minors = field.sym_minors(m)
+    n = len(rows)
+    assert len(minors) == n
+    assert field.from_ratio(minors[-1] if n else 1, d**n) == det
+    diagonal = oracle_diagonalize(field, rows)
+    steps = list(zip(minors, [1] + minors))
+    assert [field.from_ratio(x, y * d) for x, y in steps] == diagonal
+    if field.kind == "rc":
+        signs = [1 if (x > 0) == (y > 0) else -1 for x, y in steps]
+        assert signs == [1 if p > 0 else -1 for p in diagonal]
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric())
+def test_sym_minors_match_the_oracles(case):
+    field, g = case
+    check_sym_minors(field, field.lift(g)[0], g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.just(0), st.integers(-(10**12), 10**12)),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.booleans(),
+    st.sampled_from(SPECS),
+)
+def test_sym_minors_match_the_oracles_on_large_entries(rows, singular, spec):
+    """Zero entries are frequent, so both pivot repairs run: the swap with a
+    later diagonal entry and the sum of two basis vectors."""
+    n = len(rows)
+    m = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    if singular and n >= 2:
+        # Basis vector n-1 becomes 3 e_0 - 7 e_(n-2): a singular congruence.
+        for i in range(n - 1):
+            m[i][-1] = m[-1][i] = 3 * m[i][0] - 7 * m[i][-2]
+        m[-1][-1] = 9 * m[0][0] - 42 * m[0][-2] + 49 * m[-2][-2]
+    field = field_model(spec)
+    element = (lambda v: v % field.q) if field.kind == "fq" else Fraction
+    check_sym_minors(field, m, [[element(v) for v in row] for row in m])
+    if singular and n >= 2:
+        assert field.is_zero(oracle_det(field, [[element(v) for v in row] for row in m]))
+
+
+# ---------------------------------------------------------------------------
+# forms built from lifted operands read back as their Gram matrices
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    symmetric(min_dim=1, max_dim=3).flatmap(
+        lambda case: st.tuples(st.just(case), symmetric(1, 3, case[0].spec))
+    )
+)
+def test_built_forms_equal_their_gram_matrices(cases):
+    """exterior_power, tensor and perp_sum build a form from integer
+    matrices and make its Gram matrix on demand: the form equals, hashes
+    and prints as the form read from that Gram matrix, and the tensor
+    entries are the field products of the Kronecker product."""
+    (field, g), (_, h) = cases
+    assume(not field.is_zero(oracle_det(field, g)))
+    assume(not field.is_zero(oracle_det(field, h)))
+    a, b = GramForm(field, g), GramForm(field, h)
+    built = [exterior_power(a, k) for k in range(a.dim + 1)]
+    built += [tensor(a, b), perp_sum(a, b), tensor(exterior_power(a, a.dim), b)]
+    for x in built:
+        y = GramForm(field, x.gram)
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    kron = tuple(
+        tuple(field.mul(u, v) for u in ra for v in rb) for ra in a.gram for rb in b.gram
+    )
+    assert tensor(a, b).gram == kron
 
 
 # ---------------------------------------------------------------------------
