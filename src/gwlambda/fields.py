@@ -179,8 +179,6 @@ class _Rational(FieldModel):
         is, so sparse and diagonal matrices cost no rescaling; level[i] is
         the divisor when the row is next eliminated or becomes the pivot.
         """
-        if len(m) <= 3:
-            return _small_det(m)
         m = [list(row) for row in m]
         n = len(m)
         level = [1] * n
@@ -231,11 +229,10 @@ class _Rational(FieldModel):
             if other is not None and m[other][other]:
                 _swap(m, k, other)
                 level[k], level[other] = level[other], level[k]
-                other = None
             if level[k] != prev:
                 m[k][k:] = _exact([v * prev for v in m[k][k:]], level[k])
                 level[k] = prev
-            if other is not None:
+            if not m[k][k]:
                 _add(m, k, other, _exact([v * prev for v in m[other][k:]], level[other]))
             pivot_row = m[k]
             pk = pivot_row[k]
@@ -251,17 +248,6 @@ class _Rational(FieldModel):
             prev = pk
             minors.append(pk)
         return minors
-
-
-def _small_det(m):
-    """The determinant of a matrix of size at most 3, by its closed form."""
-    if len(m) < 2:
-        return m[0][0] if m else 1
-    if len(m) == 2:
-        (a, b), (c, d) = m
-        return a * d - b * c
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _exact(values, s):
@@ -405,8 +391,6 @@ class FinitePrime(FieldModel):
     def int_det(self, m):
         """Gaussian elimination on residues, which stay below q."""
         q = self.q
-        if len(m) <= 3:
-            return _small_det(m) % q
         m = [[v % q for v in row] for row in m]
         n = len(m)
         det = 1
@@ -439,11 +423,10 @@ class FinitePrime(FieldModel):
         minors = []
         for k in range(n):
             other = _pivot(m, k)
-            if other is not None:
-                if m[other][other]:
-                    _swap(m, k, other)
-                else:
-                    _add(m, k, other, m[other][k:])
+            if other is not None and m[other][other]:
+                _swap(m, k, other)
+            if not m[k][k]:
+                _add(m, k, other, m[other][k:])
             pivot_row = m[k]
             det = det * pivot_row[k] % q
             inv = pow(pivot_row[k], -1, q)
