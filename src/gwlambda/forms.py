@@ -138,12 +138,12 @@ def exterior_power(a, k):
     subsets = list(itertools.combinations(range(a.dim), k))
     # Minors of the lifted matrix M = d * gram scale by d**k; the Gram
     # matrix is symmetric, so only the minors with I <= J are computed.
+    # cut[y] holds every row of M restricted to the columns of subset y.
     cut = [[[row[c] for c in cols] for row in a._m] for cols in subsets]
     minors = [[None] * len(subsets) for _ in subsets]
     for x, rows in enumerate(subsets):
         for y in range(x, len(subsets)):
-            columns = cut[y]
-            minors[x][y] = minors[y][x] = field.int_det([columns[r] for r in rows])
+            minors[x][y] = minors[y][x] = field.int_det([cut[y][r] for r in rows])
     return GramForm._lifted(field, minors, a._d**k)
 
 

@@ -259,8 +259,9 @@ def test_sparse_rows_cost_no_divisions(monkeypatch):
     calls.clear()
     assert field.from_ratio(field.int_det(m), d**n) == oracle_det(field, diag.gram)
     assert len(calls) <= n * (n - 1) // 2
-    # The symmetric elimination keeps the rule: a row is rescaled only
-    # when its level is not 1, and these rows never leave level 1.
+    # The symmetric elimination keeps the rule and divides only by a level
+    # other than 1: every row it settles or eliminates on these diagonal
+    # and hyperbolic matrices is still at level 1.
     calls.clear()
     minors = field.sym_minors(m)
     assert field.from_ratio(minors[-1], d**n) == oracle_det(field, diag.gram)
