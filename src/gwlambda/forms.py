@@ -388,12 +388,12 @@ def sublagrangian_reduce(a, vectors):
     _, pivots = _rref(field, vectors)
     if len(pivots) != len(vectors):
         raise DomainError("sub-Lagrangian basis is linearly dependent")
-    pairings = _product(field, vectors, a.gram, list(zip(*vectors)))
+    pairings = _product(field, vectors, a, list(zip(*vectors)))
     if not all(field.is_zero(v) for row in pairings for v in row):
         raise DomainError("sub-Lagrangian is not totally isotropic")
 
     # N-perp is the kernel of v |-> (pairings with the spanning vectors).
-    perp = _kernel_basis(field, _product(field, vectors, a.gram), n)
+    perp = _kernel_basis(field, _product(field, vectors, a), n)
 
     # Extend the basis of N to a basis of N-perp; the added vectors span a
     # complement on which the induced form lives.
@@ -404,16 +404,17 @@ def sublagrangian_reduce(a, vectors):
         if len(piv) > len(chosen):
             chosen.append(list(w))
             complement.append(w)
-    gram = _product(field, complement, a.gram, list(zip(*complement)))
+    gram = _product(field, complement, a, list(zip(*complement)))
     return GramForm(field, gram), len(vectors)
 
 
 def _product(field, *mats):
     """The matrix product, on the lifted integer matrices: with each factor
-    M_i / d_i, the product of the M_i divided once by the product of the d_i."""
+    M_i / d_i, the product of the M_i divided once by the product of the d_i.
+    A factor after the first may be a GramForm, which brings its own M, d."""
     acc, scale = field.lift(mats[0])
     for mat in mats[1:]:
-        m, d = field.lift(mat)
+        m, d = (mat._m, mat._d) if isinstance(mat, GramForm) else field.lift(mat)
         cols = list(zip(*m))
         acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
         scale *= d
@@ -460,7 +461,7 @@ def hyperbolic_lemma_witness(a):
             v = field.mul(half, ginv[i][j])
             b[i][n + j] = v
             b[n + i][n + j] = field.neg(v)
-    source = perp_sum(a, negate(a)).gram
+    source = perp_sum(a, negate(a))
     target = hyperbolic(n, field).gram
     got = tuple(tuple(row) for row in _product(field, list(zip(*b)), source, b))
     if got != target:
