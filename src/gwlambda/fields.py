@@ -18,9 +18,11 @@ never need to branch on the representation.
 Matrix kernels run on integers behind the same models: ``lift(rows)`` gives
 an integer matrix M and an integer d > 0 with rows = M/d (fq: the residues,
 d = 1), ``int_det(M)`` is its determinant (fraction-free Bareiss elimination
-over Z for qc, rc; elimination mod q for fq), and ``from_ratio(n, d)`` is the
+over Z in every model; fq reduces it mod q), and ``from_ratio(n, d)`` is the
 element n/d.  So det(rows) is ``from_ratio(int_det(M), d**n)`` in every
-model, and callers still never branch on the representation.
+model, and callers still never branch on the representation.  ``echelon(M)``
+is the fraction-free Gauss-Jordan elimination over Z of every model: D times
+the reduced row echelon form of M in the field, its pivot columns, and D.
 
 ``sym_minors(M)`` is the symmetric elimination of a symmetric M: its
 pivoting is a congruence P, and it returns the leading principal minors
@@ -75,11 +77,6 @@ class FieldModel:
     def from_int(self, n):
         raise NotImplementedError
 
-    @property
-    def half(self):
-        """1/2, which exists because the characteristic is not 2."""
-        return self.inv(self.from_int(2))
-
     def is_zero(self, a):
         return a == self.zero
 
@@ -105,8 +102,75 @@ class FieldModel:
         raise NotImplementedError
 
     def int_det(self, m):
-        """Determinant of an integer matrix, as an integer for from_ratio."""
-        raise NotImplementedError
+        """Determinant of an integer matrix, as an integer for from_ratio, by
+        Bareiss elimination over Z: every division is exact, and checked.
+
+        Row i holds its Bareiss row times level[i] / prev, prev being the
+        last pivot.  A row with a zero in the pivot column is left as it
+        is, so sparse and diagonal matrices cost no rescaling; level[i] is
+        the divisor when the row is next eliminated or becomes the pivot.
+        """
+        m = [list(row) for row in m]
+        n = len(m)
+        level = [1] * n
+        sign, prev = 1, 1
+        for k in range(n):
+            if not m[k][k]:
+                swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+                if swap is None:
+                    return 0
+                m[k], m[swap] = m[swap], m[k]
+                level[k], level[swap] = level[swap], level[k]
+                sign = -sign
+            pivot_row = m[k]
+            if level[k] != prev:
+                for j in range(k, n):
+                    pivot_row[j], rest = divmod(pivot_row[j] * prev, level[k])
+                    if rest:
+                        raise AssertionError("Bareiss division is not exact")
+            pk = pivot_row[k]
+            for i in range(k + 1, n):
+                row = m[i]
+                a = row[k]
+                if a:
+                    s = level[i]
+                    for j in range(k + 1, n):
+                        row[j], rest = divmod(pk * row[j] - a * pivot_row[j], s)
+                        if rest:
+                            raise AssertionError("Bareiss division is not exact")
+                    level[i] = pk
+            prev = pk
+        return sign * prev
+
+    def echelon(self, m):
+        """Fraction-free Gauss-Jordan elimination of an integer matrix over Z.
+
+        Returns (rows, pivots, D): the rows, one per pivot column, are D
+        times the reduced row echelon form of m in the field, and D is the
+        last pivot (1 if none).  Only an entry nonzero in the field is a
+        pivot.  Each step replaces every other row by (pivot * row - row[c]
+        * pivot row) / previous pivot, exact over Z as in Bareiss.
+        """
+        m = [list(row) for row in m]
+        pivots, prev = [], 1
+        for c in range(len(m[0]) if m else 0):
+            r = len(pivots)
+            p = next(
+                (i for i in range(r, len(m)) if not self.is_zero(self.from_int(m[i][c]))),
+                None,
+            )
+            if p is None:
+                continue
+            m[r], m[p] = m[p], m[r]
+            pivot_row = m[r]
+            pk = pivot_row[c]
+            for i, row in enumerate(m):
+                if i != r:
+                    a = row[c]
+                    m[i] = _exact([pk * x - a * y for x, y in zip(row, pivot_row)], prev)
+            pivots.append(c)
+            prev = pk
+        return m[: len(pivots)], pivots, prev
 
     def sym_minors(self, m):
         """Leading principal minors of a symmetric integer matrix after the
@@ -170,46 +234,6 @@ class _Rational(FieldModel):
 
     def from_ratio(self, n, d):
         return Fraction(n, d)
-
-    def int_det(self, m):
-        """Bareiss elimination over Z: every division is exact, and checked.
-
-        Row i holds its Bareiss row times level[i] / prev, prev being the
-        last pivot.  A row with a zero in the pivot column is left as it
-        is, so sparse and diagonal matrices cost no rescaling; level[i] is
-        the divisor when the row is next eliminated or becomes the pivot.
-        """
-        m = [list(row) for row in m]
-        n = len(m)
-        level = [1] * n
-        sign, prev = 1, 1
-        for k in range(n):
-            if not m[k][k]:
-                swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                level[k], level[swap] = level[swap], level[k]
-                sign = -sign
-            pivot_row = m[k]
-            if level[k] != prev:
-                for j in range(k, n):
-                    pivot_row[j], rest = divmod(pivot_row[j] * prev, level[k])
-                    if rest:
-                        raise AssertionError("Bareiss division is not exact")
-            pk = pivot_row[k]
-            for i in range(k + 1, n):
-                row = m[i]
-                a = row[k]
-                if a:
-                    s = level[i]
-                    for j in range(k + 1, n):
-                        row[j], rest = divmod(pk * row[j] - a * pivot_row[j], s)
-                        if rest:
-                            raise AssertionError("Bareiss division is not exact")
-                    level[i] = pk
-            prev = pk
-        return sign * prev
 
     def sym_minors(self, m):
         """Symmetric Bareiss elimination over Z, with int_det's levels.
@@ -389,27 +413,7 @@ class FinitePrime(FieldModel):
         return n * pow(d, -1, self.q) % self.q
 
     def int_det(self, m):
-        """Gaussian elimination on residues, which stay below q."""
-        q = self.q
-        m = [[v % q for v in row] for row in m]
-        n = len(m)
-        det = 1
-        for k in range(n):
-            if not m[k][k]:
-                swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                det = -det
-            pivot_row = m[k]
-            det = det * pivot_row[k] % q
-            inv = pow(pivot_row[k], -1, q)
-            for row in m[k + 1:]:
-                f = row[k] * inv % q
-                if f:
-                    for j in range(k + 1, n):
-                        row[j] = (row[j] - f * pivot_row[j]) % q
-        return det
+        return super().int_det(m) % self.q
 
     def sym_minors(self, m):
         """Symmetric elimination on residues, pivoting as the rational

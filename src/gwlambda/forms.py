@@ -2,8 +2,9 @@
 
 A form is carried by its Gram matrix, kept as a lifted integer matrix M/d.
 Sums, tensor products, exterior powers, determinants and invariants work
-on those integers; field elements appear where entries are read or written,
-in sub-Lagrangian reduction and in the witness.  The constructions here are
+on those integers, and so do the eliminations of sub-Lagrangian reduction
+and the witness (``field.echelon``); field elements appear only where
+entries are read or written.  The constructions here are
 the ones needed to realize exterior-power operations on Witt-style
 invariants: orthogonal sum, tensor product, exterior power, hyperbolic
 forms, diagonalization, sub-Lagrangian reduction, and an explicit
@@ -331,44 +332,6 @@ def gw_class(a):
 # sub-Lagrangian reduction
 
 
-def _rref(field, rows):
-    """Row-reduce; returns (reduced rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if not field.is_zero(m[i][c])), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def _kernel_basis(field, rows, ncols):
-    """Basis of the right kernel of the given matrix."""
-    reduced, pivots = _rref(field, rows) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced[r][fc])
-        basis.append(v)
-    return basis
-
-
 def sublagrangian_reduce(a, vectors):
     """Quotient form on N-perp / N for a totally isotropic subspace N.
 
@@ -385,57 +348,56 @@ def sublagrangian_reduce(a, vectors):
     for v in vectors:
         if len(v) != n:
             raise DomainError("sub-Lagrangian vector has wrong length")
-    _, pivots = _rref(field, vectors)
-    if len(pivots) != len(vectors):
+    k = len(vectors)
+    basis, d = field.lift(vectors)
+    if len(field.echelon(basis)[1]) != k:
         raise DomainError("sub-Lagrangian basis is linearly dependent")
-    pairings = _product(field, vectors, a, list(zip(*vectors)))
-    if not all(field.is_zero(v) for row in pairings for v in row):
+    pairings = _product((basis, d), a)
+    if not _is_zero(field, _product(pairings, (list(zip(*basis)), d))[0]):
         raise DomainError("sub-Lagrangian is not totally isotropic")
 
-    # N-perp is the kernel of v |-> (pairings with the spanning vectors).
-    perp = _kernel_basis(field, _product(field, vectors, a), n)
+    # N-perp is the kernel of the pairing rows.  With the rows D times their
+    # reduced echelon form, free column fc gives D times the kernel vector
+    # with 1 at fc and -rref[r][fc] at pivot column r.
+    rows, pivots, det = field.echelon(pairings[0])
+    perp = []
+    for fc in range(n):
+        if fc not in pivots:
+            v = [0] * n
+            v[fc] = det
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[fc]
+            perp.append(v)
 
-    # Extend the basis of N to a basis of N-perp; the added vectors span a
-    # complement on which the induced form lives.
-    chosen = [list(v) for v in vectors]
-    complement = []
-    for w in perp:
-        _, piv = _rref(field, chosen + [w])
-        if len(piv) > len(chosen):
-            chosen.append(list(w))
-            complement.append(w)
-    gram = _product(field, complement, a, list(zip(*complement)))
-    return GramForm(field, gram), len(vectors)
+    # Extend the basis of N to a basis of N-perp, taking the perp vectors in
+    # order: the pivot columns past N of [N ; perp]^T.  The added vectors
+    # span a complement on which the induced form lives.
+    chosen = field.echelon(list(zip(*(basis + perp))))[1]
+    complement = [perp[c - k] for c in chosen[k:]]
+    gram, scale = _product((complement, det), a, (list(zip(*complement)), det))
+    return GramForm._lifted(field, gram, scale), k
 
 
-def _product(field, *mats):
-    """The matrix product, on the lifted integer matrices: with each factor
-    M_i / d_i, the product of the M_i divided once by the product of the d_i.
-    A factor after the first may be a GramForm, which brings its own M, d."""
-    acc, scale = field.lift(mats[0])
+def _product(*mats):
+    """The matrix product of factors M_i / d_i, as the product of the integer
+    matrices M_i and the product of the d_i.  A factor is a pair (M, d) or a
+    GramForm, which brings its own M and d."""
+    acc, scale = mats[0]
     for mat in mats[1:]:
-        m, d = (mat._m, mat._d) if isinstance(mat, GramForm) else field.lift(mat)
+        m, d = (mat._m, mat._d) if isinstance(mat, GramForm) else mat
         cols = list(zip(*m))
         acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
         scale *= d
-    return [[field.from_ratio(v, scale) for v in row] for row in acc]
+    return acc, scale
+
+
+def _is_zero(field, m):
+    """Whether every entry of the integer matrix m is zero in the field."""
+    return all(field.is_zero(field.from_int(v)) for row in m for v in row)
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic witness
-
-
-def _inverse(field, rows):
-    """Matrix inverse: row-reduce [G | I] and read off the right half."""
-    n = len(rows)
-    aug = [
-        list(row) + [field.one if j == i else field.zero for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    reduced, pivots = _rref(field, aug)
-    if pivots != list(range(n)):
-        raise DomainError("matrix is singular")
-    return [row[n:] for row in reduced]
 
 
 def hyperbolic_lemma_witness(a):
@@ -451,22 +413,20 @@ def hyperbolic_lemma_witness(a):
     n = a.dim
     if n == 0:
         raise DomainError("witness needs a form of dimension >= 1")
-    half = field.half
-    ginv = _inverse(field, a.gram)
-    b = [[field.zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        b[i][i] = field.one
-        b[n + i][i] = field.one
-        for j in range(n):
-            v = field.mul(half, ginv[i][j])
-            b[i][n + j] = v
-            b[n + i][n + j] = field.neg(v)
-    source = perp_sum(a, negate(a))
-    target = hyperbolic(n, field).gram
-    got = tuple(tuple(row) for row in _product(field, list(zip(*b)), source, b))
-    if got != target:
+    # echelon([M | I]) is D [I | M^-1], and G^-1 = d M^-1, so B is c / 2D
+    # with c = [[2D I, d X], [2D I, -d X]], X the right half of the rows.
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows, _, det = field.echelon([list(row) + e for row, e in zip(a._m, eye)])
+    dx = [[a._d * x for x in row[n:]] for row in rows]
+    c = [[2 * det * v for v in e] + w for e, w in zip(eye, dx)]
+    c += [[2 * det * v for v in e] + [-x for x in w] for e, w in zip(eye, dx)]
+    # got / scale against hyperbolic(n)'s own integer matrix, whose d is 1
+    got, scale = _product((list(zip(*c)), 2 * det), perp_sum(a, negate(a)), (c, 2 * det))
+    target = hyperbolic(n, field)._m
+    diff = [[v - t * scale for v, t in zip(*pair)] for pair in zip(got, target)]
+    if not _is_zero(field, diff):
         raise AssertionError("hyperbolic witness failed verification")
-    return tuple(tuple(row) for row in b)
+    return tuple(tuple(field.from_ratio(v, 2 * det) for v in row) for row in c)
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,14 @@ def test_reduce_rejects_dependent_basis():
         sublagrangian_reduce(h, [[f.one, f.zero], [f.from_int(2), f.zero]])
 
 
+def test_reduce_rejects_basis_dependent_only_mod_q():
+    """(1, 2) and (3, 1) are independent over Z (determinant -5) but not
+    over fq:5: a pivot must be nonzero in the field, not merely over Z."""
+    f = field_model("fq:5")
+    with pytest.raises(DomainError, match="linearly dependent"):
+        sublagrangian_reduce(hyperbolic(2, f), [[1, 2, 0, 0], [3, 1, 0, 0]])
+
+
 def metabolic_form(field, rng, m):
     """Gram [[0, C], [C^T, D]] with C invertible and D symmetric."""
     while True:

@@ -211,6 +211,41 @@ def test_forms_digest(capsys, tmp_path, key):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FORMS_DIGESTS[key]
 
 
+
+# ``gwlambda forms reduce`` on a 5-dimensional form with a 1-dimensional
+# isotropic N = <v>, v = (1/2, 0, 3, 3, 0).  N-perp has a basis of four
+# vectors, and over every field kind the third of them lies in the span of
+# N and the first two, so the complement (dimension 3) is chosen by skipping
+# it.  The reduced Gram matrix pins that choice and the kernel basis.
+REDUCE_GRAM = [
+    ["0", "1/2", "1", "0", "2"],
+    ["1/2", "3", "0", "-1", "0"],
+    ["1", "0", "-2/3", "0", "1"],
+    ["0", "-1", "0", "1/3", "4"],
+    ["2", "0", "1", "4", "0"],
+]
+REDUCE_VECTORS = "1/2,0,3,3,0"
+
+REDUCE_DIGESTS = {
+    ("qc", "records"): "891ee2a1de93cd193771f43c62a6ca44ec462e9aad8a184dfb4d0fc97f69d274",
+    ("qc", "human"): "bb7eba99ab0ce0867c87f19ede3f3750e2e61ec11aae163f2641244c919704bc",
+    ("rc", "records"): "5ffe1d7dd594324154b53285323c28f53f7cf016c3cb93f6a910da4b0c0997cf",
+    ("rc", "human"): "bb7eba99ab0ce0867c87f19ede3f3750e2e61ec11aae163f2641244c919704bc",
+    ("fq:5", "records"): "04e42f9d9100f804930882115508bbd82014750b6fb9b7115b5c79741be32cda",
+    ("fq:5", "human"): "e4ad199ba60795ec9af1e4f8ebd7a0a72b8a4f41f65c4f3bdcf11ddcfa780102",
+    ("fq:7", "records"): "bf824b9288ecb4eb9050fb0ce18b969b3430c275aba7d3969d02f6c341e59e25",
+    ("fq:7", "human"): "2613d13cee758cbc047b5ce0b914a04b5c972ba7ad33cf3d6ce188585bf70db5",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REDUCE_DIGESTS), ids="-".join)
+def test_forms_reduce_digest(capsys, tmp_path, key):
+    field, fmt = key
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"field": field, "gram": REDUCE_GRAM}))
+    argv = ("forms", "reduce", "--in", str(path), "--vectors", REDUCE_VECTORS, "--format", fmt)
+    assert records_digest(capsys, argv) == (0, REDUCE_DIGESTS[key])
+
 # ``gwlambda poly --format records``: P_k for k = 1..6, P_kj for every
 # j >= 2 with kj <= 9, and P_kj(5, 2), the table the fq:5 kmax=5 sweep
 # builds.  These pin the table engine's output byte for byte: term order,

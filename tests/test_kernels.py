@@ -2,8 +2,9 @@
 share no code with them.
 
 The oracles are the earlier implementations: Gaussian elimination with the
-model's own field arithmetic for the determinant, and symmetric
-elimination on the full matrix for ``diagonalize``.  Sylvester-Franke,
+model's own field arithmetic for the determinant, symmetric elimination on
+the full matrix for ``diagonalize``, and Gauss-Jordan elimination in the
+field for ``echelon``.  Sylvester-Franke,
 det(Lambda^k G) = det(G)^C(n-1, k-1), is a formula oracle for the
 exterior powers.  The hyperbolic witness is checked with this file's own
 product B^T (G perp -G) B.
@@ -15,7 +16,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gwlambda import fields
@@ -108,6 +109,30 @@ def oracle_diagonalize(field, rows):
                 g[r][j] = field.sub(g[r][j], field.mul(f, g[r][i]))
         out.append(pivot)
     return out
+
+
+def oracle_rref(field, rows):
+    """Row-reduce in the field; returns (reduced rows, pivot column list)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if not field.is_zero(m[i][c])), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and not field.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
 
 
 def oracle_exterior(field, rows, k):
@@ -209,6 +234,7 @@ def test_exterior_determinants_follow_sylvester_franke(case):
     st.booleans(),
     st.sampled_from(SPECS),
 )
+@example(rows=[[1, 2], [3, 1]], singular=False, spec="fq:5")
 def test_int_det_matches_the_oracle_on_large_entries(rows, singular, spec):
     if singular and len(rows) >= 2:
         # The last row becomes an integer combination of the rows before it.
@@ -333,6 +359,77 @@ def test_sym_minors_match_the_oracles_on_large_entries(rows, singular, spec):
     check_sym_minors(field, m, [[element(v) for v in row] for row in m])
     if singular and n >= 2:
         assert field.is_zero(oracle_det(field, [[element(v) for v in row] for row in m]))
+
+
+# ---------------------------------------------------------------------------
+# echelon on its own
+
+# 1155 = 3 * 5 * 7 * 11: its multiples are nonzero over Z and zero in every
+# finite field of SPECS, so they must never be taken as fq pivots.
+LARGE = st.one_of(
+    st.just(0),
+    st.integers(-9, 9).map(lambda k: 1155 * k),
+    st.integers(-(10**12), 10**12),
+)
+
+
+def as_elements(field, rows):
+    element = (lambda v: v % field.q) if field.kind == "fq" else Fraction
+    return [[element(v) for v in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.integers(0, 6).flatmap(
+            lambda k: st.lists(
+                st.lists(LARGE, min_size=k, max_size=k), min_size=n, max_size=n
+            )
+        )
+    ),
+    st.booleans(),
+    st.sampled_from(SPECS),
+)
+def test_echelon_matches_the_oracle(rows, dependent, spec):
+    """The pivots, the rank and the rows read as D times the reduced row
+    echelon form in the field all agree with Gauss-Jordan in the field."""
+    if dependent and len(rows) >= 2:
+        # The last row becomes an integer combination of the rows before it.
+        rows[-1] = [3 * x - 7 * y for x, y in zip(rows[0], rows[-2])]
+    field = field_model(spec)
+    reduced, pivots = oracle_rref(field, as_elements(field, rows))
+    got, got_pivots, d = field.echelon(rows)
+    assert got_pivots == pivots
+    assert len(got) == len(pivots)
+    assert all(isinstance(v, int) for row in got for v in row)
+    assert not field.is_zero(field.from_int(d))
+    assert [[field.from_ratio(v, d) for v in row] for row in got] == reduced
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(LARGE, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.sampled_from(SPECS),
+)
+def test_echelon_of_m_beside_the_identity_is_the_scaled_inverse(rows, spec):
+    """For a square nonsingular M, echelon([M | I]) is D [I | M^-1]: the left
+    half is D I over Z, and M times the right half is D I in the field."""
+    field = field_model(spec)
+    assume(not field.is_zero(oracle_det(field, as_elements(field, rows))))
+    n = len(rows)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    got, pivots, d = field.echelon([row + e for row, e in zip(rows, eye)])
+    assert pivots == list(range(n))
+    assert [row[:n] for row in got] == [[d * v for v in e] for e in eye]
+    x = [row[n:] for row in got]
+    for i in range(n):
+        for j in range(n):
+            v = sum(rows[i][k] * x[k][j] for k in range(n)) - d * eye[i][j]
+            assert field.is_zero(field.from_int(v))
 
 
 # ---------------------------------------------------------------------------

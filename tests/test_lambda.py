@@ -269,6 +269,34 @@ def test_k_torus_lambda_of_line_sum():
     assert x.lambda_k(3) == kt.zero
 
 
+# Wide generic torus elements: sums of m lines with distinct, widely spread
+# weights, so e_1..e_m are all nonzero.  The basis sweeps use lines and
+# rank-2 pairs, whose lambda^i vanish for i > 2, so they reach almost no
+# term of P_k (k >= 3) or of P_kj (k >= 2); these elements reach them all.
+WIDE_X = (1, 7, 31, 127, 511)
+WIDE_Y = (2, 19, 83, 331, 1301)
+WIDE_Z = (1, 5, 23, 97, 401, 1601)
+
+
+def wide_torus_element(weights):
+    kt = KTorusRing(1)
+    return sum((kt.line((w,)) for w in weights), kt.zero)
+
+
+def test_wide_generic_torus_elements_pass_lambda1():
+    """lambda^k(x y) = P_k(lambda(x), lambda(y)) for k <= 5, m = 5 lines each."""
+    x, y = wide_torus_element(WIDE_X), wide_torus_element(WIDE_Y)
+    report = check_lambda1(x, y, kmax=5)
+    assert len(report) == 5 and report.all_pass
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_wide_generic_torus_elements_pass_lambda2(j):
+    """lambda^k(lambda^j(z)) = P_kj(lambda(z)) for kj <= 6, m = 6 lines."""
+    report = check_lambda2(wide_torus_element(WIDE_Z), j, kmax=6 // j)
+    assert len(report) == 6 // j and report.all_pass
+
+
 def test_k_ext_torus_structure():
     ke = KExtTorusRing(1)
     one, delta = ke.one, ke.basis_elt("delta")
