@@ -17,12 +17,13 @@ never need to branch on the representation.
 
 Matrix kernels run on integers behind the same models: ``lift(rows)`` gives
 an integer matrix M and an integer d > 0 with rows = M/d (fq: the residues,
-d = 1), ``int_det(M)`` is its determinant (fraction-free Bareiss elimination
-over Z in every model; fq reduces it mod q), and ``from_ratio(n, d)`` is the
-element n/d.  So det(rows) is ``from_ratio(int_det(M), d**n)`` in every
-model, and callers still never branch on the representation.  ``echelon(M)``
-is the fraction-free Gauss-Jordan elimination over Z of every model: D times
-the reduced row echelon form of M in the field, its pivot columns, and D.
+d = 1), ``int_det(M)`` is its determinant (cofactors up to size 3,
+fraction-free Bareiss elimination over Z above; fq reduces it mod q), and
+``from_ratio(n, d)`` is the element n/d.  So det(rows) is
+``from_ratio(int_det(M), d**n)`` in every model, and callers still never
+branch on the representation.  ``echelon(M)`` is the fraction-free
+Gauss-Jordan elimination over Z of every model: D times the reduced row
+echelon form of M in the field, its pivot columns, and D.
 
 ``sym_minors(M)`` is the symmetric elimination of a symmetric M: its
 pivoting is a congruence P, and it returns the leading principal minors
@@ -48,12 +49,6 @@ class FieldModel:
         raise NotImplementedError
 
     # -- arithmetic ------------------------------------------------------
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -102,16 +97,26 @@ class FieldModel:
         raise NotImplementedError
 
     def int_det(self, m):
-        """Determinant of an integer matrix, as an integer for from_ratio, by
-        Bareiss elimination over Z: every division is exact, and checked.
+        """Determinant of an integer matrix, as an integer for from_ratio.
 
-        Row i holds its Bareiss row times level[i] / prev, prev being the
-        last pivot.  A row with a zero in the pivot column is left as it
-        is, so sparse and diagonal matrices cost no rescaling; level[i] is
-        the divisor when the row is next eliminated or becomes the pivot.
+        Size 3 and below is the cofactor expansion (the empty matrix gives
+        1).  Above that it is Bareiss elimination over Z: every division is
+        exact, and checked.  Row i holds its Bareiss row times level[i] /
+        prev, prev being the last pivot.  A row with a zero in the pivot
+        column is left as it is, so sparse and diagonal matrices cost no
+        rescaling; level[i] is the divisor when the row is next eliminated
+        or becomes the pivot.
         """
-        m = [list(row) for row in m]
         n = len(m)
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = m
+            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if n == 2:
+            (a, b), (c, d) = m
+            return a * d - b * c
+        if n < 2:
+            return m[0][0] if n else 1
+        m = [list(row) for row in m]
         level = [1] * n
         sign, prev = 1, 1
         for k in range(n):
@@ -356,12 +361,6 @@ class FinitePrime(FieldModel):
     @property
     def spec(self):
         return "fq:%d" % self.q
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
 
     def mul(self, a, b):
         return (a * b) % self.q

@@ -4,7 +4,10 @@ A form is carried by its Gram matrix, kept as a lifted integer matrix M/d.
 Sums, tensor products, exterior powers, determinants and invariants work
 on those integers, and so do the eliminations of sub-Lagrangian reduction
 and the witness (``field.echelon``); field elements appear only where
-entries are read or written.  The constructions here are
+entries are read or written.  A form read from a Gram matrix is checked
+when it is made; a constructed form is nondegenerate by a theorem, and
+its symmetric elimination runs only when its determinant, diagonal or
+class is read.  The constructions here are
 the ones needed to realize exterior-power operations on Witt-style
 invariants: orthogonal sum, tensor product, exterior power, hyperbolic
 forms, diagonalization, sub-Lagrangian reduction, and an explicit
@@ -32,32 +35,49 @@ class GramForm:
     symmetric elimination (``field.sym_minors``) give the determinant, the
     rc signature and :func:`diagonalize`.
 
+    A form read from a Gram matrix is checked when it is made: square,
+    symmetric, and nonsingular (its minors run at once).  A form made by a
+    construction is nondegenerate by a theorem (see :meth:`_lifted`), so
+    it is not checked, and its minors run on first read.
+
     The zero-dimensional form (empty matrix) is allowed; it arises as the
     core of a metabolic form under sub-Lagrangian reduction.
     """
 
-    __slots__ = ("field", "_m", "_d", "_minors", "_gram")
+    __slots__ = ("field", "_m", "_d", "_minor_cache", "_gram")
 
     def __init__(self, field, gram):
         gram = tuple(tuple(row) for row in gram)
-        self._init(field, *field.lift(gram), gram)
-
-    @classmethod
-    def _lifted(cls, field, m, d):
-        """The form with Gram matrix m/d, through the same checks."""
-        form = cls.__new__(cls)
-        form._init(field, m, d, None)
-        return form
-
-    def _init(self, field, m, d, gram):
+        m, d = field.lift(gram)
         n = len(m)
         for row in m:
             if len(row) != n:
                 raise DomainError("gram matrix must be square")
         if tuple(map(tuple, m)) != tuple(zip(*m)):
             raise DomainError("gram matrix is not symmetric")
-        self._minors = field.sym_minors(m)
         self.field, self._m, self._d, self._gram = field, m, d, gram
+        self._minor_cache = field.sym_minors(m)
+
+    @classmethod
+    def _lifted(cls, field, m, d):
+        """The form with Gram matrix m/d, built by a construction, unchecked.
+
+        Each construction keeps forms nondegenerate: det(a perp b) =
+        det a det b, det(a tensor b) = det(a)^dim b det(b)^dim a,
+        det Lambda^k a = det(a)^C(n-1, k-1) (Sylvester-Franke),
+        det(-a) = (-1)^n det a, hyperbolic forms have det +-1, and N-perp/N
+        of a nondegenerate form is nondegenerate.
+        """
+        form = cls.__new__(cls)
+        form.field, form._m, form._d = field, m, d
+        form._gram = form._minor_cache = None
+        return form
+
+    @property
+    def _minors(self):
+        if self._minor_cache is None:
+            self._minor_cache = self.field.sym_minors(self._m)
+        return self._minor_cache
 
     @property
     def gram(self):

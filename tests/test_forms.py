@@ -45,6 +45,12 @@ def rand_diagonal(field, rng, dim):
     return diagonal_form(field, [rand_unit(field, rng) for _ in range(dim)])
 
 
+def add(field, a, b):
+    """a + b in the field: the plain sum, reduced mod q over fq."""
+    total = a + b
+    return total % field.q if field.kind == "fq" else total
+
+
 def matmul(field, a, b):
     n, m, p = len(a), len(b), len(b[0]) if b else 0
     assert m == len(a[0])
@@ -54,7 +60,7 @@ def matmul(field, a, b):
         for j in range(p):
             acc = field.zero
             for k in range(m):
-                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
+                acc = add(field, acc, field.mul(a[i][k], b[k][j]))
             row.append(acc)
         out.append(row)
     return out

@@ -30,7 +30,9 @@ from gwlambda.forms import (
     gw_class,
     hyperbolic,
     hyperbolic_lemma_witness,
+    negate,
     perp_sum,
+    sublagrangian_reduce,
     tensor,
 )
 
@@ -39,6 +41,12 @@ SPECS = ("qc", "rc", "fq:3", "fq:5", "fq:7", "fq:11")
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def add(field, a, b):
+    """a + b in the field: the plain sum, reduced mod q over fq."""
+    total = a + b
+    return total % field.q if field.kind == "fq" else total
 
 
 def oracle_det(field, rows):
@@ -71,7 +79,7 @@ def oracle_det(field, rows):
                 continue
             f = field.mul(m[r][col], inv)
             for c in range(col, n):
-                m[r][c] = field.sub(m[r][c], field.mul(f, m[col][c]))
+                m[r][c] = add(field, m[r][c], field.neg(field.mul(f, m[col][c])))
     return det
 
 
@@ -94,9 +102,9 @@ def oracle_diagonalize(field, rows):
                     (j for j in range(i + 1, n) if not field.is_zero(g[i][j])), None
                 )
                 for r in range(n):
-                    g[r][i] = field.add(g[r][i], g[r][j])
+                    g[r][i] = add(field, g[r][i], g[r][j])
                 for c in range(n):
-                    g[i][c] = field.add(g[i][c], g[j][c])
+                    g[i][c] = add(field, g[i][c], g[j][c])
         pivot = g[i][i]
         inv = field.inv(pivot)
         for j in range(i + 1, n):
@@ -104,9 +112,9 @@ def oracle_diagonalize(field, rows):
                 continue
             f = field.mul(g[i][j], inv)
             for c in range(n):
-                g[j][c] = field.sub(g[j][c], field.mul(f, g[i][c]))
+                g[j][c] = add(field, g[j][c], field.neg(field.mul(f, g[i][c])))
             for r in range(n):
-                g[r][j] = field.sub(g[r][j], field.mul(f, g[r][i]))
+                g[r][j] = add(field, g[r][j], field.neg(field.mul(f, g[r][i])))
         out.append(pivot)
     return out
 
@@ -127,7 +135,7 @@ def oracle_rref(field, rows):
         for i in range(len(m)):
             if i != r and not field.is_zero(m[i][c]):
                 f = m[i][c]
-                m[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[i], m[r])]
+                m[i] = [add(field, v, field.neg(field.mul(f, w))) for v, w in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -218,6 +226,68 @@ def test_exterior_determinants_follow_sylvester_franke(case):
         assert exterior_power(a, k).det() == expected
 
 
+# Constructions make their forms unchecked: each is nondegenerate by a
+# determinant formula, which these tests check against oracle_det.
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    symmetric(min_dim=1, max_dim=4).flatmap(
+        lambda case: st.tuples(st.just(case), symmetric(1, 4, case[0].spec))
+    )
+)
+def test_built_determinants_are_products_of_the_operands(cases):
+    """det(a perp b) = det a det b, det(a tensor b) = det(a)^dim b
+    det(b)^dim a and det(-a) = (-1)^dim a det a, so a construction on
+    nondegenerate forms is nondegenerate."""
+    (field, g), (_, h) = cases
+    det_g, det_h = oracle_det(field, g), oracle_det(field, h)
+    assume(not field.is_zero(det_g) and not field.is_zero(det_h))
+    a, b = GramForm(field, g), GramForm(field, h)
+    assert perp_sum(a, b).det() == field.mul(det_g, det_h)
+    assert tensor(a, b).det() == field.mul(
+        field_pow(field, det_g, b.dim), field_pow(field, det_h, a.dim)
+    )
+    sign = field.from_int(-1 if a.dim % 2 else 1)
+    assert negate(a).det() == field.mul(sign, det_g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric(min_dim=1, max_dim=4), st.integers(1, 4))
+def test_sublagrangian_cores_are_nondegenerate(case, k):
+    """The core N-perp/N of a perp -a, N spanned by the first k diagonal
+    vectors e_i + e_(n+i), has a nonzero determinant, and with
+    hyperbolic(k) it makes up the class of a perp -a."""
+    field, g = case
+    assume(not field.is_zero(oracle_det(field, g)))
+    a = GramForm(field, g)
+    n = a.dim
+    k = min(k, n)
+    whole = perp_sum(a, negate(a))
+    vectors = [[int(j % n == i) for j in range(2 * n)] for i in range(k)]
+    core, rank = sublagrangian_reduce(whole, vectors)
+    assert rank == k and core.dim == 2 * (n - k)
+    assert not field.is_zero(oracle_det(field, core.gram))
+    assert gw_class(whole) == gw_class(core) + gw_class(hyperbolic(k, field))
+
+
+@pytest.mark.parametrize("spec", ("qc", "rc", "fq:5"))
+def test_built_forms_eliminate_only_when_read(monkeypatch, spec):
+    """A constructed form runs sym_minors once, when its class is read,
+    and neither its exterior-power operands nor a second read run it."""
+    field = field_model(spec)
+    a = GramForm(field, [[2, 1, 0], [1, 3, 1], [0, 1, 5]])
+    b = GramForm(field, [[1, 2], [2, 1]])
+    calls = []
+    sym_minors = field.sym_minors
+    monkeypatch.setattr(field, "sym_minors", lambda m: calls.append(m) or sym_minors(m))
+    built = tensor(exterior_power(a, 2), exterior_power(b, 1))
+    assert calls == []
+    cls = gw_class(built)
+    assert len(calls) == 1 and cls.rank == 6
+    assert gw_class(built) == cls and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # int_det on its own
 
@@ -235,6 +305,17 @@ def test_exterior_determinants_follow_sylvester_franke(case):
     st.sampled_from(SPECS),
 )
 @example(rows=[[1, 2], [3, 1]], singular=False, spec="fq:5")
+# Both sides of the size split: cofactors up to 3 x 3, Bareiss above.
+@example(rows=[], singular=False, spec="qc")
+@example(rows=[[-7]], singular=False, spec="rc")
+@example(rows=[[0, 3], [5, 2]], singular=False, spec="qc")
+@example(rows=[[0, 2, 1], [3, 0, 4], [1, 5, 0]], singular=False, spec="rc")
+@example(
+    rows=[[0, 2, 1, 0], [3, 0, 4, 1], [1, 5, 0, 2], [2, 0, 1, 0]], singular=False, spec="qc"
+)
+@example(rows=[[2, -1, 4], [0, 3, 5], [6, 1, 1]], singular=True, spec="qc")
+@example(rows=[[6, 1], [1, 6]], singular=False, spec="fq:5")
+@example(rows=[[12, 30, 7], [5, 11, 25], [9, 14, 40]], singular=False, spec="fq:7")
 def test_int_det_matches_the_oracle_on_large_entries(rows, singular, spec):
     if singular and len(rows) >= 2:
         # The last row becomes an integer combination of the rows before it.
