@@ -1,4 +1,4 @@
-"""Weights, Weyl characters, and restriction to the extended torus.
+"""Weights, Weyl characters, and the simple modules of the extended torus.
 
 Characters of the odd (B) and even (D) special orthogonal series are
 computed by Freudenthal's multiplicity formula on the dominant weights
@@ -21,8 +21,7 @@ import os
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DomainError, FormatError, _checked
-from .fields import _is_prime
+from .errors import DomainError
 
 RANK_CAP_ENV = "GWLAMBDA_WEYL_RANK_CAP"
 _DEFAULT_RANK_CAP = 4
@@ -73,17 +72,6 @@ def _partial_sums(flavor, w):
 
 def _below(sums, upper_sums):
     return all(map(operator.le, sums, upper_sums))
-
-
-def dominance_leq(lower, upper, flavor):
-    """Partial-sum order: lower <= upper.
-
-    B: every prefix sum of ``lower`` is bounded by the one of ``upper``.
-    D: the same, plus the full sum with the last coordinate negated.
-    """
-    a = _check_weight(flavor, lower)
-    b = _check_weight(flavor, upper)
-    return _below(_partial_sums(flavor, a), _partial_sums(flavor, b))
 
 
 def minus(weight):
@@ -262,7 +250,7 @@ def check_triangularity(weight, flavor):
 
 
 # ---------------------------------------------------------------------------
-# restriction to the extended torus
+# simple modules of the extension, over a splitting coefficient field
 
 
 def canonical_rep(gamma):
@@ -273,36 +261,6 @@ def canonical_rep(gamma):
         if v < 0:
             return tuple(-x for x in gamma)
     return tuple(gamma)
-
-
-def fold_restriction(char):
-    """Fold a negation-symmetric character into {g, -g} orbit multiplicities.
-
-    Returns (pairs, zero_mass): ``pairs`` maps each canonical nonzero
-    weight to its multiplicity, ``zero_mass`` is the multiplicity at 0.
-    """
-    char = {tuple(k): v for k, v in char.items() if v}
-    for gamma, mult in char.items():
-        neg = tuple(-v for v in gamma)
-        if char.get(neg, 0) != mult:
-            raise DomainError(
-                "character is not self-dual at torus level: "
-                "multiplicity mismatch at %r" % (gamma,)
-            )
-    pairs = {}
-    zero_mass = 0
-    for gamma, mult in char.items():
-        if all(v == 0 for v in gamma):
-            zero_mass = mult
-            continue
-        rep = canonical_rep(gamma)
-        if rep == gamma:
-            pairs[rep] = mult
-    return pairs, zero_mass
-
-
-# ---------------------------------------------------------------------------
-# simple modules of the extension, over a splitting coefficient field
 
 
 class OrbitSimple(
@@ -341,29 +299,6 @@ def classify_semidirect(r, bound):
     return tuple(out)
 
 
-def endo_dim(case, p, end_h):
-    """Endomorphism dimension of an induced-from-H simple over any field.
-
-    ``case`` is the orbit/lift situation of the inducing simple, ``p`` the
-    index of the subgroup (a prime), ``end_h`` the endomorphism dimension
-    below.  A fixed simple that lifts keeps end_h (as does a free orbit);
-    a fixed simple with no lift induces irreducibly with p times it.
-    """
-    if not _is_prime(p):
-        raise DomainError("index must be prime")
-    if end_h < 1:
-        raise DomainError("endomorphism dimension must be >= 1")
-    if case == "fixed-with-lift":
-        return end_h
-    if case == "free":
-        return end_h
-    if case == "fixed-without-lift":
-        return p * end_h
-    raise DomainError(
-        "case must be 'fixed-with-lift', 'fixed-without-lift', or 'free'"
-    )
-
-
 # ---------------------------------------------------------------------------
 # exchange format
 
@@ -374,23 +309,3 @@ def char_record(char, n):
         {"weight": list(w), "mult": m} for w, m in sorted(char.items())
     ]
     return {"n": n, "terms": terms}
-
-
-def parse_char(record):
-    record = _checked(record, dict, "character record")
-    n = _checked(record.get("n"), int, "n")
-    if n < 1:
-        raise FormatError("n must be a positive integer")
-    out = {}
-    for idx, term in enumerate(_checked(record.get("terms"), list, "terms")):
-        where = "terms[%d]" % idx
-        term = _checked(term, dict, where)
-        weight = _checked(term.get("weight"), list, where + ".weight")
-        if len(weight) != n:
-            raise FormatError("%s.weight must be a list of %d integers" % (where, n))
-        key = tuple(
-            _checked(v, int, "%s.weight[%d]" % (where, i)) for i, v in enumerate(weight)
-        )
-        mult = _checked(term.get("mult"), int, where + ".mult")
-        out[key] = out.get(key, 0) + mult
-    return {k: v for k, v in out.items() if v}

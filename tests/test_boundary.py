@@ -19,7 +19,8 @@ from gwlambda import cli
 from gwlambda.errors import DomainError
 from gwlambda.forms import load_form, parse_form
 from gwlambda.lambda_rings import load_constants, load_element, parse_element
-from gwlambda.weights import parse_char
+
+from weight_helpers import parse_char
 
 # Integers stay small where they may size something (a torus rank, a
 # field modulus): the boundary is about types and shapes, not about
@@ -183,3 +184,16 @@ def test_unreadable_json_is_a_format_error(tmp_path, name):
         code, err = run_main([arg.format(f=path) for arg in command])
         assert code == 2
         assert err.startswith("error:") and "invalid JSON" in err
+
+
+def test_negative_jmax_is_bad_input():
+    sweep = ["check", "--sweep", "--ring", "k-torus", "--format", "records"]
+    code, err = run_main(sweep + ["--jmax", "-1"])
+    assert code == 2
+    assert err.startswith("error:") and "--jmax" in err
+    # 0 is valid and means no composition checks.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(sweep + ["--jmax", "0"]) == 0
+    checks = {json.loads(line)["check"] for line in out.getvalue().splitlines()}
+    assert checks == {"lambda1"}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gwlambda import cli
+from gwlambda import cli, symfun
 from gwlambda.fields import field_model
 from gwlambda.forms import diagonal_form, form_record, hyperbolic
 from gwlambda.lambda_rings import (
@@ -469,3 +469,52 @@ def test_import_skips_dataclasses_and_inspect():
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+# The attributes perfbench/child.py reads after a plain ``import gwlambda``.
+BENCH_ATTRIBUTES = (
+    "fields.FieldModel",
+    "forms.GWClass.zero", "forms.parse_form", "forms.perp_sum", "forms.exterior_power",
+    "forms.tensor", "forms.gw_class", "forms.hyperbolic_lemma_witness",
+    "weights.Flavor", "weights.weyl_character", "weights.character_mass",
+    "weights.weyl_dim", "weights.check_triangularity",
+    "symfun.universal_P", "symfun.universal_P_kj", "symfun.EPolynomial.evaluate",
+    "lambda_rings.check_lambda1", "lambda_rings.check_lambda2",
+    "lambda_rings.CheckRecord.to_record", "lambda_rings.element_record",
+    "lambda_rings.IntElt", "lambda_rings.GWFieldElt", "lambda_rings.KTorusElt",
+    "lambda_rings.KExtElt", "lambda_rings.GWExtElt",
+    "cli.main",
+)
+
+SURFACE_SCRIPT = """
+import operator, sys
+sys.path.insert(0, %r)
+import gwlambda
+print(sorted(m for m in sys.modules if m.startswith("gwlambda.")))
+print(gwlambda.symfun.universal_P(2).to_text())
+try:
+    gwlambda.nope
+except AttributeError as exc:
+    print(exc)
+missing = []
+for path in %r:
+    try:
+        operator.attrgetter(path)(gwlambda)
+    except AttributeError:
+        missing.append(path)
+print(missing)
+"""
+
+
+def test_import_loads_only_the_field_form_and_weight_layers():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = SURFACE_SCRIPT % (src, BENCH_ATTRIBUTES)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    loaded, poly, no_such_name, missing = out.stdout.splitlines()
+    assert loaded == str(
+        ["gwlambda.errors", "gwlambda.fields", "gwlambda.forms", "gwlambda.weights"]
+    )
+    assert poly == symfun.universal_P(2).to_text()
+    assert no_such_name == "module 'gwlambda' has no attribute 'nope'"
+    assert missing == "[]"

@@ -15,15 +15,13 @@ from gwlambda.weights import (
     character_mass,
     check_triangularity,
     classify_semidirect,
-    dominance_leq,
-    endo_dim,
-    fold_restriction,
     is_dominant,
     minus,
-    parse_char,
     weyl_character,
     weyl_dim,
 )
+
+from weight_helpers import dominance_leq, endo_dim, fold_restriction, parse_char
 
 B1, B2, B3 = Flavor("B", 1), Flavor("B", 2), Flavor("B", 3)
 D2, D3 = Flavor("D", 2), Flavor("D", 3)
