@@ -193,6 +193,11 @@ def _emit_check(report, name_x, name_y, args, emit):
 
 
 def _cmd_check(args, emit):
+    inline = args.x is not None or args.y is not None
+    if inline + bool(args.x_file or args.y_file) + args.sweep > 1:
+        raise DomainError("give one operand mode: --x/--y, --x-file/--y-file or --sweep")
+    if args.sweep and args.j is not None:
+        raise DomainError("--j is for one operand; a sweep takes --jmax")
     constants = lr.DEFAULT_CONSTANTS
     if args.constants:
         constants = lr.load_constants(args.constants)
@@ -205,7 +210,7 @@ def _cmd_check(args, emit):
         if not _emit_check(report, nx, ny, args, emit):
             failed += sum(1 for r in report if not r.passed)
 
-    if args.x is not None or args.y is not None:
+    if inline:
         if args.ring != "integers":
             raise DomainError("inline --x/--y operands are for --ring integers")
         nx = args.x if args.x is not None else 1
@@ -272,7 +277,7 @@ def _cmd_forms(args, emit):
         record = {
             "field": field.spec,
             "rank": cls.rank,
-            "disc": field.to_str(cls.disc.rep),
+            "disc": field.to_str(cls.disc),
             "signature": cls.signature,
         }
         lines = [

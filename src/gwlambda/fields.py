@@ -490,33 +490,3 @@ def field_model(spec):
         return FinitePrime(q)
     raise FormatError("unknown field spec %r (expected qc, rc, or fq:<q>)" % (spec,))
 
-
-class SquareClass:
-    """A square class of a model field, held by canonical representative.
-
-    The class group has exponent 2, so each class is its own inverse.
-    """
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field, a):
-        self.field = field
-        self.rep = field.square_class(a)
-
-    def __mul__(self, other):
-        if self.field != other.field:
-            raise DomainError("square classes over different fields")
-        return SquareClass(self.field, self.field.mul(self.rep, other.rep))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SquareClass)
-            and self.field == other.field
-            and self.rep == other.rep
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.rep))
-
-    def __repr__(self):
-        return "SquareClass(%s, %s)" % (self.field.spec, self.field.to_str(self.rep))

@@ -19,10 +19,11 @@ with the induced virtual (formal-difference) ring structure.
 """
 
 import itertools
+from functools import reduce
 from operator import mul
 
 from .errors import DomainError, FormatError, _checked, _load_json
-from .fields import SquareClass, field_model
+from .fields import field_model
 
 
 class GramForm:
@@ -112,16 +113,6 @@ class GramForm:
         return "GramForm(%s, [%s])" % (self.field.spec, rows)
 
 
-def diagonal_form(field, entries):
-    """The form <a1,...,an> with the given nonzero diagonal entries."""
-    entries = list(entries)
-    gram = [
-        [entries[i] if i == j else field.zero for j in range(len(entries))]
-        for i in range(len(entries))
-    ]
-    return GramForm(field, gram)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -197,21 +188,27 @@ def diagonalize(a):
 # classes (complete invariants per model)
 
 
+def _class_of(field, *factors):
+    """The square class of a product of nonzero field elements."""
+    return field.square_class(reduce(field.mul, factors))
+
+
 class GWClass:
     """Isometry-class invariants of a (virtual) form over a model field.
 
-    rank, signed discriminant, and (over rc) signature.  Equality uses the
-    invariants that are complete for the model: rank (qc), rank and
-    signature (rc), rank and signed discriminant (fq).  The signed
-    discriminant is (-1)^(n(n-1)/2) det as a square class, which makes the
-    hyperbolic class have trivial discriminant.
+    rank, signed discriminant, and (over rc) signature; ``disc`` is the
+    canonical representative, an element of ``field.square_classes``.
+    Equality uses the invariants that are complete for the model: rank
+    (qc), rank and signature (rc), rank and signed discriminant (fq).  The
+    signed discriminant is (-1)^(n(n-1)/2) det as a square class, which
+    makes the hyperbolic class have trivial discriminant.
     """
 
     __slots__ = ("field", "rank", "disc", "signature")
 
     def __init__(self, field, rank, disc, signature=None):
-        if not isinstance(disc, SquareClass) or disc.field != field:
-            raise DomainError("discriminant must be a square class of the same field")
+        if disc not in field.square_classes:
+            raise DomainError("discriminant must be one of the field's square_classes")
         if field.kind == "rc":
             if signature is None:
                 raise DomainError("rc classes carry a signature")
@@ -236,7 +233,7 @@ class GWClass:
         minors = a._minors
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         # det = D_n / d**n lies in the square class of D_n * d**(n % 2).
-        disc = SquareClass(field, field.from_int(sign * minors[-1] * a._d ** (n % 2)))
+        disc = field.square_class(field.from_int(sign * minors[-1] * a._d ** (n % 2)))
         signature = None
         if field.kind == "rc":
             signature = sum(
@@ -246,8 +243,7 @@ class GWClass:
 
     @classmethod
     def zero(cls, field):
-        one = SquareClass(field, field.one)
-        return cls(field, 0, one, 0 if field.kind == "rc" else None)
+        return cls(field, 0, field.one, 0 if field.kind == "rc" else None)
 
     @classmethod
     def of_diagonal(cls, field, entries, minus=()):
@@ -261,34 +257,28 @@ class GWClass:
         """
         entries, minus = tuple(entries), tuple(minus)
         n = len(entries) - len(minus)
-        det = field.from_int(-1 if (n * (n - 1) // 2) % 2 else 1)
-        for a in entries + minus:
-            det = field.mul(det, a)
+        sign = field.from_int(-1 if (n * (n - 1) // 2) % 2 else 1)
         signature = None
         if field.kind == "rc":
             signature = sum(1 if a > 0 else -1 for a in entries) - sum(
                 1 if b > 0 else -1 for b in minus
             )
-        return cls(field, n, SquareClass(field, det), signature)
-
-    def _sign_twist(self, other):
-        # disc(a + b) = (-1)^(ra*rb) disc(a) disc(b)
-        field = self.field
-        sign = -1 if (self.rank * other.rank) % 2 else 1
-        return SquareClass(field, field.from_int(sign))
+        return cls(field, n, _class_of(field, sign, *entries, *minus), signature)
 
     def __add__(self, other):
         self._check(other)
-        disc = self._sign_twist(other) * self.disc * other.disc
+        field = self.field
+        # disc(a + b) = (-1)^(ra*rb) disc(a) disc(b)
+        sign = field.from_int(-1 if (self.rank * other.rank) % 2 else 1)
+        disc = _class_of(field, sign, self.disc, other.disc)
         sig = None
-        if self.field.kind == "rc":
+        if field.kind == "rc":
             sig = self.signature + other.signature
-        return GWClass(self.field, self.rank + other.rank, disc, sig)
+        return GWClass(field, self.rank + other.rank, disc, sig)
 
     def __neg__(self):
         field = self.field
-        sign = -1 if self.rank % 2 else 1
-        disc = SquareClass(field, field.from_int(sign)) * self.disc
+        disc = _class_of(field, field.from_int(-1 if self.rank % 2 else 1), self.disc)
         sig = -self.signature if field.kind == "rc" else None
         return GWClass(field, -self.rank, disc, sig)
 
@@ -300,11 +290,11 @@ class GWClass:
         field = self.field
         # disc(ab) = disc(a)^rank(b) * disc(b)^rank(a); the sign twist
         # exponent mn(m-1)(n-1)/2 is always even, so no extra sign.
-        disc = SquareClass(field, field.one)
-        if other.rank % 2:
-            disc = disc * self.disc
-        if self.rank % 2:
-            disc = disc * other.disc
+        disc = _class_of(
+            field,
+            self.disc if other.rank % 2 else field.one,
+            other.disc if self.rank % 2 else field.one,
+        )
         sig = None
         if field.kind == "rc":
             sig = self.signature * other.signature
@@ -337,7 +327,7 @@ class GWClass:
         return hash((self.field, self.rank, self.disc))
 
     def __repr__(self):
-        parts = ["rank=%d" % self.rank, "disc=%s" % self.field.to_str(self.disc.rep)]
+        parts = ["rank=%d" % self.rank, "disc=%s" % self.field.to_str(self.disc)]
         if self.signature is not None:
             parts.append("sig=%d" % self.signature)
         return "GWClass(%s, %s)" % (self.field.spec, ", ".join(parts))

@@ -34,7 +34,6 @@ from collections import namedtuple
 from .errors import DomainError, FormatError, _checked, _load_json
 from .fields import field_model
 from .forms import GWClass
-from .weights import canonical_rep, classify_semidirect
 from . import symfun
 
 # ---------------------------------------------------------------------------
@@ -163,9 +162,6 @@ class _Integers:
 
     def lines(self, coeff):
         return [(1, 1 if coeff > 0 else -1)] * abs(coeff)
-
-    def is_line(self, coeff):
-        return coeff == 1
 
     def rank_one(self, s):
         return 1
@@ -410,6 +406,16 @@ class _TorusWeights(_Basis):
         return "e[%s]" % ",".join(str(v) for v in gamma)
 
 
+def canonical_rep(gamma):
+    """Flip the global sign so the first nonzero coordinate is positive."""
+    for v in gamma:
+        if v > 0:
+            return tuple(gamma)
+        if v < 0:
+            return tuple(-x for x in gamma)
+    return tuple(gamma)
+
+
 def pair_key(gamma):
     """Key of the rank-2 symbol [e^g]: g up to global sign, with its first
     nonzero coordinate positive."""
@@ -502,9 +508,10 @@ class _ExtSymbols(_Basis):
         return ring.zero if target == "zero" else ring.basis_elt(target)
 
     def symbols(self, r, bound):
-        """1, d, and the canonical pair symbols with coordinates in [-bound, bound]."""
-        simples = classify_semidirect(r, bound)
-        return ["one", "delta"] + [s.rep for s in simples if s.kind == "induced"]
+        """1, d, and the pair symbols with coordinates in [-bound, bound]:
+        the nonzero sign-canonical weights of the torus box, in lex order."""
+        box = TORUS_WEIGHTS.symbols(r, bound)
+        return ["one", "delta"] + [g for g in box if any(g) and g == canonical_rep(g)]
 
     def sort_key(self, key):
         return (2, key) if isinstance(key, tuple) else (_EXT_ORDER[key], ())
@@ -601,6 +608,9 @@ class FreeLambdaRing:
         return self.basis_elt(tuple(gamma))
 
     def basis_symbols(self, bound):
+        """The basis keys with weight coordinates in [-bound, bound]."""
+        if bound < 0:
+            raise DomainError("bound must be >= 0")
         return self.basis.symbols(self.r, bound)
 
     def diag(self, pos, neg=()):
@@ -625,9 +635,6 @@ class FreeLambdaRing:
             for line, sign in self.coeff_ring.lines(c)
         ]
         return [ls for ls in lines if ls[1] > 0] + [ls for ls in lines if ls[1] < 0]
-
-    def is_line(self, coeff):
-        return coeff.is_line()
 
     def term_str(self, coeff, body):
         return "%s*%s+" % (element_str(coeff), body)
@@ -718,12 +725,6 @@ class FreeElt:
         rank, coeff_rank = self.ring.basis.rank, self.ring.coeff_ring.rank
         return sum(coeff_rank(c) * rank(b) for b, c in self.terms.items())
 
-    def is_line(self):
-        if len(self.terms) != 1:
-            return False
-        ((basis, coeff),) = self.terms.items()
-        return self.ring.basis.rank(basis) == 1 and self.ring.coeff_ring.is_line(coeff)
-
     def lambda_t(self, d):
         """[lambda^0(x), ..., lambda^d(x)]: the product of one series 1 + l*t
         per signed line l = <a>*b of the coefficients, plus lambda^2(b)*t^2
@@ -798,42 +799,6 @@ def GWExtTorusRing(r, field, constants=DEFAULT_CONSTANTS):
     anti-invariant one <-2> twisted by the sign character).
     """
     return FreeLambdaRing("gw-ext-torus", r, GWFieldRing(field), EXT_SYMBOLS, constants)
-
-
-# ---------------------------------------------------------------------------
-# maps between the rings
-
-
-def augmentation(x):
-    """Virtual rank: the ring map to the integers sending every line to 1."""
-    return x.augmentation()
-
-
-def forgetful(x):
-    """Drop the forms: GWExt -> KExt, coefficient becoming its virtual rank."""
-    if not isinstance(x, FreeElt) or x.ring.tag != "gw-ext-torus":
-        raise DomainError("the forgetful map starts from the form-level ring")
-    rank = x.ring.coeff_ring.rank
-    return KExtTorusRing(x.ring.r).elt({b: rank(c) for b, c in x.terms.items()})
-
-
-def hyperbolic_map(x, gw_ring):
-    """Additive map KExt -> GWExt sending a character to its hyperbolic form.
-
-    Each basis copy acquires the split coefficient <1,-1>.  Additive but
-    not multiplicative.
-    """
-    if not isinstance(x, FreeElt) or x.ring.tag != "k-ext-torus":
-        raise DomainError("the hyperbolic map starts from the character ring")
-    if (
-        not isinstance(gw_ring, FreeLambdaRing)
-        or gw_ring.tag != "gw-ext-torus"
-        or gw_ring.r != x.ring.r
-    ):
-        raise DomainError("target ring must extend the same torus")
-    field = gw_ring.field
-    split = gw_ring.coeff_ring.diag((field.one, field.neg(field.one)))
-    return gw_ring.elt({b: c * split for b, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -934,26 +899,6 @@ def check_lambda2(x, j, kmax=None):
             one=ring.one,
         )
         records.append(CheckRecord("lambda2", k, linner[k], rhs))
-    return CheckReport(records)
-
-
-def check_line_special(line, x, kmax=None):
-    """Compare lambda^k(l*x) with l^k * lambda^k(x) for a line element l."""
-    if line.ring != x.ring:
-        raise DomainError("operands must share a ring")
-    if not line.is_line():
-        raise DomainError("first operand must be a line element")
-    if kmax is None:
-        kmax = _default_kmax(x.augmentation())
-    if kmax < 1:
-        raise DomainError("kmax must be >= 1")
-    lx = x.lambda_t(kmax)
-    llx = (line * x).lambda_t(kmax)
-    records = []
-    power = line.ring.one
-    for k in range(1, kmax + 1):
-        power = power * line
-        records.append(CheckRecord("line_special", k, llx[k], power * lx[k]))
     return CheckReport(records)
 
 

@@ -1,4 +1,4 @@
-"""Weights, Weyl characters, and the simple modules of the extended torus.
+"""Weights and Weyl characters of the special orthogonal groups.
 
 Characters of the odd (B) and even (D) special orthogonal series are
 computed by Freudenthal's multiplicity formula on the dominant weights
@@ -13,6 +13,9 @@ membership is imposed.
 
 The rank is capped (default 4, override via GWLAMBDA_WEYL_RANK_CAP) since
 the output orbits grow as 2^n n!.
+
+The simple modules of the extended torus (1, d, and one [e^g] per nonzero
+{g, -g} orbit) are the basis of ``lambda_rings.KExtTorusRing``.
 """
 
 import itertools
@@ -72,14 +75,6 @@ def _partial_sums(flavor, w):
 
 def _below(sums, upper_sums):
     return all(map(operator.le, sums, upper_sums))
-
-
-def minus(weight):
-    """The companion weight with the last coordinate negated."""
-    weight = tuple(weight)
-    if not weight:
-        raise DomainError("weight must have at least one coordinate")
-    return weight[:-1] + (-weight[-1],)
 
 
 # ---------------------------------------------------------------------------
@@ -247,56 +242,6 @@ def check_triangularity(weight, flavor):
         return False
     top = _partial_sums(flavor, weight)
     return all(_below(_partial_sums(flavor, mu), top) for mu in char)
-
-
-# ---------------------------------------------------------------------------
-# simple modules of the extension, over a splitting coefficient field
-
-
-def canonical_rep(gamma):
-    """Flip the global sign so the first nonzero coordinate is positive."""
-    for v in gamma:
-        if v > 0:
-            return tuple(gamma)
-        if v < 0:
-            return tuple(-x for x in gamma)
-    return tuple(gamma)
-
-
-class OrbitSimple(
-    namedtuple("OrbitSimple", "kind label rep endo_dim", defaults=("", (), 1))
-):
-    """A simple module tagged by its source orbit on the weight lattice.
-
-    kind 'fixed' (the zero orbit, which lifts; label names the extension
-    of the lift by the trivial or the sign character) or 'induced' (a free
-    {g, -g} orbit with canonical representative ``rep``).
-    """
-
-    __slots__ = ()
-
-
-def classify_semidirect(r, bound):
-    """Simple modules with weights in the box [-bound, bound]^r.
-
-    The zero orbit is fixed by the involution and its one-dimensional
-    module lifts in two ways; every other orbit in the box is free and
-    induces one simple of dimension 2.
-    """
-    if r < 1:
-        raise DomainError("torus rank must be >= 1")
-    if bound < 0:
-        raise DomainError("bound must be >= 0")
-    out = [
-        OrbitSimple(kind="fixed", label="1"),
-        OrbitSimple(kind="fixed", label="delta"),
-    ]
-    reps = set()
-    for coords in itertools.product(range(-bound, bound + 1), repeat=r):
-        if any(coords):
-            reps.add(canonical_rep(coords))
-    out.extend(OrbitSimple(kind="induced", rep=g) for g in sorted(reps))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from gwlambda.fields import field_model
 from gwlambda.forms import (
     GramForm,
     GWClass,
-    diagonal_form,
     diagonalize,
     exterior_power,
     gw_class,
@@ -27,7 +26,8 @@ from gwlambda.forms import (
 from gwlambda.lambda_rings import GWExtTorusRing, GWFieldRing, pair_key
 from gwlambda.symfun import EPolynomial, universal_P, universal_P_kj
 
-from weight_helpers import dominance_leq, endo_dim
+from form_helpers import diagonal_form
+from weight_helpers import dominance_leq, endo_dim, minus
 
 ALL_MODELS = ("qc", "rc", "fq:5", "fq:7")
 
@@ -247,12 +247,12 @@ def test_criterion_6_weights():
                 ok = ok and weights.is_dominant(w, df) == weights.is_dominant(w, bf)
             if w[-1] <= 0:
                 ok = ok and weights.is_dominant(w, df) == weights.is_dominant(
-                    weights.minus(w), bf
+                    minus(w), bf
                 )
         dominant = [w for w in box if weights.is_dominant(w, bf)]
         for wp in dominant:
             for w in dominant:
-                if dominance_leq(wp, weights.minus(w), bf):
+                if dominance_leq(wp, minus(w), bf):
                     ok = ok and dominance_leq(wp, w, df)
     elapsed = time.monotonic() - t0
     report(6, "character masses, triangularity, and the two ordering lemmas",
@@ -260,12 +260,12 @@ def test_criterion_6_weights():
 
 
 def test_criterion_7_appendix_classification():
-    ok = weights.classify_semidirect(1, 2) == (
-        weights.OrbitSimple(kind="fixed", label="1"),
-        weights.OrbitSimple(kind="fixed", label="delta"),
-        weights.OrbitSimple(kind="induced", rep=(1,)),
-        weights.OrbitSimple(kind="induced", rep=(2,)),
-    )
+    # The simples of the extended torus with weights in [-2, 2]: the two
+    # lifts of the zero orbit (rank 1) and the induced [e^1], [e^2] (rank 2).
+    ring = lr.KExtTorusRing(1)
+    simples = ring.basis_symbols(2)
+    ok = simples == ["one", "delta", (1,), (2,)]
+    ok = ok and [ring.basis_elt(s).augmentation() for s in simples] == [1, 1, 2, 2]
     for p in (2, 3):
         ok = ok and endo_dim("fixed-with-lift", p, 1) == 1
         ok = ok and endo_dim("free", p, 1) == 1

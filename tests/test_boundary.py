@@ -197,3 +197,25 @@ def test_negative_jmax_is_bad_input():
         assert cli.main(sweep + ["--jmax", "0"]) == 0
     checks = {json.loads(line)["check"] for line in out.getvalue().splitlines()}
     assert checks == {"lambda1"}
+
+
+# Two operand modes at once, or --j with a sweep: the run would take one
+# mode and ignore the other flags.
+MIXED_MODES = {
+    "files-and-sweep": ("--x-file", "{f}", "--y-file", "{f}", "--sweep", "--ring", "k-torus"),
+    "inline-and-file": ("--ring", "integers", "--x", "2", "--x-file", "{missing}"),
+    "sweep-and-file": ("--sweep", "--ring", "integers", "--y-file", "{missing}"),
+    "sweep-and-j": ("--sweep", "--ring", "integers", "--j", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_MODES))
+def test_mixed_operand_modes_are_bad_input(tmp_path, name):
+    element = {"ring": "k-torus", "rank_r": 1, "terms": [{"basis": "wt:1", "coeff": 1}]}
+    path = write_file(str(tmp_path), element)
+    missing = str(tmp_path / "missing.json")
+    argv = ["check", "--kmax", "2"]
+    argv += [arg.format(f=path, missing=missing) for arg in MIXED_MODES[name]]
+    code, err = run_main(argv)
+    assert code == 2
+    assert err.startswith("error:") and "operand" in err

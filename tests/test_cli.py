@@ -9,13 +9,15 @@ import pytest
 
 from gwlambda import cli, symfun
 from gwlambda.fields import field_model
-from gwlambda.forms import diagonal_form, form_record, hyperbolic
+from gwlambda.forms import form_record, hyperbolic
 from gwlambda.lambda_rings import (
     GWExtTorusRing,
     IntegerRing,
     element_record,
     pair_key,
 )
+
+from form_helpers import diagonal_form
 
 
 def run_cli(*argv, **kwargs):

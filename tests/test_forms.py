@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwlambda.errors import DomainError, FormatError
-from gwlambda.fields import PRIMALITY_BOUND, FinitePrime, SquareClass, _is_prime, field_model
+from gwlambda.fields import PRIMALITY_BOUND, FinitePrime, _is_prime, field_model
 from gwlambda.forms import (
     GWClass,
     GramForm,
-    diagonal_form,
     diagonalize,
     exterior_power,
     form_record,
@@ -29,6 +28,8 @@ from gwlambda.forms import (
     tensor,
 )
 from gwlambda.lambda_rings import GWFieldRing
+
+from form_helpers import diagonal_form
 
 MODELS = ("qc", "rc", "fq:5", "fq:7")
 
@@ -203,7 +204,7 @@ def test_real_closed_square_classes():
 def test_quadratically_closed_square_classes():
     qc = field_model("qc")
     assert qc.square_class(Fraction(-3)) == Fraction(1)
-    assert SquareClass(qc, Fraction(-3)).rep == qc.one
+    assert qc.square_class(Fraction(-3)) == qc.one
 
 
 def test_square_class_of_zero_rejected():
@@ -333,7 +334,7 @@ def test_hyperbolic_class_invariants():
         for n in (1, 2, 3):
             cls = gw_class(hyperbolic(n, f))
             assert cls.rank == 2 * n
-            assert cls.disc.rep == f.one
+            assert cls.disc == f.one
             if spec == "rc":
                 assert cls.signature == 0
     rc = field_model("rc")
@@ -351,8 +352,8 @@ def test_class_of_ones_over_f7():
     cls = gw_class(diagonal_form(f7, [1, 1]))
     assert cls.rank == 2
     # signed disc = -1 = 6 mod 7, a non-residue
-    assert cls.disc == SquareClass(f7, 6)
-    assert cls.disc.rep != f7.one
+    assert cls.disc == f7.square_class(6)
+    assert cls.disc != f7.one
 
 
 def test_ones_equals_twos_everywhere():
@@ -407,6 +408,13 @@ def test_class_equality_requires_same_field():
         a == b
 
 
+def test_class_discriminant_is_a_canonical_representative():
+    f7 = field_model("fq:7")  # square classes 1 and 3
+    assert GWClass(f7, 1, 3).disc == 3
+    with pytest.raises(DomainError, match="square_classes"):
+        GWClass(f7, 1, 6)
+
+
 def test_virtual_class_arithmetic():
     f = field_model("rc")
     a = GWClass.of_diagonal(f, [Fraction(1), Fraction(2)])
@@ -429,7 +437,7 @@ def fold_of_diagonal(field, entries):
     out = GWClass.zero(field)
     for a in entries:
         sig = (1 if a > 0 else -1) if field.kind == "rc" else None
-        out = out + GWClass(field, 1, SquareClass(field, a), sig)
+        out = out + GWClass(field, 1, field.square_class(a), sig)
     return out
 
 

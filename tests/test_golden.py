@@ -51,6 +51,11 @@ CASES = {
         ("--ring", "k-ext-torus"),
         "6c8e0176e73c6a7fec0f7b6822f943b90d6351a6c42c64996e6cb07ebbe983d7",
     ),
+    # 399 records: 14 basis symbols, a box of rank 2 and bound 2
+    "k-ext-torus-r2-bound2": (
+        ("--ring", "k-ext-torus", "--r", "2", "--bound", "2", "--kmax", "3"),
+        "92819a1adbb7e6d71630468b7a05229309e072691ace62e102fa1941c1d9f47f",
+    ),
     "gw-field-fq7": (
         ("--ring", "gw-field", "--field", "fq:7"),
         "0f373910eae58219279aa1fcdf1a5e5fe1812366d417e3390909b2d21c3802c9",
@@ -377,7 +382,7 @@ def forms_class_transcript(field):
         cls = gw_class(form)
         diag = ",".join(form.field.to_str(v) for v in diagonalize(form))
         lines.append(
-            "%s %d %s %s %s" % (label, cls.rank, form.field.to_str(cls.disc.rep), cls.signature, diag)
+            "%s %d %s %s %s" % (label, cls.rank, form.field.to_str(cls.disc), cls.signature, diag)
         )
     return "\n".join(lines) + "\n"
 

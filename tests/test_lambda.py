@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from gwlambda.errors import DomainError, FormatError
 from gwlambda.fields import field_model
-from gwlambda.forms import diagonal_form, exterior_power, gw_class
+from gwlambda.forms import exterior_power, gw_class
 from gwlambda.lambda_rings import (
     DEFAULT_CONSTANTS,
     EXT_SYMBOLS,
     ExtTorusConstants,
     FreeElt,
+    FreeLambdaRing,
     GWExtElt,
     GWExtTorusRing,
     GWFieldRing,
@@ -25,20 +26,18 @@ from gwlambda.lambda_rings import (
     KExtTorusRing,
     KTorusElt,
     KTorusRing,
-    augmentation,
     check_lambda1,
     check_lambda2,
-    check_line_special,
     element_record,
     element_str,
-    forgetful,
-    hyperbolic_map,
     load_constants,
     load_element,
     pair_key,
     parse_basis,
     parse_element,
 )
+
+from form_helpers import diagonal_form
 
 MODELS = ("qc", "rc", "fq:5", "fq:7")
 
@@ -487,14 +486,17 @@ def test_check_kmax_defaults():
 
 
 def test_line_special_checks():
+    # lambda^k(l*x) = l^k lambda^k(x) for a line l
     er = ext_ring("fq:5")
     f = er.field
     x = er.basis_elt(pair_key((1,)))
     line = er.elt({"delta": er.coeff_ring.diag((f.from_int(2),))})
-    assert check_line_special(line, x, kmax=4).all_pass
-    assert check_line_special(er.one, x, kmax=3).all_pass
-    with pytest.raises(DomainError, match="line"):
-        check_line_special(x, line, kmax=2)
+    for l, kmax in ((line, 4), (er.one, 3)):
+        lx, llx = x.lambda_t(kmax), (l * x).lambda_t(kmax)
+        power = er.one
+        for k in range(1, kmax + 1):
+            power = power * l
+            assert llx[k] == power * lx[k]
 
 
 def test_check_records_shape():
@@ -509,6 +511,38 @@ def test_check_records_shape():
 
 # ---------------------------------------------------------------------------
 # augmentation, forgetful, hyperbolic
+
+
+def augmentation(x):
+    """Virtual rank: the ring map to the integers sending every line to 1."""
+    return x.augmentation()
+
+
+def forgetful(x):
+    """Drop the forms: GWExt -> KExt, coefficient becoming its virtual rank."""
+    if not isinstance(x, FreeElt) or x.ring.tag != "gw-ext-torus":
+        raise DomainError("the forgetful map starts from the form-level ring")
+    rank = x.ring.coeff_ring.rank
+    return KExtTorusRing(x.ring.r).elt({b: rank(c) for b, c in x.terms.items()})
+
+
+def hyperbolic_map(x, gw_ring):
+    """Additive map KExt -> GWExt sending a character to its hyperbolic form.
+
+    Each basis copy acquires the split coefficient <1,-1>.  Additive but
+    not multiplicative.
+    """
+    if not isinstance(x, FreeElt) or x.ring.tag != "k-ext-torus":
+        raise DomainError("the hyperbolic map starts from the character ring")
+    if (
+        not isinstance(gw_ring, FreeLambdaRing)
+        or gw_ring.tag != "gw-ext-torus"
+        or gw_ring.r != x.ring.r
+    ):
+        raise DomainError("target ring must extend the same torus")
+    field = gw_ring.field
+    split = gw_ring.coeff_ring.diag((field.one, field.neg(field.one)))
+    return gw_ring.elt({b: c * split for b, c in x.terms.items()})
 
 
 def test_augmentation_values():

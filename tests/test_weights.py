@@ -7,21 +7,18 @@ import math
 import pytest
 
 from gwlambda.errors import DomainError, FormatError
-from gwlambda.lambda_rings import KTorusRing
+from gwlambda.lambda_rings import KExtTorusRing, KTorusRing
 from gwlambda.weights import (
     Flavor,
-    OrbitSimple,
     char_record,
     character_mass,
     check_triangularity,
-    classify_semidirect,
     is_dominant,
-    minus,
     weyl_character,
     weyl_dim,
 )
 
-from weight_helpers import dominance_leq, endo_dim, fold_restriction, parse_char
+from weight_helpers import dominance_leq, endo_dim, fold_restriction, minus, parse_char
 
 B1, B2, B3 = Flavor("B", 1), Flavor("B", 2), Flavor("B", 3)
 D2, D3 = Flavor("D", 2), Flavor("D", 3)
@@ -426,34 +423,48 @@ def test_fold_mass_bookkeeping():
 
 
 def test_classify_rank_one():
-    out = classify_semidirect(1, 2)
-    assert out == (
-        OrbitSimple(kind="fixed", label="1"),
-        OrbitSimple(kind="fixed", label="delta"),
-        OrbitSimple(kind="induced", rep=(1,)),
-        OrbitSimple(kind="induced", rep=(2,)),
-    )
+    assert KExtTorusRing(1).basis_symbols(2) == ["one", "delta", (1,), (2,)]
 
 
 def test_classify_rank_two():
-    out = classify_semidirect(2, 1)
-    fixed = [o for o in out if o.kind == "fixed"]
-    induced = [o for o in out if o.kind == "induced"]
-    assert [o.label for o in fixed] == ["1", "delta"]
-    assert [o.rep for o in induced] == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    out = KExtTorusRing(2).basis_symbols(1)
+    assert out[:2] == ["one", "delta"]
+    assert out[2:] == [(0, 1), (1, -1), (1, 0), (1, 1)]
 
 
 def test_classify_trivial_box():
-    out = classify_semidirect(1, 0)
-    assert len(out) == 2
-    assert all(o.kind == "fixed" for o in out)
+    assert KExtTorusRing(1).basis_symbols(0) == ["one", "delta"]
 
 
 def test_classify_validation():
     with pytest.raises(DomainError):
-        classify_semidirect(0, 1)
+        KExtTorusRing(0)
     with pytest.raises(DomainError):
-        classify_semidirect(1, -1)
+        KExtTorusRing(1).basis_symbols(-1)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_box_enumerators_against_counts(r):
+    """K(T) lists the (2b+1)^r weights of the box [-b, b]^r in lex order;
+    the extended ring lists 1, d and one of g, -g for each nonzero g in it."""
+    for bound in range(4):
+        torus = KTorusRing(r).basis_symbols(bound)
+        assert len(torus) == (2 * bound + 1) ** r
+        assert all(a < b for a, b in zip(torus, torus[1:]))
+        assert all(len(g) == r and max(map(abs, g)) <= bound for g in torus)
+
+        symbols = KExtTorusRing(r).basis_symbols(bound)
+        assert len(symbols) == 2 + ((2 * bound + 1) ** r - 1) // 2
+        assert symbols[:2] == ["one", "delta"]
+        pairs = symbols[2:]
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))
+        for g in itertools.product(range(-bound, bound + 1), repeat=r):
+            if any(g):
+                neg = tuple(-v for v in g)
+                assert (g in pairs) + (neg in pairs) == 1
+    for ring in (KTorusRing(r), KExtTorusRing(r)):
+        with pytest.raises(DomainError, match="bound"):
+            ring.basis_symbols(-1)
 
 
 def test_endo_dim_table():

@@ -1,14 +1,25 @@
 """Weight functions that only the tests use.
 
-The dominance order between two weights, the folding of a character into
-{g, -g} orbits, the endomorphism dimension of an induced simple, and the
-reader of a character record.  They are built on the helpers of
-``gwlambda.weights`` and ``gwlambda.errors`` that the program itself runs.
+The companion weight with the last coordinate negated, the dominance
+order between two weights, the folding of a character into {g, -g} orbits,
+the endomorphism dimension of an induced simple, and the reader of a
+character record.  They are built on the helpers of ``gwlambda.weights``,
+``gwlambda.lambda_rings`` and ``gwlambda.errors`` that the program itself
+runs.
 """
 
 from gwlambda.errors import DomainError, FormatError, _checked
 from gwlambda.fields import _is_prime
-from gwlambda.weights import _below, _check_weight, _partial_sums, canonical_rep
+from gwlambda.lambda_rings import canonical_rep
+from gwlambda.weights import _below, _check_weight, _partial_sums
+
+
+def minus(weight):
+    """The companion weight with the last coordinate negated."""
+    weight = tuple(weight)
+    if not weight:
+        raise DomainError("weight must have at least one coordinate")
+    return weight[:-1] + (-weight[-1],)
 
 
 def dominance_leq(lower, upper, flavor):
