@@ -10,6 +10,7 @@ element display strings (sweep names, and the lhs/rhs of failing checks).
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -340,17 +341,44 @@ VIRTUAL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(VIRTUAL_DIGESTS), ids="-".join)
-def test_virtual_element_records_digest(capsys, tmp_path, key):
-    name, check = key
+def virtual_argv(directory, name, check, fmt):
+    """``check`` on the files of VIRTUAL[name]: a product or a composition."""
     paths = []
     for tag, record in zip("xy", VIRTUAL[name]):
-        path = tmp_path / ("%s.json" % tag)
+        path = directory / ("%s.json" % tag)
         path.write_text(json.dumps(record))
         paths.append(str(path))
-    argv = ["check", "--x-file", paths[0], "--kmax", "3", "--format", "records"]
-    argv += ["--y-file", paths[1]] if check == "product" else ["--j", "2"]
+    argv = ["check", "--x-file", paths[0], "--kmax", "3", "--format", fmt]
+    return argv + (["--y-file", paths[1]] if check == "product" else ["--j", "2"])
+
+
+@pytest.mark.parametrize("key", sorted(VIRTUAL_DIGESTS), ids="-".join)
+def test_virtual_element_records_digest(capsys, tmp_path, key):
+    argv = virtual_argv(tmp_path, *key, "records")
     assert records_digest(capsys, argv) == (0, VIRTUAL_DIGESTS[key])
+
+
+# The fq:5 files in ``--format human``, run from their directory so that
+# each line names the operands x.json and y.json; then under corrupted
+# constants (lambda^2 of a pair symbol set to 1), where the product still
+# passes and the composition fails and prints the lhs and rhs of each
+# failing check.
+HUMAN_VIRTUAL = {
+    ("product", False): (0, "f6d0352ecea8a7efb022c9e268d0d05b49f52bd15df5555345c3b4c765cd8bf7"),
+    ("composition", False): (0, "42376f7d449ea565033beb0008785f88b9744aca30aa514065847c776e0b6793"),
+    ("product", True): (0, "f6d0352ecea8a7efb022c9e268d0d05b49f52bd15df5555345c3b4c765cd8bf7"),
+    ("composition", True): (1, "f421bc2b25a54c1f2c40ab04322077a82601a0f5c11b898b9bfe28e3618f0f76"),
+}
+
+
+@pytest.mark.parametrize("check, corrupted", sorted(HUMAN_VIRTUAL))
+def test_virtual_element_human_digest(capsys, tmp_path, monkeypatch, check, corrupted):
+    monkeypatch.chdir(tmp_path)
+    argv = virtual_argv(Path(), "gw-ext-torus-fq5", check, "human")
+    if corrupted:
+        Path("constants.json").write_text(json.dumps({"lambda2_pair": "one"}))
+        argv += ["--constants", "constants.json"]
+    assert records_digest(capsys, argv) == HUMAN_VIRTUAL[check, corrupted]
 
 
 # The classes and diagonalizations of the forms built from the two ``FORMS``
