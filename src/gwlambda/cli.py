@@ -146,7 +146,7 @@ def _cmd_poly(args, emit):
 def _sweep_elements(args, constants):
     """Deterministic list of (name, element) basis pairs for the ring."""
     ring_tag = args.ring
-    bound = args.bound
+    bound, r = args.bound, args.r
     if bound < 0:
         raise DomainError("--bound must be >= 0")
     if ring_tag == "integers":
@@ -158,16 +158,16 @@ def _sweep_elements(args, constants):
         reps = [field.one] + [a for a in field.square_classes if a != field.one]
         return [("<%s>" % field.to_str(a), ring.diag([a])) for a in reps]
     if ring_tag == "k-torus":
-        ring = lr.KTorusRing(args.r)
+        ring = lr.KTorusRing(r)
         lines = [ring.line(g) for g in ring.basis_symbols(bound)]
         return [(lr.element_str(x), x) for x in lines]
-    if ring_tag in ("k-ext-torus", "gw-ext-torus"):
-        if ring_tag == "k-ext-torus":
-            ring = lr.KExtTorusRing(args.r)
-        else:
-            ring = lr.GWExtTorusRing(args.r, _require_field(args), constants)
-        return [(ring.basis.record(b), ring.basis_elt(b)) for b in ring.basis_symbols(bound)]
-    raise DomainError("--sweep requires --ring")
+    if ring_tag == "k-ext-torus":
+        ring = lr.KExtTorusRing(r)
+    elif ring_tag == "gw-ext-torus":
+        ring = lr.GWExtTorusRing(r, _require_field(args), constants)
+    else:
+        raise DomainError("--sweep requires --ring")
+    return [(ring.basis.record(b), ring.basis_elt(b)) for b in ring.basis_symbols(bound)]
 
 
 def _require_field(args):
@@ -176,23 +176,8 @@ def _require_field(args):
     return field_model(args.field)
 
 
-def _emit_check(report, name_x, name_y, args, emit):
-    for rec in report:
-        if args.format == "records":
-            emit(_json_line(rec.to_record()))
-        else:
-            tag = "PASS" if rec.passed else "FAIL"
-            ctx = "x=%s" % name_x
-            if name_y is not None:
-                ctx += " y=%s" % name_y
-            emit("[%s] %s k=%d %s" % (tag, rec.check, rec.k, ctx))
-            if not rec.passed:
-                emit("       lhs = %s" % lr.element_str(rec.lhs))
-                emit("       rhs = %s" % lr.element_str(rec.rhs))
-    return report.all_pass
-
-
-def _cmd_check(args, emit):
+def _checks(args):
+    """The checks of the one operand mode, as (checker, arguments, x name, y name)."""
     inline = args.x is not None or args.y is not None
     if inline + bool(args.x_file or args.y_file) + args.sweep > 1:
         raise DomainError("give one operand mode: --x/--y, --x-file/--y-file or --sweep")
@@ -201,53 +186,64 @@ def _cmd_check(args, emit):
     constants = lr.DEFAULT_CONSTANTS
     if args.constants:
         constants = lr.load_constants(args.constants)
-    total = 0
-    failed = 0
-
-    def run(report, nx, ny):
-        nonlocal total, failed
-        total += len(report)
-        if not _emit_check(report, nx, ny, args, emit):
-            failed += sum(1 for r in report if not r.passed)
-
-    if inline:
-        if args.ring != "integers":
-            raise DomainError("inline --x/--y operands are for --ring integers")
-        nx = args.x if args.x is not None else 1
-        ny = args.y if args.y is not None else 1
-        one = lr.IntegerRing().one
-        run(lr.check_lambda1(nx * one, ny * one, args.kmax), str(nx), str(ny))
-        if args.j is not None:
-            run(lr.check_lambda2(nx * one, args.j, args.kmax), str(nx), None)
-    elif args.x_file:
-        x = lr.load_element(args.x_file, constants)
-        did = False
-        if args.y_file:
-            y = lr.load_element(args.y_file, constants)
-            run(lr.check_lambda1(x, y, args.kmax), args.x_file, args.y_file)
-            did = True
-        if args.j is not None:
-            run(lr.check_lambda2(x, args.j, args.kmax), args.x_file, None)
-            did = True
-        if not did:
-            raise DomainError("give --y-file for products or --j for compositions")
-    elif args.sweep:
-        kmax = args.kmax if args.kmax is not None else 4
+    if args.sweep:
+        kmax = 4 if args.kmax is None else args.kmax
         elements = _sweep_elements(args, constants)
         if args.jmax < 0:
             raise DomainError("--jmax must be >= 0")
-        for i, (nx, x) in enumerate(elements):
-            for ny, y in elements[i:]:
-                run(lr.check_lambda1(x, y, kmax), nx, ny)
-        for nx, x in elements:
-            for j in range(1, args.jmax + 1):
-                run(lr.check_lambda2(x, j, kmax), nx, None)
+        return [
+            (lr.check_lambda1, (x, y, kmax), nx, ny)
+            for i, (nx, x) in enumerate(elements)
+            for ny, y in elements[i:]
+        ] + [
+            (lr.check_lambda2, (x, j, kmax), nx, None)
+            for nx, x in elements
+            for j in range(1, args.jmax + 1)
+        ]
+    if inline:
+        if args.ring != "integers":
+            raise DomainError("inline --x/--y operands are for --ring integers")
+        nx, ny = (1 if v is None else v for v in (args.x, args.y))
+        x, y = (n * lr.IntegerRing().one for n in (nx, ny))
+        nx, ny = str(nx), str(ny)
+    elif args.x_file:
+        x = lr.load_element(args.x_file, constants)
+        if not args.y_file and args.j is None:
+            raise DomainError("give --y-file for products or --j for compositions")
+        y = lr.load_element(args.y_file, constants) if args.y_file else None
+        nx, ny = args.x_file, args.y_file
     else:
         raise DomainError("give --sweep or an --x-file")
+    checks = [] if y is None else [(lr.check_lambda1, (x, y, args.kmax), nx, ny)]
+    if args.j is not None:
+        checks.append((lr.check_lambda2, (x, args.j, args.kmax), nx, None))
+    return checks
 
-    if args.format == "human":
-        emit("checks: %d passed, %d failed" % (total - failed, failed))
-    return 0 if failed == 0 else 1
+
+def _cmd_check(args, emit):
+    checks = _checks(args)
+    passed = {True: 0, False: 0}
+
+    def run():
+        for checker, operands, nx, ny in checks:
+            for rec in checker(*operands):
+                passed[rec.passed] += 1
+                yield rec, nx, ny
+
+    def lines(results):
+        for rec, nx, ny in results:
+            ctx = "x=%s" % nx if ny is None else "x=%s y=%s" % (nx, ny)
+            yield "[%s] %s k=%d %s" % ("PASS" if rec.passed else "FAIL", rec.check, rec.k, ctx)
+            if not rec.passed:
+                yield "       lhs = %s" % lr.element_str(rec.lhs)
+                yield "       rhs = %s" % lr.element_str(rec.rhs)
+        yield "checks: %d passed, %d failed" % (passed[True], passed[False])
+
+    # _write reads one of the two renderings of the one run, so each check
+    # runs as its lines are written and no report outlives them.
+    results = run()
+    _write(args, emit, (rec.to_record() for rec, _, _ in results), lines(results))
+    return 1 if passed[False] else 0
 
 
 # ---------------------------------------------------------------------------

@@ -834,25 +834,9 @@ class CheckRecord:
         )
 
 
-class CheckReport:
-    __slots__ = ("records",)
-
-    def __init__(self, records):
-        self.records = tuple(records)
-
-    @property
-    def all_pass(self):
-        return all(r.passed for r in self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
-
-def _default_kmax(value):
-    return max(1, value)
+def _records(check, kmax, lhs, rhs):
+    """One CheckRecord per k = 1..kmax: ``lhs[k]`` against ``rhs(k)``."""
+    return tuple(CheckRecord(check, k, lhs[k], rhs(k)) for k in range(1, kmax + 1))
 
 
 def check_lambda1(x, y, kmax=None):
@@ -860,23 +844,16 @@ def check_lambda1(x, y, kmax=None):
     if x.ring != y.ring:
         raise DomainError("operands must share a ring")
     if kmax is None:
-        kmax = _default_kmax(x.augmentation() * y.augmentation())
+        kmax = max(1, x.augmentation() * y.augmentation())
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    ring = x.ring
-    lx = x.lambda_t(kmax)
-    ly = y.lambda_t(kmax)
-    lxy = (x * y).lambda_t(kmax)
-    records = []
-    for k in range(1, kmax + 1):
-        poly = symfun.universal_P(k)
-        rhs = poly.evaluate(
-            [lx[i] for i in range(1, k + 1)],
-            [ly[i] for i in range(1, k + 1)],
-            one=ring.one,
-        )
-        records.append(CheckRecord("lambda1", k, lxy[k], rhs))
-    return CheckReport(records)
+    lx, ly, lxy = x.lambda_t(kmax), y.lambda_t(kmax), (x * y).lambda_t(kmax)
+    return _records(
+        "lambda1",
+        kmax,
+        lxy,
+        lambda k: symfun.universal_P(k).evaluate(lx[1 : k + 1], ly[1 : k + 1], one=x.ring.one),
+    )
 
 
 def check_lambda2(x, j, kmax=None):
@@ -884,22 +861,16 @@ def check_lambda2(x, j, kmax=None):
     if j < 1:
         raise DomainError("inner index j must be >= 1")
     if kmax is None:
-        kmax = _default_kmax(_binom_general(x.augmentation(), j))
+        kmax = max(1, _binom_general(x.augmentation(), j))
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    ring = x.ring
     lx = x.lambda_t(kmax * j)
-    inner = lx[j]
-    linner = inner.lambda_t(kmax)
-    records = []
-    for k in range(1, kmax + 1):
-        poly = symfun.universal_P_kj(k, j)
-        rhs = poly.evaluate(
-            [lx[i] for i in range(1, k * j + 1)],
-            one=ring.one,
-        )
-        records.append(CheckRecord("lambda2", k, linner[k], rhs))
-    return CheckReport(records)
+    return _records(
+        "lambda2",
+        kmax,
+        lx[j].lambda_t(kmax),
+        lambda k: symfun.universal_P_kj(k, j).evaluate(lx[1 : k * j + 1], one=x.ring.one),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -310,26 +310,21 @@ def _truncated_elem(monomials, k, blocks):
     return out
 
 
+@lru_cache(maxsize=None)
 def universal_P(k, n_vars=None):
     """The polynomial expressing lambda^k(x*y) in the lambda^i of the factors.
 
     Defined by: the coefficient of T^k in prod_{i,j} (1 + x_i y_j T),
     written in elementary symmetric variables of the two alphabets.
     ``n_vars`` defaults to k, which already determines the answer; passing
-    a larger value recomputes the table for the stability check.
+    a larger value builds the table again for the stability check.
     """
     if k < 1:
         raise DomainError("universal_P needs k >= 1")
-    if n_vars is None:
-        return _universal_P_cached(k)
-    if n_vars < k:
+    n = k if n_vars is None else n_vars
+    if n < k:
         raise DomainError("need at least k variables per alphabet")
-    return _universal_P_build(k, n_vars)
-
-
-@lru_cache(maxsize=None)
-def _universal_P_cached(k):
-    return _universal_P_build(k, k)
+    return _universal_P_build(k, n)
 
 
 def _universal_P_build(k, n):
@@ -339,6 +334,7 @@ def _universal_P_build(k, n):
     return _elementary_table(_truncated_elem(monomials, k, (n, n)), n, two=True)
 
 
+@lru_cache(maxsize=None)
 def universal_P_kj(k, j, n_vars=None):
     """The polynomial expressing lambda^k(lambda^j(x)) in the lambda^i(x).
 
@@ -348,16 +344,10 @@ def universal_P_kj(k, j, n_vars=None):
     """
     if k < 1 or j < 1:
         raise DomainError("universal_P_kj needs k >= 1 and j >= 1")
-    if n_vars is None:
-        return _universal_P_kj_cached(k, j)
-    if n_vars < k * j:
+    n = k * j if n_vars is None else n_vars
+    if n < k * j:
         raise DomainError("need at least k*j variables")
-    return _universal_P_kj_build(k, j, n_vars)
-
-
-@lru_cache(maxsize=None)
-def _universal_P_kj_cached(k, j):
-    return _universal_P_kj_build(k, j, k * j)
+    return _universal_P_kj_build(k, j, n)
 
 
 def _universal_P_kj_build(k, j, n):
