@@ -33,6 +33,24 @@ import sys
 _json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
+# The rings a sweep runs on, each with the flags it reads beside --ring,
+# --bound, --kmax and --jmax; the forms actions, each with the flags it reads.
+_RING_FLAGS = {
+    "integers": (),
+    "gw-field": ("field",),
+    "k-torus": ("r",),
+    "k-ext-torus": ("r",),
+    "gw-ext-torus": ("r", "field", "constants"),
+}
+_FORMS_FLAGS = {
+    "exterior": ("infile", "k"),
+    "class": ("infile",),
+    "reduce": ("infile", "vectors"),
+    "hyperbolic-witness": ("infile",),
+    "hyperbolic": ("n", "field"),
+}
+
+
 def _common_flags(sub):
     sub.add_argument(
         "--format",
@@ -60,22 +78,19 @@ def build_parser():
     check = sub.add_parser("check", help="run lambda-identity checks")
     check.add_argument(
         "--ring",
-        choices=("integers", "gw-field", "k-torus", "k-ext-torus", "gw-ext-torus"),
+        choices=tuple(_RING_FLAGS),
         help="ring for sweep mode (element files carry their own ring)",
     )
     check.add_argument("--field", help="field spec qc, rc, or fq:<q>")
-    check.add_argument("--r", type=int, default=1, help="torus rank")
+    check.add_argument("--r", type=int, help="torus rank (default 1)")
     check.add_argument("--kmax", type=int, default=None, help="largest outer index")
     check.add_argument(
         "--jmax",
         type=int,
-        default=2,
-        help="largest inner index in sweeps; 0 means no composition checks",
+        help="largest inner index in sweeps (default 2); 0 means no composition checks",
     )
     check.add_argument("--sweep", action="store_true", help="enumerate basis elements")
-    check.add_argument(
-        "--bound", type=int, default=1, help="coordinate bound for sweeps"
-    )
+    check.add_argument("--bound", type=int, help="coordinate bound for sweeps (default 1)")
     check.add_argument("--x-file", help="element record for the first operand")
     check.add_argument("--y-file", help="element record for the second operand")
     check.add_argument("--x", type=int, help="inline integer operand (ring integers)")
@@ -89,9 +104,7 @@ def build_parser():
     _common_flags(check)
 
     forms = sub.add_parser("forms", help="operations on Gram-matrix files")
-    forms.add_argument(
-        "action", choices=("exterior", "class", "reduce", "hyperbolic-witness", "hyperbolic")
-    )
+    forms.add_argument("action", choices=tuple(_FORMS_FLAGS))
     forms.add_argument("--in", dest="infile", help="form record (JSON)")
     forms.add_argument("--k", type=int, default=None, help="exterior power index")
     forms.add_argument(
@@ -143,10 +156,20 @@ def _cmd_poly(args, emit):
 # check
 
 
-def _sweep_elements(args, constants):
+def _refuse_unread(args, what, *read):
+    """Exit 2 on a flag given on the command line that this run does not read."""
+    for dest, value in vars(args).items():
+        given = value is not None and value is not False
+        if given and dest not in read + ("command", "action", "format", "out"):
+            flag = "--in" if dest == "infile" else "--" + dest.replace("_", "-")
+            raise DomainError("%s does not read %s" % (what, flag))
+
+
+def _sweep_elements(args):
     """Deterministic list of (name, element) basis pairs for the ring."""
     ring_tag = args.ring
-    bound, r = args.bound, args.r
+    bound = 1 if args.bound is None else args.bound
+    r = 1 if args.r is None else args.r
     if bound < 0:
         raise DomainError("--bound must be >= 0")
     if ring_tag == "integers":
@@ -163,10 +186,8 @@ def _sweep_elements(args, constants):
         return [(lr.element_str(x), x) for x in lines]
     if ring_tag == "k-ext-torus":
         ring = lr.KExtTorusRing(r)
-    elif ring_tag == "gw-ext-torus":
-        ring = lr.GWExtTorusRing(r, _require_field(args), constants)
     else:
-        raise DomainError("--sweep requires --ring")
+        ring = lr.GWExtTorusRing(r, _require_field(args), _constants(args))
     return [(ring.basis.record(b), ring.basis_elt(b)) for b in ring.basis_symbols(bound)]
 
 
@@ -176,6 +197,10 @@ def _require_field(args):
     return field_model(args.field)
 
 
+def _constants(args):
+    return lr.load_constants(args.constants) if args.constants else lr.DEFAULT_CONSTANTS
+
+
 def _checks(args):
     """The checks of the one operand mode, as (checker, arguments, x name, y name)."""
     inline = args.x is not None or args.y is not None
@@ -183,13 +208,15 @@ def _checks(args):
         raise DomainError("give one operand mode: --x/--y, --x-file/--y-file or --sweep")
     if args.sweep and args.j is not None:
         raise DomainError("--j is for one operand; a sweep takes --jmax")
-    constants = lr.DEFAULT_CONSTANTS
-    if args.constants:
-        constants = lr.load_constants(args.constants)
     if args.sweep:
+        if args.ring is None:
+            raise DomainError("--sweep requires --ring")
+        flags = ("sweep", "ring", "bound", "kmax", "jmax") + _RING_FLAGS[args.ring]
+        _refuse_unread(args, "check --sweep --ring " + args.ring, *flags)
         kmax = 4 if args.kmax is None else args.kmax
-        elements = _sweep_elements(args, constants)
-        if args.jmax < 0:
+        jmax = 2 if args.jmax is None else args.jmax
+        elements = _sweep_elements(args)
+        if jmax < 0:
             raise DomainError("--jmax must be >= 0")
         return [
             (lr.check_lambda1, (x, y, kmax), nx, ny)
@@ -198,16 +225,21 @@ def _checks(args):
         ] + [
             (lr.check_lambda2, (x, j, kmax), nx, None)
             for nx, x in elements
-            for j in range(1, args.jmax + 1)
+            for j in range(1, jmax + 1)
         ]
     if inline:
+        _refuse_unread(args, "check --x/--y", "ring", "x", "y", "kmax", "j")
         if args.ring != "integers":
             raise DomainError("inline --x/--y operands are for --ring integers")
         nx, ny = (1 if v is None else v for v in (args.x, args.y))
         x, y = (n * lr.IntegerRing().one for n in (nx, ny))
         nx, ny = str(nx), str(ny)
     elif args.x_file:
+        _refuse_unread(args, "check --x-file", "x_file", "y_file", "kmax", "j", "constants")
+        constants = _constants(args)
         x = lr.load_element(args.x_file, constants)
+        if args.constants and x.ring.tag != "gw-ext-torus":
+            raise DomainError("check on a %s element does not read --constants" % x.ring.tag)
         if not args.y_file and args.j is None:
             raise DomainError("give --y-file for products or --j for compositions")
         y = lr.load_element(args.y_file, constants) if args.y_file else None
@@ -251,6 +283,7 @@ def _cmd_check(args, emit):
 
 
 def _cmd_forms(args, emit):
+    _refuse_unread(args, "forms " + args.action, *_FORMS_FLAGS[args.action])
     if args.action == "hyperbolic":
         if args.n is None or not args.field:
             raise DomainError("hyperbolic needs --n and --field")

@@ -348,11 +348,12 @@ class _SquareClasses(_Basis):
         return self.diag(ring, *sides)
 
     # The exchange format of GW(F) is one "one" term holding the counts as
-    # {pos, neg}, even for zero; the term's basis is not read back.
+    # {pos, neg}, even for zero; a term on another basis is refused.
     def terms_record(self, x):
         return [{"basis": "one", "coeff": self.coeff_record(x)}]
 
     def parse_term(self, ring, term, where):
+        _UNIT.parse(str(term.get("basis", "")), None, where)
         return self.coeff_parse(ring, term.get("coeff"), where).terms.items()
 
     def show(self, x):
@@ -640,8 +641,11 @@ class FreeLambdaRing:
         return "%s*%s+" % (element_str(coeff), body)
 
     def rank_one(self, s):
-        """The rank-1 form <s>."""
-        return self.diag((self.field.from_int(s),))
+        """The rank-1 form <s>, for the constant ``pair_zero_scale`` s."""
+        a = self.field.from_int(s)
+        if self.field.is_zero(a):
+            raise DomainError("pair_zero_scale %d is zero in the field %s" % (s, self.field.spec))
+        return self.diag((a,))
 
     def record(self, coeff):
         return self.basis.coeff_record(coeff)

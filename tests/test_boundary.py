@@ -219,3 +219,63 @@ def test_mixed_operand_modes_are_bad_input(tmp_path, name):
     code, err = run_main(argv)
     assert code == 2
     assert err.startswith("error:") and "operand" in err
+
+
+# A flag that the operand mode, the sweep's ring or the forms action does not
+# read: each of these runs ignored it and exited 0.  Now the run exits 2 and
+# names the flag (the first one, in the order of the command's options).
+UNREAD_FLAGS = {
+    "inline-and-sweep-flags": (
+        ("check", "--ring", "integers", "--x", "2", "--y", "3", "--kmax", "2",
+         "--bound", "7", "--r", "5", "--jmax", "9", "--field", "zz"),
+        "--field",
+    ),
+    "inline-and-constants": (
+        ("check", "--ring", "integers", "--x", "2", "--constants", "{c}"), "--constants"
+    ),
+    "file-and-ring-flags": (
+        ("check", "--x-file", "{f}", "--ring", "integers", "--r", "3", "--field", "qc",
+         "--bound", "4", "--j", "1"),
+        "--ring",
+    ),
+    "file-and-jmax": (("check", "--x-file", "{f}", "--j", "1", "--jmax", "3"), "--jmax"),
+    "k-ext-file-and-constants": (
+        ("check", "--x-file", "{f}", "--j", "1", "--constants", "{c}"), "--constants"
+    ),
+    "integers-sweep-and-field": (
+        ("check", "--sweep", "--ring", "integers", "--field", "qc", "--r", "3"), "--field"
+    ),
+    "gw-field-sweep-and-rank": (
+        ("check", "--sweep", "--ring", "gw-field", "--field", "qc", "--r", "1"), "--r"
+    ),
+    "k-ext-sweep-and-constants": (
+        ("check", "--sweep", "--ring", "k-ext-torus", "--bound", "1", "--kmax", "2",
+         "--constants", "{c}"),
+        "--constants",
+    ),
+    "forms-class-and-k": (("forms", "class", "--in", "{form}", "--k", "3"), "--k"),
+    "forms-exterior-and-field": (
+        ("forms", "exterior", "--in", "{form}", "--k", "1", "--field", "rc"), "--field"
+    ),
+    "forms-hyperbolic-and-in": (
+        ("forms", "hyperbolic", "--n", "2", "--field", "qc", "--in", "{form}"), "--in"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_FLAGS))
+def test_unread_flags_are_bad_input(tmp_path, name):
+    element = {"ring": "k-ext-torus", "rank_r": 1, "terms": [{"basis": "pair:1", "coeff": 1}]}
+    paths = {
+        "f": write_file(str(tmp_path), element),
+        "c": str(tmp_path / "constants.json"),
+        "form": str(tmp_path / "form.json"),
+    }
+    with open(paths["c"], "w") as fh:
+        json.dump({"lambda2_pair": "one"}, fh)
+    with open(paths["form"], "w") as fh:
+        json.dump({"field": "qc", "gram": [["1", "0"], ["0", "2"]]}, fh)
+    argv, flag = UNREAD_FLAGS[name]
+    code, err = run_main([arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert err.startswith("error:") and err.endswith(" does not read %s\n" % flag)

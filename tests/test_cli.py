@@ -235,6 +235,11 @@ BAD_ELEMENTS = {
         "field": "fq:5",
         "terms": [{"basis": "one", "coeff": ["1"]}],
     },
+    "gw-field-term-basis": {
+        "ring": "gw-field",
+        "field": "rc",
+        "terms": [{"basis": "bogus", "coeff": {"pos": ["1"], "neg": []}}],
+    },
 }
 
 
@@ -250,6 +255,22 @@ def test_check_true_constant_is_usage_error(capsys, tmp_path):
         capsys, "check", "--sweep", "--ring", "gw-ext-torus", "--field", "rc",
         "--constants", path,
     )
+
+
+@pytest.mark.parametrize("field, scale", [("fq:5", 5), ("fq:3", -3)])
+def test_pair_zero_scale_zero_in_the_field_is_named(capsys, tmp_path, field, scale):
+    path = write_json(tmp_path / "c.json", {"pair_zero_scale": scale})
+    err = main_usage_error(
+        capsys, "check", "--sweep", "--ring", "gw-ext-torus", "--field", field,
+        "--constants", path,
+    )
+    assert err == "error: pair_zero_scale %d is zero in the field %s\n" % (scale, field)
+    x = write_json(
+        tmp_path / "x.json",
+        {"ring": "gw-ext-torus", "rank_r": 1, "field": field, "terms": []},
+    )
+    err = main_usage_error(capsys, "check", "--x-file", x, "--j", "1", "--constants", path)
+    assert "pair_zero_scale" in err and field in err
 
 
 def test_directory_as_input_or_output_is_usage_error(capsys, tmp_path):

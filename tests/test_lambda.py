@@ -729,6 +729,18 @@ def test_parse_element_diagnostics():
         )
 
 
+def test_gw_field_terms_are_on_the_unit():
+    # GW(F) is free over Z on the square classes, but its exchange format
+    # holds them in the coefficient of one "one" term.
+    term = {"coeff": {"pos": ["1"], "neg": []}}
+    for basis in ("bogus", "delta", None):
+        record = {"ring": "gw-field", "field": "rc", "terms": [dict(term, basis=basis)]}
+        with pytest.raises(FormatError, match=r"terms\[0\]\.basis must be 'one'"):
+            parse_element(record)
+    record = {"ring": "gw-field", "field": "rc", "terms": [dict(term, basis="one")]}
+    assert parse_element(record) == GWFieldRing(field_model("rc")).one
+
+
 def test_element_str_formats():
     er = ext_ring("fq:5")
     g = er.basis_elt(pair_key((1,)))
