@@ -201,8 +201,8 @@ def _constants(args):
     return lr.load_constants(args.constants) if args.constants else lr.DEFAULT_CONSTANTS
 
 
-def _checks(args):
-    """The checks of the one operand mode, as (checker, arguments, x name, y name)."""
+def _reports(args):
+    """Run the checks of the one operand mode, yielding (report, x name, y name)."""
     inline = args.x is not None or args.y is not None
     if inline + bool(args.x_file or args.y_file) + args.sweep > 1:
         raise DomainError("give one operand mode: --x/--y, --x-file/--y-file or --sweep")
@@ -218,15 +218,13 @@ def _checks(args):
         elements = _sweep_elements(args)
         if jmax < 0:
             raise DomainError("--jmax must be >= 0")
-        return [
-            (lr.check_lambda1, (x, y, kmax), nx, ny)
-            for i, (nx, x) in enumerate(elements)
-            for ny, y in elements[i:]
-        ] + [
-            (lr.check_lambda2, (x, j, kmax), nx, None)
-            for nx, x in elements
-            for j in range(1, jmax + 1)
-        ]
+        for i, (nx, x) in enumerate(elements):
+            for ny, y in elements[i:]:
+                yield lr.check_lambda1(x, y, kmax), nx, ny
+        for nx, x in elements:
+            for j in range(1, jmax + 1):
+                yield lr.check_lambda2(x, j, kmax), nx, None
+        return
     if inline:
         _refuse_unread(args, "check --x/--y", "ring", "x", "y", "kmax", "j")
         if args.ring != "integers":
@@ -246,19 +244,18 @@ def _checks(args):
         nx, ny = args.x_file, args.y_file
     else:
         raise DomainError("give --sweep or an --x-file")
-    checks = [] if y is None else [(lr.check_lambda1, (x, y, args.kmax), nx, ny)]
+    if y is not None:
+        yield lr.check_lambda1(x, y, args.kmax), nx, ny
     if args.j is not None:
-        checks.append((lr.check_lambda2, (x, args.j, args.kmax), nx, None))
-    return checks
+        yield lr.check_lambda2(x, args.j, args.kmax), nx, None
 
 
 def _cmd_check(args, emit):
-    checks = _checks(args)
     passed = {True: 0, False: 0}
 
     def run():
-        for checker, operands, nx, ny in checks:
-            for rec in checker(*operands):
+        for report, nx, ny in _reports(args):
+            for rec in report:
                 passed[rec.passed] += 1
                 yield rec, nx, ny
 

@@ -317,7 +317,7 @@ def universal_P(k, n_vars=None):
     Defined by: the coefficient of T^k in prod_{i,j} (1 + x_i y_j T),
     written in elementary symmetric variables of the two alphabets.
     ``n_vars`` defaults to k, which already determines the answer; passing
-    a larger value builds the table again for the stability check.
+    a larger value recomputes the table for the stability check.
     """
     if k < 1:
         raise DomainError("universal_P needs k >= 1")
