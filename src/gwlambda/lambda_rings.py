@@ -838,6 +838,20 @@ class CheckRecord:
         )
 
 
+# The largest degree of a table that a check builds: k of P_k in lambda1,
+# k*j of P_kj in lambda2.  Each table up to it builds in under a second,
+# and the time grows about 2.5-fold per degree (README).
+MAX_DEGREE = 12
+
+
+def _checked_kmax(kmax, degree, what):
+    """Refuse a kmax below 1, or a table degree above MAX_DEGREE, before any work."""
+    if kmax < 1:
+        raise DomainError("kmax must be >= 1")
+    if degree > MAX_DEGREE:
+        raise DomainError("%s is %d; checks build tables up to %d" % (what, degree, MAX_DEGREE))
+
+
 def _records(check, kmax, lhs, rhs):
     """One CheckRecord per k = 1..kmax: ``lhs[k]`` against ``rhs(k)``."""
     return tuple(CheckRecord(check, k, lhs[k], rhs(k)) for k in range(1, kmax + 1))
@@ -849,8 +863,7 @@ def check_lambda1(x, y, kmax=None):
         raise DomainError("operands must share a ring")
     if kmax is None:
         kmax = max(1, x.augmentation() * y.augmentation())
-    if kmax < 1:
-        raise DomainError("kmax must be >= 1")
+    _checked_kmax(kmax, kmax, "kmax")
     lx, ly, lxy = x.lambda_t(kmax), y.lambda_t(kmax), (x * y).lambda_t(kmax)
     return _records(
         "lambda1",
@@ -866,8 +879,7 @@ def check_lambda2(x, j, kmax=None):
         raise DomainError("inner index j must be >= 1")
     if kmax is None:
         kmax = max(1, _binom_general(x.augmentation(), j))
-    if kmax < 1:
-        raise DomainError("kmax must be >= 1")
+    _checked_kmax(kmax, kmax * j, "kmax*j")
     lx = x.lambda_t(kmax * j)
     return _records(
         "lambda2",

@@ -7,13 +7,19 @@ Two families: the coefficient of T^k in
 
 expressed in the elementary symmetric polynomials of each alphabet
 (x1..xn, and y1..yn for the first family) as an :class:`EPolynomial`.
-Each table is built by expanding the product into a sparse
-{exponent vector: coefficient} dict and then repeatedly clearing the
-lexicographic leading term.  The expansion packs each exponent vector into
-one int, a byte per variable (so k < 256), and decodes only the
-partition-shaped keys of T^k.  Truncation degree k only requires n = k
-(resp. n = k*j) variables; stability in n is a testable property, not an
-assumption baked into the data structures.
+Each table starts from its coefficients on partition-shaped monomials and
+reduces them to the elementary basis by repeatedly clearing the
+lexicographic leading term.  For the first family the coefficient of
+x^lam y^mu T^k is the number of 0/1 matrices with row sums lam and column
+sums mu (Macdonald, Symmetric Functions and Hall Polynomials, ch. I.6), so
+no product is expanded.  The second expands its product into a sparse
+{exponent vector: coefficient} dict, packing each exponent vector into one
+int with nine bits per variable: eight for the exponent (so k < 256) and a
+guard bit that drops every partial product whose exponents already exceed
+those of any partition of k*j.  Both refuse k >= 256 before any work.
+Truncation degree k only requires n = k (resp. n = k*j) variables;
+stability in n is a testable property, not an assumption baked into the
+data structures.
 """
 
 import itertools
@@ -162,10 +168,10 @@ def _partition_to_e(part):
 # ---------------------------------------------------------------------------
 # universal polynomial tables
 
-# The leading-term reduction (``_elementary_table``) runs on partition
-# representatives only: a symmetric polynomial
-# is determined by its coefficients on weakly decreasing exponent vectors,
-# and the coefficient of x^cols in prod_r e_{rows[r]} is the number of 0/1
+# The leading-term reduction (``_reduce_symmetric_parts``) runs on
+# partition representatives only: a symmetric polynomial is determined by
+# its coefficients on weakly decreasing exponent vectors, and the
+# coefficient of x^cols in prod_r e_{rows[r]} is the number of 0/1
 # matrices with the given row and column sums.  Expanding e-monomials over
 # every monomial of the ambient ring instead blows up around total degree 8
 # in 9+ variables.
@@ -235,19 +241,19 @@ def _e_partition_coeffs(n, exps):
     return out
 
 
-def _reduce_symmetric_parts(work, n, two):
-    """Leading-term reduction on {(x partition, y partition): coeff} dicts."""
+def _reduce_symmetric_parts(work, n):
+    """Leading-term reduction on {(x partition, y partition): coeff} dicts.
+
+    One-alphabet dicts carry the empty y partition, whose e-monomial is 1.
+    """
     out = {}
     while work:
         lead = max(work)
         coeff = work[lead]
         xpart, ypart = lead
-        ex = _partition_to_e(xpart)
-        ey = _partition_to_e(ypart) if two else ()
-        key = (ex, ey)
-        out[key] = out.get(key, 0) + coeff
-        xexp = _e_partition_coeffs(n, ex)
-        yexp = _e_partition_coeffs(n, ey) if two else {(): 1}
+        ex, ey = _partition_to_e(xpart), _partition_to_e(ypart)
+        out[(ex, ey)] = out.get((ex, ey), 0) + coeff
+        xexp, yexp = _e_partition_coeffs(n, ex), _e_partition_coeffs(n, ey)
         for xk, xv in xexp.items():
             for yk, yv in yexp.items():
                 mono = (xk, yk)
@@ -259,55 +265,57 @@ def _reduce_symmetric_parts(work, n, two):
     return out
 
 
-def _elementary_table(terms, n, two):
-    """Reduce a symmetric coefficient dict to an EPolynomial.
+def _elementary_table(terms, n):
+    """Reduce a symmetric coefficient dict in n variables to an EPolynomial.
 
-    ``terms`` maps exponent vectors (the x block of length n, then the y
-    block when ``two``) to coefficients; it must be symmetric within each
-    block, and only its partition-shaped keys are read.
+    ``terms`` maps exponent vectors of length n to coefficients; it must be
+    symmetric, and only its partition-shaped keys are read.
     """
-    work = {}
-    for exps, c in terms.items():
-        x, y = exps[:n], exps[n:]
-        if any(x[i] < x[i + 1] for i in range(len(x) - 1)):
-            continue
-        if two and any(y[i] < y[i + 1] for i in range(len(y) - 1)):
-            continue
-        work[(_strip(x), _strip(y))] = c
-    return EPolynomial(n, _reduce_symmetric_parts(work, n, two), 2 if two else 1)
+    work = {
+        (_strip(exps), ()): c
+        for exps, c in terms.items()
+        if all(a >= b for a, b in zip(exps, exps[1:]))
+    }
+    return EPolynomial(n, _reduce_symmetric_parts(work, n))
 
 
-def _truncated_elem(monomials, k, blocks):
+def _truncated_elem(monomials, k, bounds):
     """Partition-shaped coefficients of T^k in prod (1 + m*T) over the monomials.
 
-    Each exponent vector is packed into one int, one byte per variable with
-    variable 0 in the most significant byte, so that multiplying by a
-    monomial is one integer addition.  The monomials are 0/1 vectors, so no
-    exponent exceeds k and k < 256 keeps every digit from carrying.
-    ``blocks`` gives the alphabet sizes; only T^k keys weakly decreasing
-    within each block are decoded and returned, as exponent tuples.
+    Each exponent vector is packed into one int, nine bits per variable with
+    variable 0 in the most significant digit, so that multiplying by a
+    monomial is one integer addition.  Digit i starts at 255 - bounds[i], so
+    an exponent above its bound sets the digit's top (guard) bit, and one
+    AND with the guard bits drops that product: exponents only grow, so no
+    product of it could come back within the bounds.  The monomials are 0/1
+    vectors, so a kept digit is at most 255 and the next product's at most
+    256; no digit carries while every bound is in 0..255.  Only T^k keys
+    that are weakly decreasing are decoded and returned, as exponent tuples.
     """
-    if k >= 256:
-        raise DomainError("tables need k < 256 (one byte per exponent)")
-    coeffs = [{0: 1}] + [{} for _ in range(k)]
+    shifts = [9 * i for i in reversed(range(len(bounds)))]
+    guard = sum(256 << s for s in shifts)
+    start = sum((255 - b) << s for b, s in zip(bounds, shifts))
+    coeffs = [{start: 1}] + [{} for _ in range(k)]
     for seen, mono in enumerate(monomials, 1):
-        m = int.from_bytes(bytes(mono), "big")
+        m = sum(e << s for e, s in zip(mono, shifts))
         for t in range(min(seen, k), 0, -1):
             cur = coeffs[t]
             for key, val in coeffs[t - 1].items():
                 nk = key + m
-                cur[nk] = cur.get(nk, 0) + val
-    starts = itertools.accumulate(blocks, initial=0)
-    steps = [i for s, size in zip(starts, blocks) for i in range(s, s + size - 1)]
-    width, out = sum(blocks), {}
+                if not nk & guard:
+                    cur[nk] = cur.get(nk, 0) + val
+    out = {}
     for key, val in coeffs[k].items():
-        exps = key.to_bytes(width, "big")
-        for i in steps:
-            if exps[i] < exps[i + 1]:
-                break
-        else:
+        exps = [((key >> s) & 511) - 255 + b for b, s in zip(bounds, shifts)]
+        if all(a >= b for a, b in zip(exps, exps[1:])):
             out[tuple(exps)] = val
     return out
+
+
+def _refuse_large(k):
+    """Refuse k >= 256 before any work: P_kj keeps exponents up to k in a byte."""
+    if k >= 256:
+        raise DomainError("tables need k < 256")
 
 
 @lru_cache(maxsize=None)
@@ -321,6 +329,7 @@ def universal_P(k, n_vars=None):
     """
     if k < 1:
         raise DomainError("universal_P needs k >= 1")
+    _refuse_large(k)
     n = k if n_vars is None else n_vars
     if n < k:
         raise DomainError("need at least k variables per alphabet")
@@ -328,10 +337,13 @@ def universal_P(k, n_vars=None):
 
 
 def _universal_P_build(k, n):
-    monomials = (
-        [int(v in (i, n + j)) for v in range(2 * n)] for i in range(n) for j in range(n)
-    )
-    return _elementary_table(_truncated_elem(monomials, k, (n, n)), n, two=True)
+    # The coefficient of x^lam y^mu T^k counts the 0/1 matrices with row
+    # sums lam and column sums mu: each entry picks x_i y_j T or 1.
+    parts = list(_bounded_partitions(k, k, n))
+    work = {
+        (lam, mu): c for lam in parts for mu in parts if (c := _matrix_count(lam, mu))
+    }
+    return EPolynomial(n, _reduce_symmetric_parts(work, n), alphabets=2)
 
 
 @lru_cache(maxsize=None)
@@ -344,6 +356,7 @@ def universal_P_kj(k, j, n_vars=None):
     """
     if k < 1 or j < 1:
         raise DomainError("universal_P_kj needs k >= 1 and j >= 1")
+    _refuse_large(k)
     n = k * j if n_vars is None else n_vars
     if n < k * j:
         raise DomainError("need at least k*j variables")
@@ -355,4 +368,6 @@ def _universal_P_kj_build(k, j, n):
         [int(v in subset) for v in range(n)]
         for subset in itertools.combinations(range(n), j)
     )
-    return _elementary_table(_truncated_elem(monomials, k, (n,)), n, two=False)
+    # A partition of k*j with no part above k has part i + 1 <= k*j // (i + 1).
+    bounds = [min(k, k * j // (i + 1)) for i in range(n)]
+    return _elementary_table(_truncated_elem(monomials, k, bounds), n)

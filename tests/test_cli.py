@@ -109,6 +109,21 @@ def test_composition_on_a_large_integer_is_quick():
     assert out.stdout.splitlines()[-1] == "checks: 4 passed, 0 failed"
 
 
+def test_default_kmax_at_nine_is_quick():
+    # kmax defaults to 3 * 3, so the check builds P_1..P_9.
+    out = run_cli("check", "--ring", "integers", "--x", "3", "--y", "3", timeout=5)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "checks: 9 passed, 0 failed"
+
+
+def test_default_kmax_above_the_table_cap_is_refused_quickly():
+    # kmax would default to 1000 * 1000; the check refuses it before any work.
+    out = run_cli("check", "--ring", "integers", "--x", "1000", "--y", "1000", timeout=5)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")
+
+
 def test_check_element_files(tmp_path):
     er = GWExtTorusRing(1, field_model("fq:5"))
     x = er.basis_elt(pair_key((1,)))

@@ -485,6 +485,22 @@ def test_check_kmax_defaults():
     assert max(rec.k for rec in report2) >= 1
 
 
+def test_check_table_degree_cap():
+    # lambda1 builds P_1..P_kmax and lambda2 P_kj(1..kmax, j); a degree
+    # (kmax, resp. kmax*j) above 12 is refused before any series work.
+    one = IntegerRing().one
+    assert all(rec.passed for rec in check_lambda2(2 * one, j=6, kmax=2))
+    huge = 10**6 * one
+    for call in (
+        lambda: check_lambda1(huge, huge),
+        lambda: check_lambda1(one, one, kmax=13),
+        lambda: check_lambda2(one, j=13, kmax=1),
+        lambda: check_lambda2(huge, j=2),
+    ):
+        with pytest.raises(DomainError, match="checks build tables up to 12"):
+            call()
+
+
 def test_line_special_checks():
     # lambda^k(l*x) = l^k lambda^k(x) for a line l
     er = ext_ring("fq:5")

@@ -67,7 +67,7 @@ def assert_grid_equal(terms, ep, n, two):
 
 def test_reduce_power_sum_two():
     terms = {(2, 0): 1, (0, 2): 1}
-    got = symfun._elementary_table(terms, 2, False)
+    got = symfun._elementary_table(terms, 2)
     assert got == EPolynomial(2, {((2,), ()): 1, ((0, 1), ()): -2})
     assert_grid_equal(terms, got, 2, False)
 
@@ -75,18 +75,32 @@ def test_reduce_power_sum_two():
 def test_reduce_round_trip_handmade():
     terms = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1,
              (1, 1, 0): 4, (1, 0, 1): 4, (0, 1, 1): 4}
-    assert_grid_equal(terms, symfun._elementary_table(terms, 3, False), 3, False)
+    assert_grid_equal(terms, symfun._elementary_table(terms, 3), 3, False)
+
+
+def two_alphabet_table(terms, n):
+    """Reduce a dict on (x block, y block) exponent vectors, each block of n.
+
+    The terms must be symmetric within each block; the partition-shaped
+    keys go through ``symfun._reduce_symmetric_parts`` as pairs.
+    """
+    work = {
+        (symfun._strip(e[:n]), symfun._strip(e[n:])): c
+        for e, c in terms.items()
+        if partition_shaped(e, (n, n))
+    }
+    return EPolynomial(n, symfun._reduce_symmetric_parts(work, n), alphabets=2)
 
 
 def test_reduce_two_alphabets():
     terms = {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1}
-    got = symfun._elementary_table(terms, 2, True)
+    got = two_alphabet_table(terms, 2)
     assert got == EPolynomial(2, {((1,), (1,)): 1}, alphabets=2)
     assert_grid_equal(terms, got, 2, True)
     px = symmetrize([((2, 0), 1), ((1, 1), 3)])
     py = symmetrize([((2, 0), 1), ((1, 0), -2)])
     terms = {a + b: c * d for a, c in px.items() for b, d in py.items()}
-    assert_grid_equal(terms, symfun._elementary_table(terms, 2, True), 2, True)
+    assert_grid_equal(terms, two_alphabet_table(terms, 2), 2, True)
 
 
 def symmetrize(orbits):
@@ -112,7 +126,7 @@ def symmetrize(orbits):
 )
 def test_reduce_round_trip_random(n, raw_orbits):
     terms = symmetrize([(tuple(exps[:n]), coeff) for exps, coeff in raw_orbits])
-    assert_grid_equal(terms, symfun._elementary_table(terms, n, False), n, False)
+    assert_grid_equal(terms, symfun._elementary_table(terms, n), n, False)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +353,23 @@ def partition_shaped(exps, blocks):
     return True
 
 
-def assert_expansion_matches(monomials, k, blocks):
-    full = tuple_truncated_elem(monomials, k, sum(blocks))[k]
-    expected = {e: c for e, c in full.items() if partition_shaped(e, blocks)}
-    assert symfun._truncated_elem(iter(monomials), k, blocks) == expected
+def subset_monomials(n, j):
+    """The 0/1 exponent vectors of the products of j of n variables."""
+    return [
+        tuple(int(v in subset) for v in range(n))
+        for subset in itertools.combinations(range(n), j)
+    ]
+
+
+def assert_expansion_matches(monomials, k):
+    # With 0/1 monomials no exponent of T^k exceeds k, so bounds of k prune
+    # nothing; part i + 1 of a partition of the total is at most
+    # total // (i + 1), the bounds the builder of P_kj uses.
+    width, total = len(monomials[0]), k * sum(monomials[0])
+    full = tuple_truncated_elem(monomials, k, width)[k]
+    expected = {e: c for e, c in full.items() if partition_shaped(e, (width,))}
+    for bounds in ([min(k, total // (i + 1)) for i in range(width)], [k] * width):
+        assert symfun._truncated_elem(iter(monomials), k, bounds) == expected
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -355,25 +382,74 @@ def test_packed_expansion_P(k, extra):
             mono = [0] * (2 * n)
             mono[i] = mono[n + j] = 1
             monomials.append(tuple(mono))
-    assert_expansion_matches(monomials, k, (n, n))
+    assert_expansion_matches(monomials, k)
 
 
 @pytest.mark.parametrize(
     "k, j", [(k, j) for k in range(1, 9) for j in range(1, 9) if k * j <= 8]
 )
 def test_packed_expansion_P_kj(k, j):
-    n = k * j
-    monomials = [
-        tuple(int(v in subset) for v in range(n))
-        for subset in itertools.combinations(range(n), j)
-    ]
-    assert_expansion_matches(monomials, k, (n,))
+    assert_expansion_matches(subset_monomials(k * j, j), k)
 
 
 def test_packed_expansion_largest_digit_does_not_carry():
     # (1 + xyT)^255: the T^255 coefficient is x^255 y^255, both digits full.
-    assert symfun._truncated_elem([(1, 1)] * 255, 255, (2,)) == {(255, 255): 1}
-    assert symfun._truncated_elem([(1, 0)] * 255, 255, (1, 1)) == {(255, 0): 1}
+    assert symfun._truncated_elem([(1, 1)] * 255, 255, (255, 255)) == {(255, 255): 1}
+    assert symfun._truncated_elem([(1, 0)] * 255, 255, (255, 0)) == {(255, 0): 1}
+    # One past its bound sets a digit's guard bit, and the product is dropped.
+    assert symfun._truncated_elem([(1, 1)] * 255, 255, (255, 254)) == {}
+    assert symfun._truncated_elem([(1, 1)] * 255, 255, (254, 255)) == {}
+    assert symfun._truncated_elem([(1, 0)] * 2, 2, (1, 0)) == {}
+
+
+def brute_force_P_terms(k, n):
+    """Coefficients of T^k in prod_{i,j} (1 + x_i y_j T), x block then y block.
+
+    Grouped by rows, the product is prod_i sum_S x_i^|S| y^S T^|S| over the
+    subsets S of the y alphabet.  So the coefficient of x^lam, for each
+    partition lam of k, is prod_i e_{lam_i}(y), multiplied out here subset
+    by subset on exponent tuples.  The other x keys are permutations of
+    these and are not needed by the reduction.
+    """
+    terms = {}
+    for lam in partitions(k, n):
+        ys = {(0,) * n: 1}
+        for part in lam:
+            nxt = {}
+            for key, c in ys.items():
+                for subset in itertools.combinations(range(n), part):
+                    nk = tuple(e + (v in subset) for v, e in enumerate(key))
+                    nxt[nk] = nxt.get(nk, 0) + c
+            ys = nxt
+        x = lam + (0,) * (n - len(lam))
+        terms.update({x + y: c for y, c in ys.items()})
+    return terms
+
+
+def partitions(total, parts, largest=None):
+    """Partitions of ``total`` into at most ``parts`` parts, as tuples."""
+    if total == 0:
+        yield ()
+    elif parts > 0:
+        for first in range(min(total, largest or total), 0, -1):
+            for tail in partitions(total - first, parts - 1, first):
+                yield (first,) + tail
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("extra", [0, 1])
+def test_universal_P_matches_brute_force_expansion(k, extra):
+    n = k + extra
+    assert universal_P(k, n) == two_alphabet_table(brute_force_P_terms(k, n), n)
+
+
+@pytest.mark.parametrize(
+    "k, j", [(k, j) for k in range(1, 11) for j in range(1, 11) if k * j <= 10]
+)
+def test_pruned_P_kj_equals_unpruned(k, j):
+    n = k * j
+    unpruned = symfun._truncated_elem(subset_monomials(n, j), k, [k] * n)
+    assert universal_P_kj(k, j) == symfun._elementary_table(unpruned, n)
 
 
 def test_digit_overflow_is_refused_before_expanding():
