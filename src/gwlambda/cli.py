@@ -215,9 +215,12 @@ def _reports(args):
         _refuse_unread(args, "check --sweep --ring " + args.ring, *flags)
         kmax = 4 if args.kmax is None else args.kmax
         jmax = 2 if args.jmax is None else args.jmax
-        elements = _sweep_elements(args)
         if jmax < 0:
             raise DomainError("--jmax must be >= 0")
+        # Refuse the largest table of the sweep before the first check runs.
+        lr._checked_kmax(kmax, kmax, "kmax")
+        lr._checked_kmax(kmax, kmax * jmax, "kmax*jmax")
+        elements = _sweep_elements(args)
         for i, (nx, x) in enumerate(elements):
             for ny, y in elements[i:]:
                 yield lr.check_lambda1(x, y, kmax), nx, ny

@@ -301,19 +301,22 @@ class _SquareClasses(_Basis):
         return tuple(classes[i] for i, c in sorted(x.terms.items()) for _ in range(sign * c))
 
     def gw_class(self, x):
+        """The class of x, memoized per counts; a zero class is stored as
+        the one zero object, so that ``is_zero`` is an identity test."""
         key = frozenset(x.terms.items())
         cls = self._memo.get(key)
         if cls is None:
-            cls = self._memo[key] = GWClass.of_diagonal(
-                self.field, self.entries(x, 1), self.entries(x, -1)
-            )
+            cls = GWClass.of_diagonal(self.field, self.entries(x, 1), self.entries(x, -1))
+            if cls == self._zero_class:
+                cls = self._zero_class
+            self._memo[key] = cls
         return cls
 
     def same(self, x, y):
         return self.gw_class(x) == self.gw_class(y)
 
     def is_zero(self, x):
-        return self.gw_class(x) == self._zero_class
+        return self.gw_class(x) is self._zero_class
 
     def diag(self, ring, pos, neg):
         index, square_class = self.index, self.field.square_class
@@ -563,6 +566,8 @@ class FreeLambdaRing:
     def __init__(self, tag, r, coeff_ring, basis, constants=DEFAULT_CONSTANTS):
         if r is not None and r < 1:
             raise DomainError("torus rank must be >= 1")
+        if r is not None and r > MAX_RANK:
+            raise DomainError("torus rank is %d; rings take ranks up to %d" % (r, MAX_RANK))
         self.tag = tag
         self.r = r
         self.coeff_ring = coeff_ring
@@ -665,7 +670,7 @@ class FreeElt:
         self.terms = terms
 
     def _coerce(self, other):
-        if isinstance(other, FreeElt) and other.ring == self.ring:
+        if isinstance(other, FreeElt) and (other.ring is self.ring or other.ring == self.ring):
             return other
         raise DomainError("mixed-ring arithmetic")
 
@@ -842,6 +847,10 @@ class CheckRecord:
 # k*j of P_kj in lambda2.  Each table up to it builds in under a second,
 # and the time grows about 2.5-fold per degree (README).
 MAX_DEGREE = 12
+
+# The largest torus rank r of a ring.  A weight is a tuple of r integers,
+# and a sweep at --bound 1 enumerates 3^r of them (6,561 at r = 8).
+MAX_RANK = 8
 
 
 def _checked_kmax(kmax, degree, what):

@@ -46,7 +46,7 @@ class EPolynomial:
     equal.  ``degree_bound`` records the largest usable e-index.
     """
 
-    __slots__ = ("degree_bound", "alphabets", "terms")
+    __slots__ = ("degree_bound", "alphabets", "terms", "_plan")
 
     def __init__(self, degree_bound, terms, alphabets=1):
         if alphabets not in (1, 2):
@@ -63,6 +63,7 @@ class EPolynomial:
         self.degree_bound = degree_bound
         self.alphabets = alphabets
         self.terms = {k: v for k, v in clean.items() if v}
+        self._plan = None
 
     def __eq__(self, other):
         """Equality of polynomials; the degree bound is not part of it."""
@@ -84,6 +85,33 @@ class EPolynomial:
         }
         return EPolynomial(min(self.degree_bound, max_index), kept, self.alphabets)
 
+    def _make_plan(self):
+        """The evaluation plan, built on the first ``evaluate`` and kept.
+
+        ``(nx, ny, terms)``: the x and y values the terms use, and per term
+        in sorted order ``(steps, slot, coeff)``.  ``steps`` are the prefix
+        products this term forms first, each ``(parent slot, alphabet,
+        index)`` with parent None for a single factor; ``slot`` is the
+        term's monomial (slot 0 holds ``one``).
+        """
+        slots = {(): 0}
+        nx = ny = 0
+        plan = []
+        for (ex, ey), coeff in sorted(self.terms.items()):
+            nx, ny = max(nx, len(ex)), max(ny, len(ey))
+            factors = tuple((0, i) for i, e in enumerate(ex) for _ in range(e)) + tuple(
+                (1, i) for i, e in enumerate(ey) for _ in range(e)
+            )
+            steps = []
+            for n in range(1, len(factors) + 1):
+                key = factors[:n]
+                if key not in slots:
+                    slots[key] = len(slots)
+                    steps.append((slots[key[:-1]] if n > 1 else None,) + key[-1])
+            plan.append((tuple(steps), slots[factors], coeff))
+        self._plan = (nx, ny, tuple(plan))
+        return self._plan
+
     def evaluate(self, xs, ys=(), one=1):
         """Substitute values for the e-variables; ``xs[i]`` stands for ex(i+1).
 
@@ -94,23 +122,19 @@ class EPolynomial:
         Each monomial is the product of its factors from the left (x values
         in index order, then y values), built once from its longest proper
         prefix; products with ``one`` and sums with zero are not formed.
+        The plan of these products and sums does not depend on the values.
         """
-        xs, ys = list(xs), list(ys)
-        values = xs + ys
-        monomials = {(): one}
+        nx, ny, plan = self._plan or self._make_plan()
+        if nx > len(xs) or ny > len(ys):
+            raise DomainError("not enough values for the e-variables used")
+        values = (xs, ys)
+        monomials = [one]
         total = None
-        for (ex, ey), coeff in sorted(self.terms.items()):
-            if len(ex) > len(xs) or len(ey) > len(ys):
-                raise DomainError("not enough values for the e-variables used")
-            factors = tuple(i for i, e in enumerate(ex) for _ in range(e)) + tuple(
-                len(xs) + i for i, e in enumerate(ey) for _ in range(e)
-            )
-            for n in range(1, len(factors) + 1):
-                key = factors[:n]
-                if key not in monomials:
-                    value = values[key[-1]]
-                    monomials[key] = value if n == 1 else monomials[key[:-1]] * value
-            term = monomials[factors]
+        for steps, slot, coeff in plan:
+            for parent, alphabet, i in steps:
+                value = values[alphabet][i]
+                monomials.append(value if parent is None else monomials[parent] * value)
+            term = monomials[slot]
             if coeff != 1:
                 term = coeff * term
             total = term if total is None else total + term

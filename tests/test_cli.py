@@ -11,6 +11,7 @@ from gwlambda import cli, symfun
 from gwlambda.fields import field_model
 from gwlambda.forms import form_record, hyperbolic
 from gwlambda.lambda_rings import (
+    MAX_RANK,
     GWExtTorusRing,
     IntegerRing,
     element_record,
@@ -122,6 +123,56 @@ def test_default_kmax_above_the_table_cap_is_refused_quickly():
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flags, degree",
+    [
+        (
+            ("--ring", "gw-ext-torus", "--field", "fq:7", "--kmax", "5", "--jmax", "3"),
+            "kmax*jmax is 15",
+        ),
+        (("--ring", "integers", "--kmax", "7"), "kmax*jmax is 14"),
+        (("--ring", "k-torus", "--kmax", "13", "--jmax", "0"), "kmax is 13"),
+        (("--ring", "integers", "--kmax", "0"), "kmax must be >= 1"),
+    ],
+)
+def test_oversized_sweep_is_refused_before_any_check(capsys, monkeypatch, flags, degree):
+    # The largest table of the sweep (P_kmax, P_kj at kmax*jmax) is refused
+    # before any element is enumerated, so no finished check is thrown away.
+    def no_call(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "_sweep_elements", no_call)
+    for name in ("check_lambda1", "check_lambda2"):
+        monkeypatch.setattr(cli.lr, name, no_call)
+    code = cli.main(["check", "--sweep", "--format", "records", *flags])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + degree)
+
+
+def test_torus_rank_above_the_cap_is_refused(capsys, tmp_path):
+    # Only the rank just over the cap is tried: the refusal comes before
+    # any weight of that length is built.
+    r = str(MAX_RANK + 1)
+    for flags in (("k-torus",), ("k-ext-torus",), ("gw-ext-torus", "--field", "rc")):
+        code = cli.main(["check", "--sweep", "--bound", "0", "--r", r, "--ring", *flags])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: torus rank is %s;" % r)
+    for tag, field in (("k-torus", None), ("gw-ext-torus", "fq:5")):
+        record = {"ring": tag, "rank_r": MAX_RANK + 1, "field": field, "terms": []}
+        path = write_json(tmp_path / ("%s.json" % tag), record)
+        err = main_usage_error(capsys, "check", "--x-file", path, "--j", "1")
+        assert "torus rank is %s;" % r in err
+
+
+def test_torus_rank_at_the_cap_is_accepted():
+    r = str(MAX_RANK)
+    out = run_cli("check", "--sweep", "--ring", "k-torus", "--r", r, "--bound", "0", "--kmax", "2")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "checks: 6 passed, 0 failed"
 
 
 def test_check_element_files(tmp_path):

@@ -65,6 +65,15 @@ CASES = {
         ("--ring", "integers", "--bound", "2"),
         "39a6d6291f949c4ed586e013f6286560fe42447ddeee3a2faf5f9ab4e63aa64d",
     ),
+    # The two sweeps of the benchmark (perfbench/README.md): 532 and 90 records.
+    "gw-ext-torus-rc-r2-bound2-k4": (
+        ("--ring", "gw-ext-torus", "--field", "rc", "--r", "2", "--bound", "2", "--kmax", "4"),
+        "e33c60f6fcbea73343d3ecf6d100da2ecc766f8bd1c3b171793acedab8b08457",
+    ),
+    "gw-ext-torus-fq5-bound2-k5": (
+        ("--ring", "gw-ext-torus", "--field", "fq:5", "--r", "1", "--bound", "2", "--kmax", "5"),
+        "402cfae4256bf5ea4e59a0fa7986daf876509c05b64e926573b4565052001335",
+    ),
 }
 
 # Corrupted constants: the failing records carry their lhs and rhs, so

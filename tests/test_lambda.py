@@ -26,6 +26,7 @@ from gwlambda.lambda_rings import (
     KExtTorusRing,
     KTorusElt,
     KTorusRing,
+    MAX_RANK,
     check_lambda1,
     check_lambda2,
     element_record,
@@ -153,6 +154,36 @@ def test_gw_field_virtual_cancellation():
     assert series[0] == ring.one
     for c in series[1:]:
         assert c.is_zero()
+
+
+def test_gw_field_zero_class_with_nonzero_counts():
+    # Over F_5, 2<1> - 2<2> is zero in GW(F) although its counts are not.
+    # Its class is computed on the first call and stored as the one zero
+    # class object, and each later call finds that object in the memo.
+    ring = GWFieldRing(field_model("fq:5"))
+    x = ring.diag([1, 1], [2, 2])
+    assert sorted(x.terms.values()) == [-2, 2]
+    assert x.is_zero()
+    assert x.gw_class() is ring.zero.gw_class()
+    assert x.is_zero() and x == ring.zero
+    for y in (ring.diag([1], [2]), ring.diag([1, 1], [2])):
+        assert not y.is_zero()
+        assert y.gw_class() is not ring.zero.gw_class()
+    # As a coefficient of the extended torus, the zero class is dropped.
+    er = GWExtTorusRing(1, ring.field)
+    assert er.elt({"one": er.coeff_ring.diag([1, 1], [2, 2])}).terms == {}
+
+
+def test_torus_rank_cap_comes_before_the_unit_weight(monkeypatch):
+    # KTorusRing(r) builds its unit weight (0,) * r; a rank over the cap is
+    # refused first, whatever its size.
+    def no_call(*args):
+        raise AssertionError("the unit weight was built")
+
+    monkeypatch.setattr(type(KTorusRing(1).basis), "unit", no_call)
+    for r in (MAX_RANK + 1, 10**9):
+        with pytest.raises(DomainError, match="ranks up to %d" % MAX_RANK):
+            KTorusRing(r)
 
 
 def test_gw_field_augmentation_is_rank():

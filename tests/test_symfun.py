@@ -211,6 +211,112 @@ def test_evaluate_empty_polynomial_is_ring_zero():
     assert value.ring == ring
 
 
+class Logged:
+    """A symbolic ring value that appends each product, sum and integer
+    scaling it takes part in to a shared log, and names its result."""
+
+    __slots__ = ("name", "log")
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def _op(self, op, left, right):
+        self.log.append((op, left, right))
+        return Logged("(%s%s%s)" % (left, op, right), self.log)
+
+    def __mul__(self, other):
+        return self._op("*", self.name, other.name)
+
+    def __add__(self, other):
+        return self._op("+", self.name, other.name)
+
+    def __rmul__(self, n):
+        return self._op(".", str(n), self.name)
+
+
+def prefix_evaluate(poly, xs, ys=(), one=1):
+    """The on-the-fly evaluation that the plan replaced, kept as the
+    reference order: each monomial is built from its longest proper prefix
+    the first time a term in sorted order needs it."""
+    xs, ys = list(xs), list(ys)
+    values = xs + ys
+    monomials = {(): one}
+    total = None
+    for (ex, ey), coeff in sorted(poly.terms.items()):
+        if len(ex) > len(xs) or len(ey) > len(ys):
+            raise DomainError("not enough values for the e-variables used")
+        factors = tuple(i for i, e in enumerate(ex) for _ in range(e)) + tuple(
+            len(xs) + i for i, e in enumerate(ey) for _ in range(e)
+        )
+        for n in range(1, len(factors) + 1):
+            key = factors[:n]
+            if key not in monomials:
+                value = values[key[-1]]
+                monomials[key] = value if n == 1 else monomials[key[:-1]] * value
+        term = monomials[factors]
+        if coeff != 1:
+            term = coeff * term
+        total = term if total is None else total + term
+    return 0 * one if total is None else total
+
+
+def logged_run(evaluate, poly, nx, ny, one="one"):
+    """(operation log, result name) of one evaluation on named values."""
+    log = []
+    xs = [Logged("x%d" % (i + 1), log) for i in range(nx)]
+    ys = [Logged("y%d" % (i + 1), log) for i in range(ny)]
+    return log, evaluate(poly, xs, ys, one=Logged(one, log)).name
+
+
+def assert_same_order(poly, nx, ny):
+    for one in ("one", "unit"):
+        expected = logged_run(prefix_evaluate, poly, nx, ny, one)
+        assert logged_run(EPolynomial.evaluate, poly, nx, ny, one) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_plan_keeps_the_prefix_evaluation_order_of_P(k):
+    # The exact table width, then more values than the table uses; each
+    # width twice on the one cached table, with another `one` the second time.
+    for extra in (0, 2):
+        assert_same_order(universal_P(k), k + extra, k + extra)
+
+
+@pytest.mark.parametrize(
+    "k, j", [(k, j) for k in range(1, 9) for j in range(1, 9) if k * j <= 8]
+)
+def test_plan_keeps_the_prefix_evaluation_order_of_P_kj(k, j):
+    for extra in (0, 3):
+        assert_same_order(universal_P_kj(k, j), k * j + extra, 0)
+
+
+def test_plan_is_built_once_and_holds_no_value():
+    # A constant term reads `one`, and an empty table scales it by 0; the
+    # plan is built on the first call and kept for every later one.
+    poly = EPolynomial(2, {((), ()): 3, ((), (1,)): 1, ((0, 1), ()): -1}, alphabets=2)
+    assert_same_order(poly, 2, 1)
+    plan = poly._plan
+    assert plan is not None
+    assert_same_order(poly, 3, 2)
+    assert poly._plan is plan
+    empty = EPolynomial(2, {})
+    for one in ("one", "unit"):
+        expected = ([(".", "0", one)], "(0.%s)" % one)
+        assert logged_run(EPolynomial.evaluate, empty, 1, 0, one) == expected
+
+
+def test_plan_refuses_too_few_values_before_any_operation():
+    poly = universal_P_kj(2, 2)
+    log = []
+    xs = [Logged("x%d" % (i + 1), log) for i in range(3)]
+    with pytest.raises(DomainError, match="not enough values"):
+        poly.evaluate(xs, one=Logged("one", log))
+    assert log == []
+    with pytest.raises(DomainError, match="not enough values"):
+        universal_P(2).evaluate([1, 2], [1])
+
+
 # ---------------------------------------------------------------------------
 # universal tables: frozen values
 
