@@ -28,9 +28,26 @@ import json
 import sys
 
 
-# One encoder for all records (json.dumps with options builds one per call);
-# records are fresh acyclic trees, so it skips the cycle bookkeeping.
-_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+def _json_encoder():
+    """The function that writes a record as one JSON line, as json.dumps
+    with sorted keys and separators (",", ":") writes it.
+
+    JSONEncoder.encode builds a new C encoder on every call, so the C
+    encoder is built once here, with that JSONEncoder's options; records
+    are fresh acyclic trees, so it skips the cycle bookkeeping.  Without
+    the C module, the function is JSONEncoder.encode.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    chunks = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None, ":", ",",
+        True, False, True,
+    )
+    return lambda record: "".join(chunks(record, 0))
+
+
+_json_line = _json_encoder()
 
 
 # The rings a sweep runs on, each with the flags it reads beside --ring,
@@ -61,21 +78,14 @@ def _common_flags(sub):
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gwlambda",
-        description="Exact lambda-ring computations on forms, characters, and weights.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    poly = sub.add_parser("poly", help="print a universal polynomial")
+def _poly_flags(poly):
     poly.add_argument("--k", type=int, required=True, help="outer lambda index")
     poly.add_argument(
         "--j", type=int, default=None, help="inner index for the composition table"
     )
-    _common_flags(poly)
 
-    check = sub.add_parser("check", help="run lambda-identity checks")
+
+def _check_flags(check):
     check.add_argument(
         "--ring",
         choices=tuple(_RING_FLAGS),
@@ -101,9 +111,9 @@ def build_parser():
     check.add_argument(
         "--constants", help="JSON file overriding the extension structure constants"
     )
-    _common_flags(check)
 
-    forms = sub.add_parser("forms", help="operations on Gram-matrix files")
+
+def _forms_flags(forms):
     forms.add_argument("action", choices=tuple(_FORMS_FLAGS))
     forms.add_argument("--in", dest="infile", help="form record (JSON)")
     forms.add_argument("--k", type=int, default=None, help="exterior power index")
@@ -112,14 +122,37 @@ def build_parser():
     )
     forms.add_argument("--n", type=int, default=None, help="hyperbolic rank")
     forms.add_argument("--field", help="field spec for generated forms")
-    _common_flags(forms)
 
-    char = sub.add_parser("char", help="Weyl character of a dominant weight")
+
+def _char_flags(char):
     char.add_argument("--type", dest="flavor", choices=("B", "D"), required=True)
     char.add_argument("--n", type=int, required=True, help="rank")
     char.add_argument("--hw", required=True, help="highest weight 'c1,c2,...'")
-    _common_flags(char)
 
+
+# Each command: its help line, and the function that declares its flags.
+_COMMANDS = {
+    "poly": ("print a universal polynomial", _poly_flags),
+    "check": ("run lambda-identity checks", _check_flags),
+    "forms": ("operations on Gram-matrix files", _forms_flags),
+    "char": ("Weyl character of a dominant weight", _char_flags),
+}
+
+
+def build_parser(command):
+    """The parser of every command, where only ``command`` declares its
+    flags: a run parses the flags of one command, and the others keep their
+    name and help."""
+    parser = argparse.ArgumentParser(
+        prog="gwlambda",
+        description="Exact lambda-ring computations on forms, characters, and weights.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        if name == command:
+            flags(cmd)
+            _common_flags(cmd)
     return parser
 
 
@@ -173,6 +206,7 @@ def _sweep_elements(args):
     if bound < 0:
         raise DomainError("--bound must be >= 0")
     if ring_tag == "integers":
+        lr._checked_sweep(2 * bound + 1)
         ring = lr.IntegerRing()
         return [(str(n), n * ring.one) for n in range(-bound, bound + 1)]
     if ring_tag == "gw-field":
@@ -182,13 +216,17 @@ def _sweep_elements(args):
         return [("<%s>" % field.to_str(a), ring.diag([a])) for a in reps]
     if ring_tag == "k-torus":
         ring = lr.KTorusRing(r)
-        lines = [ring.line(g) for g in ring.basis_symbols(bound)]
-        return [(lr.element_str(x), x) for x in lines]
-    if ring_tag == "k-ext-torus":
+    elif ring_tag == "k-ext-torus":
         ring = lr.KExtTorusRing(r)
     else:
         ring = lr.GWExtTorusRing(r, _require_field(args), _constants(args))
-    return [(ring.basis.record(b), ring.basis_elt(b)) for b in ring.basis_symbols(bound)]
+    # The ring has refused a rank above MAX_RANK, so the count is small to
+    # compute; it is refused before any weight is listed.
+    lr._checked_sweep(ring.basis.count(r, bound))
+    symbols = ring.basis_symbols(bound)
+    if ring_tag == "k-torus":
+        return [(lr.element_str(x), x) for x in map(ring.line, symbols)]
+    return [(ring.basis.record(b), ring.basis_elt(b)) for b in symbols]
 
 
 def _require_field(args):
@@ -372,7 +410,7 @@ def main(argv=None):
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] == "--vectors":
             argv[i : i + 2] = ["--vectors=" + argv[i + 1]]
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     lines = []
     emit = lines.append
     handlers = {

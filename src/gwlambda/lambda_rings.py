@@ -265,16 +265,19 @@ class _SquareClasses(_Basis):
     The terms of an element are signed counts of entries <a> per class; its
     ``pos`` and ``neg`` (the class representatives repeated by the positive
     and the negative counts) are the exchange format.  GW(F) is the
-    quotient of this free ring by the Witt relations: equality is decided
-    by the complete invariants of the model (GWClass), built once per
-    counts and kept here, since over fq 2<1> - 2<u> is zero.  Products of
-    keys follow the square-class product table of the field.
+    quotient of this free ring by the Witt relations.  Where two different
+    counts can have the same class (over fq 2<1> - 2<u> is zero), equality
+    is decided by the complete invariants of the model (GWClass), built
+    once per counts and kept here.  ``faithful`` says that they cannot, and
+    then the counts are compared directly.  Products of keys follow the
+    square-class product table of the field.
     """
 
     def __init__(self, field):
         self.field = field
         classes = field.square_classes
         self.index = index = {a: i for i, a in enumerate(classes)}
+        self._strs = tuple(field.to_str(a) for a in classes)
         # _table[i][j]: index of the square class of classes[i] * classes[j]
         self._table = tuple(
             tuple(index[field.square_class(field.mul(a, b))] for b in classes)
@@ -282,6 +285,14 @@ class _SquareClasses(_Basis):
         )
         self._memo = {}  # {frozenset of (index, count): GWClass}
         self._zero_class = GWClass.zero(field)
+        # In the model fields the rank, the signature (rc) and the signed
+        # discriminant (fq) are complete, so the counts of an element give
+        # its class one to one unless 2<a> = 2<1> for a class a != 1: true
+        # over fq, false over qc (one class) and rc (signature).
+        two_ones = GWClass.of_diagonal(field, (field.one, field.one))
+        self.faithful = all(
+            GWClass.of_diagonal(field, (a, a)) != two_ones for a in classes if a != field.one
+        )
 
     def unit(self, r):
         return self.index[self.field.one]
@@ -313,9 +324,13 @@ class _SquareClasses(_Basis):
         return cls
 
     def same(self, x, y):
+        if self.faithful:
+            return x.terms == y.terms
         return self.gw_class(x) == self.gw_class(y)
 
     def is_zero(self, x):
+        if self.faithful:
+            return not x.terms
         return self.gw_class(x) is self._zero_class
 
     def diag(self, ring, pos, neg):
@@ -328,10 +343,11 @@ class _SquareClasses(_Basis):
         return ring._reduced(counts)
 
     def coeff_record(self, x):
-        to_str = self.field.to_str
+        """{pos, neg}: the strings of ``entries``, in the same order."""
+        strs, counts = self._strs, sorted(x.terms.items())
         return {
-            "pos": [to_str(a) for a in self.entries(x, 1)],
-            "neg": [to_str(a) for a in self.entries(x, -1)],
+            "pos": [strs[i] for i, c in counts for _ in range(c)],
+            "neg": [strs[i] for i, c in counts for _ in range(-c)],
         }
 
     def coeff_parse(self, ring, record, where):
@@ -387,6 +403,10 @@ class _TorusWeights(_Basis):
 
     def product(self, ring, g1, g2):
         return ((tuple(a + b for a, b in zip(g1, g2)), None),)
+
+    def count(self, r, bound):
+        """len(symbols(r, bound)), without listing them."""
+        return (2 * bound + 1) ** r
 
     def symbols(self, r, bound):
         """Every weight with coordinates in [-bound, bound], in lex order."""
@@ -511,6 +531,10 @@ class _ExtSymbols(_Basis):
         target = ring.constants.lambda2_pair
         return ring.zero if target == "zero" else ring.basis_elt(target)
 
+    def count(self, r, bound):
+        """len(symbols(r, bound)): 1, d and one of g, -g per nonzero g."""
+        return 2 + (TORUS_WEIGHTS.count(r, bound) - 1) // 2
+
     def symbols(self, r, bound):
         """1, d, and the pair symbols with coordinates in [-bound, bound]:
         the nonzero sign-canonical weights of the torus box, in lex order."""
@@ -561,7 +585,9 @@ class FreeLambdaRing:
     an element's ``pos``, ``neg``, ``gw_class`` fail on the other bases.
     """
 
-    __slots__ = ("tag", "r", "coeff_ring", "basis", "constants", "field", "scale", "one", "zero")
+    __slots__ = (
+        "tag", "r", "coeff_ring", "basis", "constants", "field", "scale", "one", "zero", "_products"
+    )
 
     def __init__(self, tag, r, coeff_ring, basis, constants=DEFAULT_CONSTANTS):
         if r is not None and r < 1:
@@ -574,6 +600,9 @@ class FreeLambdaRing:
         self.basis = basis
         self.constants = constants
         self.field = basis.field or coeff_ring.field
+        # {(b1, b2): basis.product(self, b1, b2)}, filled as products are
+        # formed; the pairs depend on the constants and the scale.
+        self._products = {}
         self.scale = coeff_ring.rank_one(constants.pair_zero_scale)
         self.one = FreeElt(self, {basis.unit(r): coeff_ring.one})
         self.zero = FreeElt(self, {})
@@ -603,6 +632,8 @@ class FreeLambdaRing:
         return self._reduced(clean)
 
     def _reduced(self, terms):
+        if self.coeff_ring is INTEGERS:
+            return FreeElt(self, {b: c for b, c in terms.items() if c})
         is_zero = self.coeff_ring.is_zero
         return FreeElt(self, {b: c for b, c in terms.items() if not is_zero(c)})
 
@@ -674,9 +705,16 @@ class FreeElt:
             return other
         raise DomainError("mixed-ring arithmetic")
 
+    # Every element is built reduced, so a sum or product with an operand
+    # that has no terms needs no _reduced; the operands are coerced first.
     def __add__(self, other):
+        other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
-        for b, c in self._coerce(other).terms.items():
+        for b, c in other.terms.items():
             terms[b] = terms[b] + c if b in terms else c
         return self.ring._reduced(terms)
 
@@ -691,12 +729,17 @@ class FreeElt:
             return self.__rmul__(other)
         other = self._coerce(other)
         ring = self.ring
-        product = ring.basis.product
+        if not self.terms or not other.terms:
+            return ring.zero
+        products = ring._products
         out = {}
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
                 coeff = c1 * c2
-                for b, factor in product(ring, b1, b2):
+                pairs = products.get((b1, b2))
+                if pairs is None:
+                    pairs = products[b1, b2] = tuple(ring.basis.product(ring, b1, b2))
+                for b, factor in pairs:
                     c = coeff if factor is None else factor * coeff
                     out[b] = out[b] + c if b in out else c
         return ring._reduced(out)
@@ -852,6 +895,12 @@ MAX_DEGREE = 12
 # and a sweep at --bound 1 enumerates 3^r of them (6,561 at r = 8).
 MAX_RANK = 8
 
+# The most basis elements a sweep takes.  A sweep checks every pair, so its
+# work grows with the square of the count: 64 elements at the largest table
+# degree (gw-ext-torus over fq:5, r 1, bound 62, kmax 12, jmax 1; 2,080
+# pairs) take 19 s, and 0.6 s at the default kmax 4 (README).
+MAX_SWEEP = 64
+
 
 def _checked_kmax(kmax, degree, what):
     """Refuse a kmax below 1, or a table degree above MAX_DEGREE, before any work."""
@@ -859,6 +908,12 @@ def _checked_kmax(kmax, degree, what):
         raise DomainError("kmax must be >= 1")
     if degree > MAX_DEGREE:
         raise DomainError("%s is %d; checks build tables up to %d" % (what, degree, MAX_DEGREE))
+
+
+def _checked_sweep(count):
+    """Refuse a sweep of more than MAX_SWEEP elements before any is listed."""
+    if count > MAX_SWEEP:
+        raise DomainError("the sweep has %d elements; sweeps take up to %d" % (count, MAX_SWEEP))
 
 
 def _records(check, kmax, lhs, rhs):

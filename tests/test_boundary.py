@@ -9,6 +9,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from gwlambda import cli
 from gwlambda.errors import DomainError
 from gwlambda.forms import load_form, parse_form
-from gwlambda.lambda_rings import load_constants, load_element, parse_element
+from gwlambda.lambda_rings import MAX_SWEEP, load_constants, load_element, parse_element
 
 from weight_helpers import parse_char
 
@@ -197,6 +199,44 @@ def test_negative_jmax_is_bad_input():
         assert cli.main(sweep + ["--jmax", "0"]) == 0
     checks = {json.loads(line)["check"] for line in out.getvalue().splitlines()}
     assert checks == {"lambda1"}
+
+
+# Sweeps just over the element cap, and one that asks for 40,401 weights
+# and about 816 million checks.  Each case runs in a child under a time
+# limit, so an unrefused sweep fails rather than hangs.
+OVERSIZED_SWEEPS = {
+    "integers": (("--ring", "integers", "--bound", str(MAX_SWEEP // 2)), MAX_SWEEP + 1),
+    "k-torus-r1": (("--ring", "k-torus", "--bound", str(MAX_SWEEP // 2)), MAX_SWEEP + 1),
+    "k-ext-torus-r1": (("--ring", "k-ext-torus", "--bound", str(MAX_SWEEP - 1)), MAX_SWEEP + 1),
+    "gw-ext-torus-r1": (
+        ("--ring", "gw-ext-torus", "--field", "rc", "--bound", str(MAX_SWEEP - 1)),
+        MAX_SWEEP + 1,
+    ),
+    "k-torus-r2-bound100": (
+        ("--ring", "k-torus", "--r", "2", "--bound", "100", "--kmax", "1", "--jmax", "0"),
+        201**2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_SWEEPS))
+def test_sweep_over_the_element_cap_is_refused_at_once(name):
+    flags, count = OVERSIZED_SWEEPS[name]
+    argv = [sys.executable, "-m", "gwlambda", "check", "--sweep", "--format", "records", *flags]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=30)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: the sweep has %d elements; sweeps take up to %d\n" % (
+        count,
+        MAX_SWEEP,
+    )
+
+
+def test_sweep_at_the_element_cap_runs():
+    sweep = ["check", "--sweep", "--ring", "k-ext-torus", "--bound", str(MAX_SWEEP - 2)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(sweep + ["--kmax", "1", "--jmax", "0", "--format", "records"]) == 0
+    assert len(out.getvalue().splitlines()) == MAX_SWEEP * (MAX_SWEEP + 1) // 2
 
 
 # Two operand modes at once, or --j with a sweep: the run would take one

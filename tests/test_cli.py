@@ -549,6 +549,49 @@ def test_out_file_redirects_stdout(tmp_path):
     assert path.read_text() == "ex1*ey1\n"
 
 
+# ---------------------------------------------------------------------------
+# record encoding
+
+
+def dumps(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+RECORD_RUNS = {
+    "poly": ("poly", "--k", "3", "--j", "2"),
+    "check": ("check", "--sweep", "--ring", "gw-ext-torus", "--field", "fq:5", "--kmax", "2"),
+    "forms": ("forms", "hyperbolic", "--n", "2", "--field", "qc"),
+    "char": ("char", "--type", "B", "--n", "2", "--hw", "1,1"),
+}
+ODD_STRING = 'a "quoted" back\\slash, caf\u00e9 \u2203 \U0001d706'
+
+
+@pytest.mark.parametrize("encode", ("c-encoder", "fallback"))
+def test_json_line_writes_what_json_dumps_writes(capsys, monkeypatch, encode):
+    # The one C encoder of cli, and JSONEncoder.encode where the C module
+    # is missing, both write each record as json.dumps with sorted keys.
+    json_line = cli._json_line
+    if encode == "fallback":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        json_line = cli._json_encoder()
+        assert json_line.__func__ is json.JSONEncoder.encode
+    for name, argv in RECORD_RUNS.items():
+        assert cli.main([*argv, "--format", "records"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines, name
+        for line in lines:
+            record = json.loads(line)
+            assert json_line(record) == dumps(record) == line
+    for value in (ODD_STRING, {ODD_STRING: [ODD_STRING, None, True, -1.5]}):
+        assert json_line(value) == dumps(value)
+    for value in ({"a": object()}, [{1, 2}]):
+        with pytest.raises(TypeError) as want:
+            dumps(value)
+        with pytest.raises(TypeError) as got:
+            json_line(value)
+        assert str(got.value) == str(want.value)
+
+
 def test_import_skips_dataclasses_and_inspect():
     # Each process imports the CLI; dataclasses would pull in inspect.
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -61,6 +61,19 @@ CASES = {
         ("--ring", "gw-field", "--field", "fq:7"),
         "0f373910eae58219279aa1fcdf1a5e5fe1812366d417e3390909b2d21c3802c9",
     ),
+    # Over qc and rc GW(F) zero and equality are read off the counts.
+    "gw-field-qc": (
+        ("--ring", "gw-field", "--field", "qc"),
+        "843321e0ba24a784ccac3776e8b9400ad65832479888fd45bdfbe4a3fbe453b7",
+    ),
+    "gw-field-rc": (
+        ("--ring", "gw-field", "--field", "rc"),
+        "0b800729d19000d3ef488cf7edff26749e06bfa98b3872f23b1a27917306eb2e",
+    ),
+    "gw-ext-torus-qc-r2-bound2-k4": (
+        ("--ring", "gw-ext-torus", "--field", "qc", "--r", "2", "--bound", "2", "--kmax", "4"),
+        "198ba3619a574cd24319145cec450dac2ebe5227cc129e86f8c6ed91d2fbc368",
+    ),
     "integers-bound2": (
         ("--ring", "integers", "--bound", "2"),
         "39a6d6291f949c4ed586e013f6286560fe42447ddeee3a2faf5f9ab4e63aa64d",
@@ -79,6 +92,7 @@ CASES = {
 # Corrupted constants: the failing records carry their lhs and rhs, so
 # these pin the rendering of two unequal elements as well.
 CORRUPTED = {
+    "qc": "ac190ce170e581874d0d768b90340c106ef9a49fc47d620be177616fc404f2f8",
     "rc": "eafceb4eed709ccf6e6d875695e6384ba96cf6095604ec6879fc9af9a6a53fc7",
     "fq:3": "e0c788ae7487fe30bdd303558b846458e4dc85e07ed02ce81a6e3424c0fdfa0a",
 }

@@ -1,5 +1,6 @@
 """Tests for the pre-lambda-ring instances and the identity checkers."""
 
+import itertools
 import json
 import math
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from gwlambda.errors import DomainError, FormatError
 from gwlambda.fields import field_model
-from gwlambda.forms import exterior_power, gw_class
+from gwlambda.forms import GWClass, exterior_power, gw_class
 from gwlambda.lambda_rings import (
     DEFAULT_CONSTANTS,
     EXT_SYMBOLS,
@@ -255,6 +256,35 @@ def test_counts_arithmetic_matches_multisets(case):
     ):
         assert (z.pos, z.neg) == want
     assert x.augmentation() == len(ox[0]) - len(ox[1])
+
+
+def count_vectors(ring):
+    """Every element whose signed count per square class lies in -3..3."""
+    n = len(ring.field.square_classes)
+    return [ring.elt(dict(enumerate(v))) for v in itertools.product(range(-3, 4), repeat=n)]
+
+
+def diagonal_class(x):
+    """Oracle: the class of the entries of x, built without the count memo."""
+    classes = x.ring.field.square_classes
+    pos = [classes[i] for i, c in x.terms.items() for _ in range(c)]
+    neg = [classes[i] for i, c in x.terms.items() for _ in range(-c)]
+    return GWClass.of_diagonal(x.ring.field, pos, neg)
+
+
+@pytest.mark.parametrize("spec", ORACLE_MODELS)
+def test_gw_field_zero_and_equality_against_diagonal_classes(spec):
+    # Over qc and rc no two count vectors share a class, so zero and
+    # equality are read off the counts; over fq they go through the classes.
+    ring = GWFieldRing(field_model(spec))
+    assert ring.basis.faithful is (spec in ("qc", "rc"))
+    elements = count_vectors(ring)
+    classes = [diagonal_class(x) for x in elements]
+    zero = GWClass.zero(ring.field)
+    for x, cx in zip(elements, classes):
+        assert x.is_zero() is (cx == zero)
+        for y, cy in zip(elements, classes):
+            assert (x == y) is (cx == cy)
 
 
 def signed_binomial(n, k):
@@ -809,6 +839,113 @@ def test_mixed_ring_arithmetic_rejected():
     kt1, kt2 = KTorusRing(1), KTorusRing(2)
     with pytest.raises(DomainError):
         kt1.one + kt2.one
+
+
+def test_zero_operand_from_another_ring_is_rejected():
+    # The fast paths for an operand without terms run after the ring check.
+    for x, other in (
+        (ext_ring("fq:5").one, ext_ring("fq:7")),
+        (KTorusRing(1).line((1,)), KTorusRing(2)),
+        (IntegerRing().one, GWFieldRing(field_model("rc"))),
+    ):
+        for zero in (other.zero, other.elt({})):
+            for a, b in ((x, zero), (zero, x), (x.ring.zero, zero), (zero, x.ring.zero)):
+                with pytest.raises(DomainError, match="mixed-ring"):
+                    a + b
+                with pytest.raises(DomainError, match="mixed-ring"):
+                    a * b
+
+
+# ---------------------------------------------------------------------------
+# + and * against the generic sum and product
+
+
+def generic_add(x, y):
+    """The sum with no shortcut: merge the terms, then drop zero coefficients."""
+    terms = dict(x.terms)
+    for b, c in y.terms.items():
+        terms[b] = terms[b] + c if b in terms else c
+    return x.ring._reduced(terms)
+
+
+def generic_mul(x, y):
+    """The product term by term from ``basis.product``, with no product table."""
+    ring, out = x.ring, {}
+    for b1, c1 in x.terms.items():
+        for b2, c2 in y.terms.items():
+            for b, factor in ring.basis.product(ring, b1, b2):
+                c = c1 * c2 if factor is None else factor * (c1 * c2)
+                out[b] = out[b] + c if b in out else c
+    return ring._reduced(out)
+
+
+def raw(x):
+    """The terms of x, with GW(F) coefficients as their counts: equal raw
+    terms are equal elements written the same way."""
+    return {b: raw(c) if isinstance(c, FreeElt) else c for b, c in x.terms.items()}
+
+
+def arithmetic_operands(ring):
+    """Zero twice (the ring's and a fresh one), and sums of basis elements."""
+    if ring.r is None and ring.basis.field is None:
+        return [ring.zero, ring.elt({})] + [n * ring.one for n in (-2, 1, 3)]
+    if ring.basis.field is not None:
+        return [ring.zero, ring.elt({})] + count_vectors(ring)[::5]
+    keys = ring.basis_symbols(1)
+    basis = [ring.basis_elt(b) for b in keys]
+    sums = [a + 2 * b - c for a, b, c in zip(basis, basis[1:], basis[2:])]
+    return [ring.zero, ring.elt({})] + basis + sums
+
+
+FAST_PATH_RINGS = {
+    "integers": IntegerRing,
+    "gw-field-rc": lambda: GWFieldRing(field_model("rc")),
+    "gw-field-fq5": lambda: GWFieldRing(field_model("fq:5")),
+    "k-torus-r2": lambda: KTorusRing(2),
+    "k-ext-torus": lambda: KExtTorusRing(1),
+    "gw-ext-torus-rc-r2": lambda: GWExtTorusRing(2, field_model("rc")),
+    "gw-ext-torus-fq5": lambda: GWExtTorusRing(1, field_model("fq:5")),
+}
+
+
+@pytest.mark.parametrize("name", FAST_PATH_RINGS)
+def test_sums_and_products_match_the_generic_ones(name):
+    # x + 0, 0 + x, x * 0 and 0 * x take the fast paths, and every other
+    # product reads the ring's product table.
+    ring = FAST_PATH_RINGS[name]()
+    elements = arithmetic_operands(ring)
+    for x in elements:
+        for y in elements:
+            for got, want in ((x + y, generic_add(x, y)), (x * y, generic_mul(x, y))):
+                assert got.ring is ring
+                assert raw(got) == raw(want)
+        for zero in elements[:2]:
+            assert raw(x + zero) == raw(zero + x) == raw(generic_add(x, zero)) == raw(x)
+            assert raw(x * zero) == raw(zero * x) == raw(generic_mul(x, zero)) == {}
+
+
+@pytest.mark.parametrize("spec", ("rc", "fq:5"))
+@pytest.mark.parametrize(
+    "constants",
+    (DEFAULT_CONSTANTS, ExtTorusConstants(lambda2_pair="one", pair_zero_scale=3)),
+    ids=("default", "lambda2-one-scale-3"),
+)
+def test_product_table_matches_basis_product(spec, constants):
+    ring = GWExtTorusRing(2, field_model(spec), constants)
+    keys = ring.basis_symbols(2)
+    for b1 in keys:
+        for b2 in keys:
+            x, y = ring.basis_elt(b1), ring.basis_elt(b2)
+            assert raw(x * y) == raw(generic_mul(x, y))
+    assert set(ring._products) == set(itertools.product(keys, repeat=2))
+
+    def raw_pairs(pairs):
+        return [(b, None if f is None else raw(f)) for b, f in pairs]
+
+    for (b1, b2), pairs in ring._products.items():
+        assert raw_pairs(pairs) == raw_pairs(ring.basis.product(ring, b1, b2))
+    # [e^g][e^g] holds [e^0] = <s>*1 + <s>*d, with the ring's own scale <s>.
+    assert ring._products[(1, 0), (1, 0)][1:] == (("one", ring.scale), ("delta", ring.scale))
 
 
 def test_free_rings_share_one_element_class():

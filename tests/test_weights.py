@@ -449,12 +449,13 @@ def test_box_enumerators_against_counts(r):
     the extended ring lists 1, d and one of g, -g for each nonzero g in it."""
     for bound in range(4):
         torus = KTorusRing(r).basis_symbols(bound)
-        assert len(torus) == (2 * bound + 1) ** r
+        assert len(torus) == (2 * bound + 1) ** r == KTorusRing(r).basis.count(r, bound)
         assert all(a < b for a, b in zip(torus, torus[1:]))
         assert all(len(g) == r and max(map(abs, g)) <= bound for g in torus)
 
         symbols = KExtTorusRing(r).basis_symbols(bound)
         assert len(symbols) == 2 + ((2 * bound + 1) ** r - 1) // 2
+        assert len(symbols) == KExtTorusRing(r).basis.count(r, bound)
         assert symbols[:2] == ["one", "delta"]
         pairs = symbols[2:]
         assert all(a < b for a, b in zip(pairs, pairs[1:]))
