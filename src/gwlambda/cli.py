@@ -51,13 +51,14 @@ _json_line = _json_encoder()
 
 
 # The rings a sweep runs on, each with the flags it reads beside --ring,
-# --bound, --kmax and --jmax; the forms actions, each with the flags it reads.
+# --kmax and --jmax (a gw-field sweep lists every square class, so it has
+# no --bound); the forms actions, each with the flags it reads.
 _RING_FLAGS = {
-    "integers": (),
+    "integers": ("bound",),
     "gw-field": ("field",),
-    "k-torus": ("r",),
-    "k-ext-torus": ("r",),
-    "gw-ext-torus": ("r", "field", "constants"),
+    "k-torus": ("bound", "r"),
+    "k-ext-torus": ("bound", "r"),
+    "gw-ext-torus": ("bound", "r", "field", "constants"),
 }
 _FORMS_FLAGS = {
     "exterior": ("infile", "k"),
@@ -249,7 +250,7 @@ def _reports(args):
     if args.sweep:
         if args.ring is None:
             raise DomainError("--sweep requires --ring")
-        flags = ("sweep", "ring", "bound", "kmax", "jmax") + _RING_FLAGS[args.ring]
+        flags = ("sweep", "ring", "kmax", "jmax") + _RING_FLAGS[args.ring]
         _refuse_unread(args, "check --sweep --ring " + args.ring, *flags)
         kmax = 4 if args.kmax is None else args.kmax
         jmax = 2 if args.jmax is None else args.jmax

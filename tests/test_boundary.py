@@ -288,6 +288,12 @@ UNREAD_FLAGS = {
     "gw-field-sweep-and-rank": (
         ("check", "--sweep", "--ring", "gw-field", "--field", "qc", "--r", "1"), "--r"
     ),
+    # A gw-field sweep lists the square classes, whatever the bound.
+    "gw-field-sweep-and-bound": (
+        ("check", "--sweep", "--ring", "gw-field", "--field", "qc", "--bound", "7",
+         "--kmax", "1", "--jmax", "0"),
+        "--bound",
+    ),
     "k-ext-sweep-and-constants": (
         ("check", "--sweep", "--ring", "k-ext-torus", "--bound", "1", "--kmax", "2",
          "--constants", "{c}"),

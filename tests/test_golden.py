@@ -17,7 +17,10 @@ import pytest
 from gwlambda import cli
 from gwlambda.forms import diagonalize, exterior_power, gw_class, parse_form, perp_sum, tensor
 
-SWEEP = ("check", "--sweep", "--bound", "1", "--format", "records")
+from weight_helpers import benchmark_weights
+
+# No --bound: a sweep's default bound is 1, and a gw-field sweep takes none.
+SWEEP = ("check", "--sweep", "--format", "records")
 
 CASES = {
     "gw-ext-torus-qc": (
@@ -98,7 +101,7 @@ CORRUPTED = {
 }
 
 
-HUMAN_SWEEP = ("check", "--sweep", "--bound", "1", "--format", "human")
+HUMAN_SWEEP = ("check", "--sweep", "--format", "human")
 
 HUMAN_K_TORUS_R2 = "f42c57959c2278079101a3001c32b8733ecee435b30f66a6cc9a9a8b4821c720"
 HUMAN_CORRUPTED_FQ5 = "d6c47cdfb3117bebccd2bed56a07363e7b842c2c8538d32daa92a0533ac58a92"
@@ -442,3 +445,37 @@ def forms_class_transcript(field):
 def test_forms_class_and_diagonal_digest(field):
     text = forms_class_transcript(field)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FORMS_CLASS_DIGESTS[field]
+
+
+# ``gwlambda char`` in both formats: the 18 B4/D4 highest weights of the
+# benchmark (each flavor one transcript, in ``benchmark_weights`` order), and
+# a few B2 and D3 weights, two of D3 with a negative last entry.  These pin
+# every weight and multiplicity of each character, and the dim/mass line.
+CHAR_WEIGHTS = {
+    "B4": [w for w, f in benchmark_weights(4) if f.kind == "B"],
+    "D4": [w for w, f in benchmark_weights(4) if f.kind == "D"],
+    "B2": [(1, 0), (1, 1), (2, 1), (3, 2)],
+    "D3": [(1, 0, 0), (1, 1, -1), (2, 1, 1), (2, 2, -2), (3, 1, 0)],
+}
+
+CHAR_DIGESTS = {
+    ("B2", "human"): "bacafed6195ba3c9bf58b48d16df270b16ed6c99bc8b250784aff326e94e57a5",
+    ("B2", "records"): "3118847579a2462f7120521236fdb0d39e8d69629c467b38ee6e8ce292c6b13f",
+    ("B4", "human"): "c4ad3c0a55997223eb4ea193d4fb49021d63c810a6765518d8cdf588063023b4",
+    ("B4", "records"): "a83bee64b055baaf24d23b9cc76c1cf3005fa681c48e88740f534c3f0af9a4f8",
+    ("D3", "human"): "608b6c1e6dd34689748d7d0ee150379e256ade7a3a563d59cd4c4b376d0a375b",
+    ("D3", "records"): "af2e357c80fc1d47699468ceb03a84439ab589586fe83b2f0d454dadd38a1c6c",
+    ("D4", "human"): "8627687cca4270982223ada66bc610f8430741ff7639712f0be3195dc7d9edac",
+    ("D4", "records"): "32ee42e1c3c4fe01487ff8adb77bdf840527efdaec9e180c9fda947f47eb78e3",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHAR_DIGESTS), ids="-".join)
+def test_char_digest(capsys, key):
+    group, fmt = key
+    out = []
+    for hw in CHAR_WEIGHTS[group]:
+        argv = ["char", "--type", group[0], "--n", group[1:], "--hw", ",".join(map(str, hw))]
+        assert cli.main(argv + ["--format", fmt]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode("utf-8")).hexdigest() == CHAR_DIGESTS[key]

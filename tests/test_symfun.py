@@ -558,6 +558,24 @@ def test_pruned_P_kj_equals_unpruned(k, j):
     assert universal_P_kj(k, j) == symfun._elementary_table(unpruned, n)
 
 
+# A table in d < k (resp. d < kj) variables is the full table with every
+# e_i, i > d, set to zero: e_1..e_d of d variables are algebraically
+# independent and the higher ones vanish (Macdonald, ch. I §2).  So a check
+# whose arguments have lambda-degree d may read the narrow table.
+@pytest.mark.parametrize("k", range(2, 7))
+def test_narrow_P_is_the_specialized_table(k):
+    for d in range(1, k):
+        assert symfun._universal_P_build(k, d) == universal_P(k).specialize(d), d
+
+
+@pytest.mark.parametrize(
+    "k, j", [(k, j) for k in range(1, 10) for j in range(1, 10) if 2 <= k * j <= 9]
+)
+def test_narrow_P_kj_is_the_specialized_table(k, j):
+    for d in range(1, k * j):
+        assert symfun._universal_P_kj_build(k, j, d) == universal_P_kj(k, j).specialize(d), d
+
+
 def test_digit_overflow_is_refused_before_expanding():
     start = time.perf_counter()
     for build in (lambda: universal_P(256), lambda: universal_P_kj(256, 2)):

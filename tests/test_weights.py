@@ -10,6 +10,7 @@ from gwlambda.errors import DomainError, FormatError
 from gwlambda.lambda_rings import KExtTorusRing, KTorusRing
 from gwlambda.weights import (
     Flavor,
+    _orbit,
     char_record,
     character_mass,
     check_triangularity,
@@ -18,7 +19,14 @@ from gwlambda.weights import (
     weyl_dim,
 )
 
-from weight_helpers import dominance_leq, endo_dim, fold_restriction, minus, parse_char
+from weight_helpers import (
+    benchmark_weights,
+    dominance_leq,
+    endo_dim,
+    fold_restriction,
+    minus,
+    parse_char,
+)
 
 B1, B2, B3 = Flavor("B", 1), Flavor("B", 2), Flavor("B", 3)
 D2, D3 = Flavor("D", 2), Flavor("D", 3)
@@ -261,15 +269,6 @@ def weyl_formula_character(weight, flavor):
     return {tuple(v // 2 for v in key): m for key, m in quo.items()}
 
 
-def benchmark_weights(n):
-    """The B_n and D_n highest weights with entries in 0..2 summing to at most 4."""
-    tops = [
-        w for w in itertools.product(range(2, -1, -1), repeat=n)
-        if list(w) == sorted(w, reverse=True) and sum(w) <= 4
-    ]
-    return [(w, Flavor(kind, n)) for kind in ("B", "D") for w in tops]
-
-
 def test_character_matches_weyl_formula_small_ranks():
     for flavor in (B1, B2, B3, D2, D3):
         for w in dominant_box(flavor, 3):
@@ -288,6 +287,40 @@ def test_character_matches_weyl_formula_b5(monkeypatch):
     b5 = Flavor("B", 5)
     w = (1, 1, 0, 0, 0)
     assert weyl_character(w, b5) == weyl_formula_character(w, b5)
+
+
+# ---------------------------------------------------------------------------
+# oracle: Weyl orbits by applying every group element
+
+
+def brute_force_orbit(kind, mu):
+    """Every signed permutation of ``mu`` (an even number of minus signs for
+    D), applied one by one and collected in a set."""
+    n = len(mu)
+    out = set()
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            if kind == "B" or signs.count(-1) % 2 == 0:
+                out.add(tuple(s * mu[i] for s, i in zip(signs, perm)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "flavor",
+    [B1, B2, B3, Flavor("B", 4), D2, D3, Flavor("D", 4)],
+    ids=lambda f: "%s%d" % (f.kind, f.n),
+)
+def test_orbit_matches_brute_force(flavor):
+    # Entries in 0..2 for B; for D the last entry also in -2..-1, and
+    # weights with and without a zero entry.
+    weights = dominant_box(flavor, 2)
+    if flavor.kind == "D":
+        assert any(mu[-1] < 0 for mu in weights)
+        assert any(0 in mu for mu in weights) and any(0 not in mu for mu in weights)
+    for mu in weights:
+        orbit = list(_orbit(flavor.kind, mu))
+        assert len(orbit) == len(set(orbit)), mu
+        assert set(orbit) == brute_force_orbit(flavor.kind, mu), mu
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,18 @@
 
 The companion weight with the last coordinate negated, the dominance
 order between two weights, the folding of a character into {g, -g} orbits,
-the endomorphism dimension of an induced simple, and the reader of a
-character record.  They are built on the helpers of ``gwlambda.weights``,
+the endomorphism dimension of an induced simple, the reader of a
+character record, and the highest weights of the benchmark.  They are built on the helpers of ``gwlambda.weights``,
 ``gwlambda.lambda_rings`` and ``gwlambda.errors`` that the program itself
 runs.
 """
 
+import itertools
+
 from gwlambda.errors import DomainError, FormatError, _checked
 from gwlambda.fields import _is_prime
 from gwlambda.lambda_rings import canonical_rep
-from gwlambda.weights import _below, _check_weight, _partial_sums
+from gwlambda.weights import Flavor, _below, _check_weight, _partial_sums
 
 
 def minus(weight):
@@ -101,3 +103,12 @@ def parse_char(record):
         mult = _checked(term.get("mult"), int, where + ".mult")
         out[key] = out.get(key, 0) + mult
     return {k: v for k, v in out.items() if v}
+
+
+def benchmark_weights(n):
+    """The B_n and D_n highest weights with entries in 0..2 summing to at most 4."""
+    tops = [
+        w for w in itertools.product(range(2, -1, -1), repeat=n)
+        if list(w) == sorted(w, reverse=True) and sum(w) <= 4
+    ]
+    return [(w, Flavor(kind, n)) for kind in ("B", "D") for w in tops]
