@@ -3,9 +3,12 @@
 Characters of the odd (B) and even (D) special orthogonal series are
 computed by Freudenthal's multiplicity formula on the dominant weights
 below the highest weight, in exact integers (pairings with 2*rho, so the
-half-integral rho of the B series stays integral), and then expanded over
-Weyl orbits: signed permutations for B, evenly signed ones for D.  The
-dimension comes from Weyl's product formula, computed independently.
+half-integral rho of the B series stays integral).  Each Weyl orbit of
+those weights is listed once, into one map from weight to dominant
+representative, which both answers the formula's lookups and is the
+character's support: signed permutations for B; for D, evenly signed ones,
+kept by the parity of their minus signs.  The dimension comes from Weyl's
+product formula, computed independently.
 
 Dominance is the partial-sum order, literally: prefix sums for B, prefix
 sums plus the sum with the last coordinate negated for D.  No root-lattice
@@ -109,16 +112,6 @@ def _pairing(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _dominant_rep(kind, weight):
-    """The dominant weight in the Weyl orbit of ``weight``: absolute values
-    in decreasing order; for D the last entry is negated when an odd number
-    of entries is negative (a no-op when some entry, so the last, is zero)."""
-    rep = sorted((abs(v) for v in weight), reverse=True)
-    if kind == "D" and sum(v < 0 for v in weight) % 2:
-        rep[-1] = -rep[-1]
-    return tuple(rep)
-
-
 def _dominant_weights(kind, weight):
     """Dominant mu with weight - mu a non-negative integer combination of
     simple roots, read off the prefix sums S_t of d = weight - mu.
@@ -150,11 +143,15 @@ def _dominant_weights(kind, weight):
 
 
 def _orbit(kind, mu):
-    """The Weyl orbit of the dominant weight ``mu``: signed permutations for
-    B; for D those whose dominant representative is ``mu`` again."""
+    """The Weyl orbit of the dominant weight ``mu``, each weight once: the
+    signed permutations for B.  For D, every sign pattern when ``mu`` has
+    a zero entry (negating a zero changes the parity and nothing else);
+    otherwise those whose number of minus signs has the parity of ``mu``'s
+    (odd exactly when its last entry is negative)."""
+    odd = None if kind == "B" or 0 in mu else mu[-1] < 0
     for perm in set(itertools.permutations(abs(v) for v in mu)):
         for vec in itertools.product(*((v, -v) if v else (0,) for v in perm)):
-            if kind == "B" or _dominant_rep(kind, vec) == mu:
+            if odd is None or sum(v < 0 for v in vec) % 2 == odd:
                 yield vec
 
 
@@ -166,7 +163,9 @@ def _weyl_character_cached(kind, n, weight):
         return sum(v * (v + r) for v, r in zip(mu, rho2))
 
     dominant = _dominant_weights(kind, weight)
-    known = set(dominant)
+    # Every weight of the character, mapped to the dominant weight of its
+    # orbit: a weight outside it has multiplicity 0.
+    rep_of = {vec: mu for mu in dominant for vec in _orbit(kind, mu)}
     top = level(weight)
     mult = {weight: 1}
     # Freudenthal: (|weight+rho|^2 - |mu+rho|^2) m(mu)
@@ -177,21 +176,17 @@ def _weyl_character_cached(kind, n, weight):
             continue
         total = 0
         for alpha in roots:
-            nu = tuple(a + b for a, b in zip(mu, alpha))
-            rep = _dominant_rep(kind, nu)
-            while rep in known:
+            nu = tuple(map(operator.add, mu, alpha))
+            rep = rep_of.get(nu)
+            while rep is not None:
                 total += mult[rep] * _pairing(nu, alpha)
-                nu = tuple(a + b for a, b in zip(nu, alpha))
-                rep = _dominant_rep(kind, nu)
+                nu = tuple(map(operator.add, nu, alpha))
+                rep = rep_of.get(nu)
         m, rem = divmod(2 * total, top - level(mu))
         if rem or m < 1:
             raise AssertionError("Freudenthal multiplicity must be a positive integer")
         mult[mu] = m
-    out = {}
-    for mu, m in mult.items():
-        for vec in _orbit(kind, mu):
-            out[vec] = m
-    return tuple(sorted(out.items()))
+    return tuple(sorted((vec, mult[mu]) for vec, mu in rep_of.items()))
 
 
 def weyl_character(weight, flavor):
