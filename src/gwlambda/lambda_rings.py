@@ -9,7 +9,7 @@ The five rings differ only in their basis and coefficients:
 * ``IntegerRing`` -- Z, free on the unit "one": lambda^k(n) = C(n, k);
 * ``GWFieldRing`` -- GW(F), free over Z on the lines <a>, one per square
   class of a model field (keyed by index), taken modulo the Witt
-  relations: equality is decided by complete invariants;
+  relations: equality compares one normal form of the counts per class;
 * ``KTorusRing`` -- the group ring of Z^r, spanned by line elements e^g
   (keyed by the weight tuple g);
 * ``KExtTorusRing`` -- character-level extension by an order-2
@@ -33,7 +33,6 @@ from collections import namedtuple
 
 from .errors import DomainError, FormatError, _checked, _load_json
 from .fields import field_model
-from .forms import GWClass
 from . import symfun
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,7 @@ class _Basis:
     def _gw_only(self, *args):
         raise DomainError("diagonal forms and their classes exist in GW(F) only")
 
-    diag = coeff_record = coeff_parse = gw_class = _gw_only
+    diag = coeff_record = coeff_parse = _gw_only
 
 
 class _Unit(_Basis):
@@ -265,12 +264,10 @@ class _SquareClasses(_Basis):
     The terms of an element are signed counts of entries <a> per class; its
     ``pos`` and ``neg`` (the class representatives repeated by the positive
     and the negative counts) are the exchange format.  GW(F) is the
-    quotient of this free ring by the Witt relations.  Where two different
-    counts can have the same class (over fq 2<1> - 2<u> is zero), equality
-    is decided by the complete invariants of the model (GWClass), built
-    once per counts and kept here.  ``faithful`` says that they cannot, and
-    then the counts are compared directly.  Products of keys follow the
-    square-class product table of the field.
+    quotient of this free ring by the Witt relations, and ``same`` and
+    ``is_zero`` compare one normal form of the counts (``_normal``).
+    ``faithful`` says that the counts are that normal form.  Products of
+    keys follow the square-class product table of the field.
     """
 
     def __init__(self, field):
@@ -283,16 +280,21 @@ class _SquareClasses(_Basis):
             tuple(index[field.square_class(field.mul(a, b))] for b in classes)
             for a in classes
         )
-        self._memo = {}  # {frozenset of (index, count): GWClass}
-        self._zero_class = GWClass.zero(field)
         # In the model fields the rank, the signature (rc) and the signed
-        # discriminant (fq) are complete, so the counts of an element give
-        # its class one to one unless 2<a> = 2<1> for a class a != 1: true
-        # over fq, false over qc (one class) and rc (signature).
-        two_ones = GWClass.of_diagonal(field, (field.one, field.one))
-        self.faithful = all(
-            GWClass.of_diagonal(field, (a, a)) != two_ones for a in classes if a != field.one
-        )
+        # discriminant (fq) are complete invariants, so two different counts
+        # have the same class only over fq, where 2<u> = 2<1> (Lam, GSM 67,
+        # ch. II §3).
+        self.faithful = field.kind != "fq"
+        self._zero = self._normal({})
+
+    def _normal(self, counts):
+        """The counts themselves, or over fq, with <1> at index 0 and the
+        non-residue u at index 1, (c_1 + c_u - c_u mod 2, c_u mod 2): equal
+        exactly when the classes are."""
+        if self.faithful:
+            return counts
+        u = counts.get(1, 0)
+        return (counts.get(0, 0) + u - u % 2, u % 2)
 
     def unit(self, r):
         return self.index[self.field.one]
@@ -311,27 +313,11 @@ class _SquareClasses(_Basis):
         classes = self.field.square_classes
         return tuple(classes[i] for i, c in sorted(x.terms.items()) for _ in range(sign * c))
 
-    def gw_class(self, x):
-        """The class of x, memoized per counts; a zero class is stored as
-        the one zero object, so that ``is_zero`` is an identity test."""
-        key = frozenset(x.terms.items())
-        cls = self._memo.get(key)
-        if cls is None:
-            cls = GWClass.of_diagonal(self.field, self.entries(x, 1), self.entries(x, -1))
-            if cls == self._zero_class:
-                cls = self._zero_class
-            self._memo[key] = cls
-        return cls
-
     def same(self, x, y):
-        if self.faithful:
-            return x.terms == y.terms
-        return self.gw_class(x) == self.gw_class(y)
+        return self._normal(x.terms) == self._normal(y.terms)
 
     def is_zero(self, x):
-        if self.faithful:
-            return not x.terms
-        return self.gw_class(x) is self._zero_class
+        return self._normal(x.terms) == self._zero
 
     def diag(self, ring, pos, neg):
         index, square_class = self.index, self.field.square_class
@@ -582,7 +568,7 @@ class FreeLambdaRing:
     A free lambda-ring is also a coefficient ring: the methods from
     ``__contains__`` on are the protocol that ``INTEGERS`` shares.  Only
     GW(F) serves as one: ``diag``, ``rank_one``, ``record``, ``parse`` and
-    an element's ``pos``, ``neg``, ``gw_class`` fail on the other bases.
+    an element's ``pos`` and ``neg`` fail on the other bases.
     """
 
     __slots__ = (
@@ -757,7 +743,7 @@ class FreeElt:
     def is_zero(self):
         return self.ring.basis.is_zero(self)
 
-    # GW(F) only: the exchange format and the complete invariants.
+    # GW(F) only: the exchange format.
     @property
     def pos(self):
         return self.ring.basis.entries(self, 1)
@@ -765,9 +751,6 @@ class FreeElt:
     @property
     def neg(self):
         return self.ring.basis.entries(self, -1)
-
-    def gw_class(self):
-        return self.ring.basis.gw_class(self)
 
     def sorted_terms(self):
         sort_key = self.ring.basis.sort_key
@@ -898,7 +881,7 @@ MAX_RANK = 8
 # The most basis elements a sweep takes.  A sweep checks every pair, so its
 # work grows with the square of the count: 64 elements at the largest table
 # degree (gw-ext-torus over fq:5, r 1, bound 62, kmax 12, jmax 1; 2,080
-# pairs) take 19 s, and 0.6 s at the default kmax 4 (README).
+# pairs) take 36 s, and 0.9 s at the default kmax 4 (README).
 MAX_SWEEP = 64
 
 

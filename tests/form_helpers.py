@@ -1,6 +1,6 @@
-"""A form constructor that only the tests use."""
+"""A form constructor and a GW(F) class oracle that only the tests use."""
 
-from gwlambda.forms import GramForm
+from gwlambda.forms import GramForm, GWClass
 
 
 def diagonal_form(field, entries):
@@ -11,3 +11,13 @@ def diagonal_form(field, entries):
         for i in range(len(entries))
     ]
     return GramForm(field, gram)
+
+
+def diagonal_class(x):
+    """Oracle: the class in GW(F) of an element x of ``GWFieldRing``, from
+    its signed counts per square class by ``GWClass.of_diagonal``; it
+    shares no code with the ring's equality."""
+    classes = x.ring.field.square_classes
+    pos = [classes[i] for i, c in x.terms.items() for _ in range(c)]
+    neg = [classes[i] for i, c in x.terms.items() for _ in range(-c)]
+    return GWClass.of_diagonal(x.ring.field, pos, neg)

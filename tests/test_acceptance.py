@@ -26,7 +26,7 @@ from gwlambda.forms import (
 from gwlambda.lambda_rings import GWExtTorusRing, GWFieldRing, pair_key
 from gwlambda.symfun import EPolynomial, universal_P, universal_P_kj
 
-from form_helpers import diagonal_form
+from form_helpers import diagonal_class, diagonal_form
 from weight_helpers import dominance_leq, endo_dim, minus
 
 ALL_MODELS = ("qc", "rc", "fq:5", "fq:7")
@@ -176,7 +176,7 @@ def test_criterion_3_forms_oracle_equivalence():
             ring = GWFieldRing(field)
             as_elt = ring.diag(diagonalize(metabolic))
             for n in range(0, 5):
-                lam_class = as_elt.lambda_k(n).gw_class()
+                lam_class = diagonal_class(as_elt.lambda_k(n))
                 if n <= metabolic.dim:
                     ok = ok and lam_class == gw_class(exterior_power(metabolic, n))
                 else:

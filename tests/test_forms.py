@@ -29,7 +29,7 @@ from gwlambda.forms import (
 )
 from gwlambda.lambda_rings import GWFieldRing
 
-from form_helpers import diagonal_form
+from form_helpers import diagonal_class, diagonal_form
 
 MODELS = ("qc", "rc", "fq:5", "fq:7")
 
@@ -490,10 +490,9 @@ def test_coefficient_class_matches_fold(case):
     field, entries, minus = case
     x = GWFieldRing(field).diag(entries, minus)
     expected = fold_of_diagonal(field, x.pos) - fold_of_diagonal(field, x.neg)
-    assert same_invariants(x.gw_class(), expected)
+    assert same_invariants(diagonal_class(x), expected)
     # The canonical multisets carry the class of the input entries.
-    assert x.gw_class() == fold_of_diagonal(field, entries) - fold_of_diagonal(field, minus)
-    assert x.gw_class() is x.gw_class()
+    assert diagonal_class(x) == fold_of_diagonal(field, entries) - fold_of_diagonal(field, minus)
     assert x.is_zero() == (expected == GWClass.zero(field))
 
 

@@ -1,15 +1,19 @@
 """Tests for the pre-lambda-ring instances and the identity checkers."""
 
+import ast
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwlambda import cli
+from gwlambda import lambda_rings as lr
 from gwlambda.errors import DomainError, FormatError
 from gwlambda.fields import field_model
 from gwlambda.forms import GWClass, exterior_power, gw_class
@@ -39,7 +43,7 @@ from gwlambda.lambda_rings import (
     parse_element,
 )
 
-from form_helpers import diagonal_form
+from form_helpers import diagonal_class, diagonal_form
 
 MODELS = ("qc", "rc", "fq:5", "fq:7")
 
@@ -105,7 +109,7 @@ def _binom(n, k):
 def test_gw_only_methods_fail_on_other_bases():
     kt = KTorusRing(1)
     assert not hasattr(kt.one, "pos") and not hasattr(kt.one, "neg")
-    for call in (lambda: kt.diag((1,)), kt.one.gw_class, lambda: kt.record(kt.one)):
+    for call in (lambda: kt.diag((1,)), lambda: kt.record(kt.one)):
         with pytest.raises(DomainError, match="GW\\(F\\) only"):
             call()
     gw = GWFieldRing(field_model("rc"))
@@ -145,7 +149,7 @@ def test_gw_field_lambda_matches_exterior_power():
             x = ring.diag(entries)
             form = diagonal_form(f, entries)
             for k in range(0, dim + 1):
-                assert x.lambda_k(k).gw_class() == gw_class(exterior_power(form, k))
+                assert diagonal_class(x.lambda_k(k)) == gw_class(exterior_power(form, k))
 
 
 def test_gw_field_virtual_cancellation():
@@ -158,18 +162,18 @@ def test_gw_field_virtual_cancellation():
 
 
 def test_gw_field_zero_class_with_nonzero_counts():
-    # Over F_5, 2<1> - 2<2> is zero in GW(F) although its counts are not.
-    # Its class is computed on the first call and stored as the one zero
-    # class object, and each later call finds that object in the memo.
+    # Over F_5, 2<1> - 2<2> is zero in GW(F) although its counts are not:
+    # its normal form is that of zero.
     ring = GWFieldRing(field_model("fq:5"))
+    zero_class = GWClass.zero(ring.field)
     x = ring.diag([1, 1], [2, 2])
     assert sorted(x.terms.values()) == [-2, 2]
     assert x.is_zero()
-    assert x.gw_class() is ring.zero.gw_class()
+    assert diagonal_class(x) == zero_class
     assert x.is_zero() and x == ring.zero
     for y in (ring.diag([1], [2]), ring.diag([1, 1], [2])):
         assert not y.is_zero()
-        assert y.gw_class() is not ring.zero.gw_class()
+        assert diagonal_class(y) != zero_class
     # As a coefficient of the extended torus, the zero class is dropped.
     er = GWExtTorusRing(1, ring.field)
     assert er.elt({"one": er.coeff_ring.diag([1, 1], [2, 2])}).terms == {}
@@ -264,18 +268,11 @@ def count_vectors(ring):
     return [ring.elt(dict(enumerate(v))) for v in itertools.product(range(-3, 4), repeat=n)]
 
 
-def diagonal_class(x):
-    """Oracle: the class of the entries of x, built without the count memo."""
-    classes = x.ring.field.square_classes
-    pos = [classes[i] for i, c in x.terms.items() for _ in range(c)]
-    neg = [classes[i] for i, c in x.terms.items() for _ in range(-c)]
-    return GWClass.of_diagonal(x.ring.field, pos, neg)
-
-
 @pytest.mark.parametrize("spec", ORACLE_MODELS)
 def test_gw_field_zero_and_equality_against_diagonal_classes(spec):
     # Over qc and rc no two count vectors share a class, so zero and
-    # equality are read off the counts; over fq they go through the classes.
+    # equality are read off the counts; over fq they compare rank and the
+    # parity of the count of <u>.
     ring = GWFieldRing(field_model(spec))
     assert ring.basis.faithful is (spec in ("qc", "rc"))
     elements = count_vectors(ring)
@@ -285,6 +282,45 @@ def test_gw_field_zero_and_equality_against_diagonal_classes(spec):
         assert x.is_zero() is (cx == zero)
         for y, cy in zip(elements, classes):
             assert (x == y) is (cx == cy)
+
+
+@pytest.mark.parametrize("spec", ("fq:3", "fq:5"))
+def test_fq_counts_compared_as_they_are_fail_the_sweep(spec, monkeypatch, capsys):
+    # Too fine a normal form: with the counts themselves over fq, a product
+    # whose counts differ from the other side's but whose class is the same
+    # reads as a failed identity.
+    argv = ["check", "--sweep", "--ring", "gw-ext-torus", "--field", spec, "--r", "1",
+            "--bound", "2", "--kmax", "5", "--format", "records"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(lr._SquareClasses, "_normal", lambda self, counts: counts)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    failed = [r for r in map(json.loads, capsys.readouterr().out.splitlines()) if not r["pass"]]
+    assert failed
+
+
+@pytest.mark.parametrize("spec", ("fq:3", "fq:5", "fq:7"))
+def test_rank_alone_disagrees_with_diagonal_classes(spec, monkeypatch):
+    # Too coarse a normal form: the rank alone makes <1> and <u> equal.
+    monkeypatch.setattr(lr._SquareClasses, "_normal", lambda self, counts: sum(counts.values()))
+    ring = GWFieldRing(field_model(spec))
+    elements = count_vectors(ring)
+    classes = [diagonal_class(x) for x in elements]
+    assert any(
+        (x == y) is not (cx == cy)
+        for x, cx in zip(elements, classes)
+        for y, cy in zip(elements, classes)
+    )
+
+
+def test_lambda_rings_imports_nothing_from_forms():
+    # GW(F) equality is a normal form of the counts; GWClass is the tests'
+    # oracle and shares no code with it.
+    tree = ast.parse(Path(lr.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            assert "forms" not in {part for name in names for part in name.split(".")}
 
 
 def signed_binomial(n, k):

@@ -12,9 +12,10 @@ The left sides are classes of exterior powers of ``tensor`` and
 the classes of the exterior powers of a and b.  Every class is
 ``GWFieldRing(field).diag(diagonalize(form))``.
 
-Shared with the engine: ``GWClass``, which decides equality in GW(F); the
-square-class product table of ``GWFieldRing``, which forms the products of
-the evaluation; and ``EPolynomial.evaluate``.  Not shared: the λ-series of
+Shared with the engine: the normal form of the square-class counts, which
+decides equality in GW(F); the square-class product table of
+``GWFieldRing``, which forms the products of the evaluation; and
+``EPolynomial.evaluate``.  Not shared: the λ-series of
 ``lambda_rings`` (``lambda_t``, ``_series_mul``, ``_series_inv``) that the
 identity sweeps run through.
 """
