@@ -869,11 +869,6 @@ class CheckRecord:
         )
 
 
-# The largest degree of a table that a check builds: k of P_k in lambda1,
-# k*j of P_kj in lambda2.  Each table up to it builds in under a second,
-# and the time grows about 2.5-fold per degree (README).
-MAX_DEGREE = 12
-
 # The largest torus rank r of a ring.  A weight is a tuple of r integers,
 # and a sweep at --bound 1 enumerates 3^r of them (6,561 at r = 8).
 MAX_RANK = 8
@@ -886,11 +881,10 @@ MAX_SWEEP = 64
 
 
 def _checked_kmax(kmax, degree, what):
-    """Refuse a kmax below 1, or a table degree above MAX_DEGREE, before any work."""
+    """Refuse a kmax below 1, or a table degree above the cap, before any work."""
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    if degree > MAX_DEGREE:
-        raise DomainError("%s is %d; checks build tables up to %d" % (what, degree, MAX_DEGREE))
+    symfun.checked_degree(degree, what)
 
 
 def _checked_sweep(count):

@@ -14,9 +14,10 @@ x^lam y^mu T^k is the number of 0/1 matrices with row sums lam and column
 sums mu (Macdonald, Symmetric Functions and Hall Polynomials, ch. I.6), so
 no product is expanded.  The second expands its product into a sparse
 {exponent vector: coefficient} dict, packing each exponent vector into one
-int with nine bits per variable: eight for the exponent (so k < 256) and a
-guard bit that drops every partial product whose exponents already exceed
-those of any partition of k*j.  Both refuse k >= 256 before any work.
+int with nine bits per variable: eight for the exponent and a guard bit
+that drops every partial product whose exponents already exceed those of
+any partition of k*j.  Both refuse a degree (k, resp. k*j) above
+MAX_DEGREE before any work.
 Truncation degree k only requires n = k (resp. n = k*j) variables;
 stability in n is a testable property, not an assumption baked into the
 data structures.
@@ -192,6 +193,17 @@ def _partition_to_e(part):
 # ---------------------------------------------------------------------------
 # universal polynomial tables
 
+# The largest degree of a table: k of P_k, k*j of P_kj.  Each table up to
+# it builds in under a second, and the time grows about 2.5-fold per degree
+# (README).
+MAX_DEGREE = 12
+
+
+def checked_degree(degree, what):
+    """Refuse a table degree above MAX_DEGREE before any work."""
+    if degree > MAX_DEGREE:
+        raise DomainError("%s is %d; tables are built up to degree %d" % (what, degree, MAX_DEGREE))
+
 # The leading-term reduction (``_reduce_symmetric_parts``) runs on
 # partition representatives only: a symmetric polynomial is determined by
 # its coefficients on weakly decreasing exponent vectors, and the
@@ -313,8 +325,9 @@ def _truncated_elem(monomials, k, bounds):
     AND with the guard bits drops that product: exponents only grow, so no
     product of it could come back within the bounds.  The monomials are 0/1
     vectors, so a kept digit is at most 255 and the next product's at most
-    256; no digit carries while every bound is in 0..255.  Only T^k keys
-    that are weakly decreasing are decoded and returned, as exponent tuples.
+    256; no digit carries while every bound is in 0..255.  The packing
+    relies on this: the callers' bounds are at most k <= MAX_DEGREE.  Only
+    T^k keys that are weakly decreasing are decoded and returned.
     """
     shifts = [9 * i for i in reversed(range(len(bounds)))]
     guard = sum(256 << s for s in shifts)
@@ -336,12 +349,6 @@ def _truncated_elem(monomials, k, bounds):
     return out
 
 
-def _refuse_large(k):
-    """Refuse k >= 256 before any work: P_kj keeps exponents up to k in a byte."""
-    if k >= 256:
-        raise DomainError("tables need k < 256")
-
-
 @lru_cache(maxsize=None)
 def universal_P(k, n_vars=None):
     """The polynomial expressing lambda^k(x*y) in the lambda^i of the factors.
@@ -353,7 +360,7 @@ def universal_P(k, n_vars=None):
     """
     if k < 1:
         raise DomainError("universal_P needs k >= 1")
-    _refuse_large(k)
+    checked_degree(k, "k")
     n = k if n_vars is None else n_vars
     if n < k:
         raise DomainError("need at least k variables per alphabet")
@@ -380,7 +387,7 @@ def universal_P_kj(k, j, n_vars=None):
     """
     if k < 1 or j < 1:
         raise DomainError("universal_P_kj needs k >= 1 and j >= 1")
-    _refuse_large(k)
+    checked_degree(k * j, "k*j")
     n = k * j if n_vars is None else n_vars
     if n < k * j:
         raise DomainError("need at least k*j variables")

@@ -14,23 +14,24 @@ Dominance is the partial-sum order, literally: prefix sums for B, prefix
 sums plus the sum with the last coordinate negated for D.  No root-lattice
 membership is imposed.
 
-The rank is capped (default 4, override via GWLAMBDA_WEYL_RANK_CAP) since
-the output orbits grow as 2^n n!.
-
 The simple modules of the extended torus (1, d, and one [e^g] per nonzero
 {g, -g} orbit) are the basis of ``lambda_rings.KExtTorusRing``.
 """
 
 import itertools
 import operator
-import os
 from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError
 
-RANK_CAP_ENV = "GWLAMBDA_WEYL_RANK_CAP"
-_DEFAULT_RANK_CAP = 4
+# Caps on a character's input, checked before any work (README): _orbit
+# lists n! permutations per dominant weight; the support lies in the box
+# [-w1, w1]^n of the highest weight w; Freudenthal walks root strings of up
+# to 2 w1 + 1 weights from every dominant weight.
+MAX_WEYL_RANK = 8
+MAX_WEIGHT_BOX = 200_000
+MAX_TOP_ENTRY = 20
 
 
 class Flavor(namedtuple("Flavor", "kind n")):
@@ -82,14 +83,6 @@ def _below(sums, upper_sums):
 
 # ---------------------------------------------------------------------------
 # Weyl characters by Freudenthal's formula
-
-
-def _rank_cap():
-    raw = os.environ.get(RANK_CAP_ENV, "")
-    try:
-        return int(raw) if raw else _DEFAULT_RANK_CAP
-    except ValueError:
-        raise DomainError("%s must be an integer" % RANK_CAP_ENV) from None
 
 
 @lru_cache(maxsize=None)
@@ -197,12 +190,14 @@ def weyl_character(weight, flavor):
     weight = _check_weight(flavor, weight)
     if not is_dominant(weight, flavor):
         raise DomainError("highest weight must be dominant")
-    cap = _rank_cap()
-    if flavor.n > cap:
-        raise DomainError(
-            "rank %d exceeds the cap %d (set %s to raise it)"
-            % (flavor.n, cap, RANK_CAP_ENV)
-        )
+    top, n = weight[0], flavor.n
+    for what, size, cap in (
+        ("rank", n, MAX_WEYL_RANK),
+        ("first entry", top, MAX_TOP_ENTRY),
+        ("weight box (2*%d+1)^%d" % (top, n), (2 * top + 1) ** n, MAX_WEIGHT_BOX),
+    ):
+        if size > cap:
+            raise DomainError("the %s is %d; characters take up to %d" % (what, size, cap))
     return dict(_weyl_character_cached(flavor.kind, flavor.n, weight))
 
 

@@ -594,7 +594,7 @@ def test_check_table_degree_cap():
         lambda: check_lambda2(one, j=13, kmax=1),
         lambda: check_lambda2(huge, j=2),
     ):
-        with pytest.raises(DomainError, match="checks build tables up to 12"):
+        with pytest.raises(DomainError, match="tables are built up to degree 12"):
             call()
 
 

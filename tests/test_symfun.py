@@ -578,8 +578,15 @@ def test_narrow_P_kj_is_the_specialized_table(k, j):
 
 def test_digit_overflow_is_refused_before_expanding():
     start = time.perf_counter()
-    for build in (lambda: universal_P(256), lambda: universal_P_kj(256, 2)):
-        with pytest.raises(DomainError, match="k < 256"):
+    builds = (
+        lambda: universal_P(256),
+        lambda: universal_P_kj(256, 2),
+        lambda: universal_P(13),
+        lambda: universal_P_kj(13, 1),
+        lambda: universal_P_kj(4, 4),
+    )
+    for build in builds:
+        with pytest.raises(DomainError, match="tables are built up to degree 12"):
             build()
     assert time.perf_counter() - start < 1.0
 

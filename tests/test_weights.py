@@ -282,8 +282,7 @@ def test_character_matches_weyl_formula_rank_four():
         assert weyl_character(w, flavor) == weyl_formula_character(w, flavor), w
 
 
-def test_character_matches_weyl_formula_b5(monkeypatch):
-    monkeypatch.setenv("GWLAMBDA_WEYL_RANK_CAP", "5")
+def test_character_matches_weyl_formula_b5():
     b5 = Flavor("B", 5)
     w = (1, 1, 0, 0, 0)
     assert weyl_character(w, b5) == weyl_formula_character(w, b5)
@@ -522,23 +521,22 @@ def test_endo_dim_validation():
 # rank cap
 
 
-def test_rank_cap_default(monkeypatch):
-    monkeypatch.delenv("GWLAMBDA_WEYL_RANK_CAP", raising=False)
-    with pytest.raises(DomainError, match="cap"):
-        weyl_character((1, 0, 0, 0, 0), Flavor("B", 5))
+def test_rank_cap_default():
+    for kind in ("B", "D"):
+        with pytest.raises(DomainError, match="the rank is 9; characters take up to 8"):
+            weyl_character((1,) + (0,) * 8, Flavor(kind, 9))
 
 
-def test_rank_cap_override(monkeypatch):
-    monkeypatch.setenv("GWLAMBDA_WEYL_RANK_CAP", "5")
+def test_rank_cap_override():
+    # Rank 5 needed an environment variable once; every rank up to 8 runs.
     char = weyl_character((1, 0, 0, 0, 0), Flavor("B", 5))
     assert character_mass(char) == 11
 
 
-def test_exactness_assertions_hold_within_rank_cap_five(monkeypatch):
+def test_exactness_assertions_hold_within_rank_cap_five():
     # Every dominant weight of B1-B5 and D2-D5 with entries 0..2, both signs
     # of a nonzero last entry for D: the exactness assertions of Freudenthal's
     # formula and of weyl_dim are never reached.
-    monkeypatch.setenv("GWLAMBDA_WEYL_RANK_CAP", "5")
     flavors = [Flavor("B", n) for n in range(1, 6)] + [Flavor("D", n) for n in range(2, 6)]
     cases = [(w, flavor) for flavor in flavors for w in dominant_box(flavor, 2)]
     assert len(cases) == 125
@@ -546,12 +544,6 @@ def test_exactness_assertions_hold_within_rank_cap_five(monkeypatch):
         char = weyl_character(w, flavor)
         assert character_mass(char) == weyl_dim(w, flavor), (w, flavor)
         assert check_triangularity(w, flavor), (w, flavor)
-
-
-def test_rank_cap_malformed(monkeypatch):
-    monkeypatch.setenv("GWLAMBDA_WEYL_RANK_CAP", "many")
-    with pytest.raises(DomainError):
-        weyl_character((1, 0), B2)
 
 
 # ---------------------------------------------------------------------------
