@@ -12,7 +12,7 @@ Four commands:
 ``--format records`` emits line-delimited JSON with sorted keys, so equal
 inputs produce byte-identical output; ``human`` is a readable rendering of
 the same data.  Exit codes: 0 all checks passed, 1 an identity check
-failed, 2 usage or input errors.
+failed, 2 usage or input errors, 3 an internal error.
 """
 
 # The layers come before argparse: compiling lambda_rings sets the peak RSS
@@ -433,6 +433,11 @@ def main(argv=None):
         # directory, no permission): a usage error, never a traceback.
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # An exactness or verification check inside the engine failed: a
+        # fault of the program, which must not read as a failed identity.
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
     return code
 
 

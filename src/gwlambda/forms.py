@@ -19,11 +19,19 @@ with the induced virtual (formal-difference) ring structure.
 """
 
 import itertools
+import math
 from functools import reduce
 from operator import mul
 
 from .errors import DomainError, FormatError, _checked, _load_json
 from .fields import field_model
+
+# Caps on the two constructions whose size a few input bytes set, checked
+# before any work (README).  Lambda^k of a form has C(dim, k) rows and a
+# minor for every pair of rows: C(10, 5) = 252 rows are the middle power
+# of a 10-dimensional form.  hyperbolic(n) has (2n)^2 entries.
+MAX_EXTERIOR_ROWS = 252
+MAX_HYPERBOLIC_RANK = 256
 
 
 class GramForm:
@@ -146,6 +154,12 @@ def exterior_power(a, k):
         raise DomainError("exterior power index must be >= 0")
     if k > a.dim:
         raise DomainError("exterior power index exceeds dimension")
+    rows = math.comb(a.dim, k)
+    if rows > MAX_EXTERIOR_ROWS:
+        raise DomainError(
+            "the exterior power has %d rows; exterior powers take up to %d"
+            % (rows, MAX_EXTERIOR_ROWS)
+        )
     field = a.field
     subsets = list(itertools.combinations(range(a.dim), k))
     # Minors of the lifted matrix M = d * gram scale by d**k; the Gram
@@ -163,6 +177,10 @@ def hyperbolic(n, field):
     """The hyperbolic form on a rank-n summand and its dual: [[0, I], [I, 0]]."""
     if n < 1:
         raise DomainError("hyperbolic rank must be >= 1")
+    if n > MAX_HYPERBOLIC_RANK:
+        raise DomainError(
+            "hyperbolic rank is %d; hyperbolic forms take ranks up to %d" % (n, MAX_HYPERBOLIC_RANK)
+        )
     rows = [[1 if abs(i - j) == n else 0 for j in range(2 * n)] for i in range(2 * n)]
     return GramForm._lifted(field, rows, 1)
 
@@ -423,6 +441,9 @@ def hyperbolic_lemma_witness(a):
     n = a.dim
     if n == 0:
         raise DomainError("witness needs a form of dimension >= 1")
+    # hyperbolic(n)'s own integer matrix, whose d is 1; made first, so that
+    # its rank cap is checked before any work.
+    target = hyperbolic(n, field)._m
     # echelon([M | I]) is D [I | M^-1], and G^-1 = d M^-1, so B is c / 2D
     # with c = [[2D I, d X], [2D I, -d X]], X the right half of the rows.
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -430,9 +451,7 @@ def hyperbolic_lemma_witness(a):
     dx = [[a._d * x for x in row[n:]] for row in rows]
     c = [[2 * det * v for v in e] + w for e, w in zip(eye, dx)]
     c += [[2 * det * v for v in e] + [-x for x in w] for e, w in zip(eye, dx)]
-    # got / scale against hyperbolic(n)'s own integer matrix, whose d is 1
     got, scale = _product((list(zip(*c)), 2 * det), perp_sum(a, negate(a)), (c, 2 * det))
-    target = hyperbolic(n, field)._m
     diff = [[v - t * scale for v, t in zip(*pair)] for pair in zip(got, target)]
     if not _is_zero(field, diff):
         raise AssertionError("hyperbolic witness failed verification")

@@ -160,7 +160,7 @@ class _Integers:
         return coeff
 
     def lines(self, coeff):
-        return [(1, 1 if coeff > 0 else -1)] * abs(coeff)
+        return itertools.repeat((1, 1 if coeff > 0 else -1), abs(coeff))
 
     def rank_one(self, s):
         return 1
@@ -651,13 +651,14 @@ class FreeLambdaRing:
         return coeff.augmentation()
 
     def lines(self, coeff):
-        """(line, sign) pairs whose signed sum is ``coeff``: pos, then neg."""
-        lines = [
-            (FreeElt(self, {b: line}), sign)
-            for b, c in coeff.sorted_terms()
-            for line, sign in self.coeff_ring.lines(c)
-        ]
-        return [ls for ls in lines if ls[1] > 0] + [ls for ls in lines if ls[1] < 0]
+        """(line, sign) pairs whose signed sum is ``coeff``, pos then neg,
+        made one at a time."""
+        terms = coeff.sorted_terms()
+        for positive in (True, False):
+            for b, c in terms:
+                if (c > 0) == positive:
+                    for line, sign in self.coeff_ring.lines(c):
+                        yield FreeElt(self, {b: line}), sign
 
     def term_str(self, coeff, body):
         return "%s*%s+" % (element_str(coeff), body)
@@ -766,9 +767,11 @@ class FreeElt:
         on a rank-2 b, since lambda^2(<a>[e^g]) = <a^2> lambda^2([e^g]) =
         lambda^2([e^g]); the series of a negative line is inverted.  An
         integer n on a line b gives sum C(n, k) b^k t^k at once: sums over Z
-        are exact, so their order cannot matter."""
+        are exact, so their order cannot matter.  More than MAX_LINES line
+        series are refused as the next one is reached."""
         ring = self.ring
         pos = neg = [ring.one]
+        count = 0
         for basis, coeff in self.terms.items():
             top = ring.basis.lambda2(ring, basis)
             if top is None and ring.coeff_ring is INTEGERS:
@@ -779,6 +782,12 @@ class FreeElt:
                 pos = _series_mul(pos, series, d)
                 continue
             for line, sign in ring.coeff_ring.lines(coeff):
+                count += 1
+                if count > MAX_LINES:
+                    raise DomainError(
+                        "the lambda-series needs more than %d line factors, the most a series takes"
+                        % MAX_LINES
+                    )
                 series = [ring.one, FreeElt(ring, {basis: line})]
                 if top is not None:
                     series.append(top)
@@ -878,6 +887,12 @@ MAX_RANK = 8
 # degree (gw-ext-torus over fq:5, r 1, bound 62, kmax 12, jmax 1; 2,080
 # pairs) take 36 s, and 0.9 s at the default kmax 4 (README).
 MAX_SWEEP = 64
+
+# The most line series one lambda-series multiplies (FreeElt.lambda_t): one
+# per unit of a coefficient on a rank-2 key or over GW(F).  At kmax 12 each
+# takes up to 0.5 ms, so the three series of one check take about 0.4 s at
+# the cap (README).
+MAX_LINES = 256
 
 
 def _checked_kmax(kmax, degree, what):

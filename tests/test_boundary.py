@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -325,3 +326,46 @@ def test_unread_flags_are_bad_input(tmp_path, name):
     code, err = run_main([arg.format(**paths) for arg in argv])
     assert code == 2
     assert err.startswith("error:") and err.endswith(" does not read %s\n" % flag)
+
+
+# Inputs of a few bytes that ask for hours of work or gigabytes: each cap is
+# checked before the work it bounds, so the run exits 2 at once, with one
+# error line that names the cap and nothing on stdout.
+HUGE = {
+    "huge-coefficient.json": {
+        "ring": "k-ext-torus", "rank_r": 1, "terms": [{"basis": "pair:1", "coeff": 10**9}],
+    },
+    "form-20.json": {
+        "field": "qc", "gram": [[str(i + 1) if i == j else "0" for j in range(20)] for i in range(20)],
+    },
+}
+
+REFUSALS = {
+    "poly-k13": (("poly", "--k", "13"), "12"),
+    "poly-k60": (("poly", "--k", "60"), "12"),
+    "poly-k4-j4": (("poly", "--k", "4", "--j", "4"), "12"),
+    "char-top-entry": (("char", "--type", "B", "--n", "4", "--hw", "40,40,40,40"), "20"),
+    "char-rank-9": (("char", "--type", "D", "--n", "9", "--hw", "1,0,0,0,0,0,0,0,0"), "8"),
+    "check-coefficient": (
+        ("check", "--x-file", "huge-coefficient.json", "--j", "1", "--kmax", "2"), "256"
+    ),
+    "forms-hyperbolic": (("forms", "hyperbolic", "--n", "1000000", "--field", "qc"), "256"),
+    "forms-exterior": (("forms", "exterior", "--in", "form-20.json", "--k", "10"), "252"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_oversized_work_is_refused_at_once(tmp_path, name):
+    for file, record in HUGE.items():
+        (tmp_path / file).write_text(json.dumps(record))
+    argv, cap = REFUSALS[name]
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "gwlambda", *argv],
+        capture_output=True, text=True, timeout=10, cwd=tmp_path,
+    )
+    elapsed = time.perf_counter() - start
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert " %s" % cap in out.stderr
+    assert elapsed < 1.0

@@ -650,3 +650,32 @@ def test_import_loads_only_the_field_form_and_weight_layers():
     assert poly == symfun.universal_P(2).to_text()
     assert no_such_name == "module 'gwlambda' has no attribute 'nope'"
     assert missing == "[]"
+
+
+def _broken_witness(monkeypatch):
+    # The witness's final check reads no entry as zero.
+    monkeypatch.setattr(cli.forms_mod, "_is_zero", lambda field, m: False)
+    return "hyperbolic witness failed verification"
+
+
+def _broken_pairing(monkeypatch):
+    # Every pairing off by one: the product formula no longer divides.
+    monkeypatch.setattr(cli.weights, "_pairing", lambda u, v: 1 + sum(a * b for a, b in zip(u, v)))
+    return "dimension formula must produce an integer"
+
+
+@pytest.mark.parametrize(
+    "argv, broken",
+    [
+        (["forms", "hyperbolic-witness", "--in", "{form}"], _broken_witness),
+        (["char", "--type", "B", "--n", "2", "--hw", "1,0"], _broken_pairing),
+    ],
+    ids=["witness", "dimension"],
+)
+def test_internal_error_exits_3(capsys, monkeypatch, tmp_path, argv, broken):
+    # A failed exactness or verification check is a fault of the program:
+    # one "internal error:" line and exit 3, never exit 1 (an identity failed).
+    form = write_json(tmp_path / "form.json", {"field": "qc", "gram": [["1", "0"], ["0", "2"]]})
+    message = broken(monkeypatch)
+    assert cli.main([arg.format(form=form) for arg in argv]) == 3
+    assert capsys.readouterr() == ("", "internal error: %s\n" % message)

@@ -4,9 +4,10 @@
 of ``[exit code, stdout, stderr]`` as a JSON list.  The runs cover every
 sweep ring over the five model fields, inline checks, element files (virtual
 elements, corrupted constants and malformed files among them), ``poly``,
-``char`` and every ``forms`` action.  Each run is ``cli.main`` in this
-process, in a directory that holds the input files of ``INPUTS``, which the
-argv names by relative path, so no digest depends on where the files are.
+``char`` and every ``forms`` action, and runs at and over the work caps.
+Each run is ``cli.main`` in this process, in a directory where
+``write_inputs`` put the files that the argv name by relative path, so no
+digest depends on where the files are.
 
 A change that alters output regenerates the file in its own commit, and
 CHANGES.md lists the argv that changed:
@@ -114,6 +115,13 @@ BAD_FILES = {
     "singular-form.json": json.dumps({"field": "qc", "gram": [["1", "1"], ["1", "1"]]}).encode(),
 }
 
+# Inputs of a few bytes that ask for more work than a cap allows.
+OVERSIZED = {
+    "huge-coefficient.json": _elt("k-ext-torus", 1, None, [("pair:1", 10**9)]),
+    "form-20.json": {"field": "qc", "gram": [[str(i + 1) if i == j else "0" for j in range(20)]
+                                             for i in range(20)]},
+}
+
 
 def write_inputs(directory):
     """Write every file that an argv of ``corpus_argv`` names into ``directory``."""
@@ -129,6 +137,8 @@ def write_inputs(directory):
             files["f-%s-%s.json" % (name, field.replace(":", ""))] = json.dumps(
                 {"field": field, "gram": gram}
             )
+    for name, record in OVERSIZED.items():
+        files[name] = json.dumps(record)
     for name, text in files.items():
         (directory / name).write_text(text)
     for name, data in BAD_FILES.items():
@@ -263,9 +273,35 @@ def _forms():
     return runs
 
 
+def _caps():
+    """Runs at and over the work caps: each over a cap exits 2 at once."""
+    return [
+        ("poly", "--k", "13"),
+        ("poly", "--k", "60"),
+        ("poly", "--k", "4", "--j", "4"),
+        ("poly", "--k", "1", "--j", "13"),
+        ("check", "--ring", "integers", "--x", "3", "--y", "1", "--kmax", "13"),
+        ("check", "--ring", "integers", "--x", "1000", "--y", "1000"),
+        ("check", "--sweep", "--ring", "integers", "--kmax", "7"),
+        ("check", "--sweep", "--ring", "k-torus", "--kmax", "13", "--jmax", "0"),
+        ("check", "--x-file", "huge-coefficient.json", "--j", "1", "--kmax", "2"),
+        ("char", "--type", "B", "--n", "5", "--hw", "1,1,0,0,0"),
+        ("char", "--type", "D", "--n", "8", "--hw", "1,1,1,1,1,1,1,-1"),
+        ("char", "--type", "B", "--n", "2", "--hw", "20,20"),
+        ("char", "--type", "B", "--n", "4", "--hw", "40,40,40,40"),
+        ("char", "--type", "B", "--n", "2", "--hw", "21,0"),
+        ("char", "--type", "B", "--n", "4", "--hw", "11,0,0,0"),
+        ("char", "--type", "D", "--n", "9", "--hw", "1,0,0,0,0,0,0,0,0"),
+        ("forms", "hyperbolic", "--n", "1000000", "--field", "qc"),
+        ("forms", "hyperbolic", "--n", "257", "--field", "fq:5"),
+        ("forms", "exterior", "--in", "form-20.json", "--k", "10"),
+        ("forms", "exterior", "--in", "form-20.json", "--k", "2"),
+    ]
+
+
 def corpus_argv():
     """Every argv of the corpus, in a fixed order."""
-    return _sweeps() + _checks() + _polys() + _chars() + _forms()
+    return _sweeps() + _checks() + _polys() + _chars() + _forms() + _caps()
 
 
 def run(argv):

@@ -31,6 +31,7 @@ from gwlambda.lambda_rings import (
     KExtTorusRing,
     KTorusElt,
     KTorusRing,
+    MAX_LINES,
     MAX_RANK,
     check_lambda1,
     check_lambda2,
@@ -596,6 +597,27 @@ def test_check_table_degree_cap():
     ):
         with pytest.raises(DomainError, match="tables are built up to degree 12"):
             call()
+
+
+def test_line_series_cap():
+    # One line series per unit of a coefficient on a rank-2 key, or of a
+    # GW(F) count; the series of an element are multiplied in one loop.
+    kext = KExtTorusRing(1)
+    gwext = ext_ring("fq:5")
+    pair = pair_key((1,))
+    for n in (MAX_LINES, -MAX_LINES):
+        x = kext.basis_elt(pair, n)
+        assert x.lambda_t(2)[1] == x
+        y = gwext.basis_elt(pair, n * gwext.coeff_ring.one)
+        assert y.lambda_t(2)[1] == y
+    delta = gwext.basis_elt("delta", gwext.coeff_ring.one)
+    for x in (
+        kext.basis_elt(pair, MAX_LINES + 1),
+        kext.basis_elt(pair, 10**9),
+        gwext.basis_elt(pair, MAX_LINES * gwext.coeff_ring.one) - delta,
+    ):
+        with pytest.raises(DomainError, match="more than %d line factors" % MAX_LINES):
+            x.lambda_t(2)
 
 
 def test_line_special_checks():

@@ -533,6 +533,26 @@ def test_rank_cap_override():
     assert character_mass(char) == 11
 
 
+def test_characters_at_the_caps():
+    # The largest rank (entries 1: box 3^8), the largest first entry, a
+    # box just under its cap, and one just over each cap.
+    for w, flavor in (
+        ((1,) * 8, Flavor("B", 8)),
+        ((1,) * 7 + (-1,), Flavor("D", 8)),
+        ((20, 20), B2),
+        ((1, 1, 0, 0, 0), Flavor("B", 5)),
+        ((7, 7, 7), Flavor("D", 3)),
+    ):
+        assert character_mass(weyl_character(w, flavor)) == weyl_dim(w, flavor), w
+    for w, flavor, message in (
+        ((21, 0), B2, "the first entry is 21; characters take up to 20"),
+        ((11, 0, 0, 0), Flavor("B", 4), r"the weight box \(2\*11\+1\)\^4 is 279841; .* up to 200000"),
+        ((0,) * 9, Flavor("B", 9), "the rank is 9; characters take up to 8"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            weyl_character(w, flavor)
+
+
 def test_exactness_assertions_hold_within_rank_cap_five():
     # Every dominant weight of B1-B5 and D2-D5 with entries 0..2, both signs
     # of a nonzero last entry for D: the exactness assertions of Freudenthal's
