@@ -194,7 +194,7 @@ def weyl_character(weight, flavor):
     for what, size, cap in (
         ("rank", n, MAX_WEYL_RANK),
         ("first entry", top, MAX_TOP_ENTRY),
-        ("weight box (2*%d+1)^%d" % (top, n), (2 * top + 1) ** n, MAX_WEIGHT_BOX),
+        ("weight box", (2 * top + 1) ** n, MAX_WEIGHT_BOX),
     ):
         if size > cap:
             raise DomainError("the %s is %d; characters take up to %d" % (what, size, cap))

@@ -546,7 +546,7 @@ def test_characters_at_the_caps():
         assert character_mass(weyl_character(w, flavor)) == weyl_dim(w, flavor), w
     for w, flavor, message in (
         ((21, 0), B2, "the first entry is 21; characters take up to 20"),
-        ((11, 0, 0, 0), Flavor("B", 4), r"the weight box \(2\*11\+1\)\^4 is 279841; .* up to 200000"),
+        ((11, 0, 0, 0), Flavor("B", 4), "the weight box is 279841; characters take up to 200000"),
         ((0,) * 9, Flavor("B", 9), "the rank is 9; characters take up to 8"),
     ):
         with pytest.raises(DomainError, match=message):
