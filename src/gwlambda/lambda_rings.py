@@ -784,10 +784,7 @@ class FreeElt:
             for line, sign in ring.coeff_ring.lines(coeff):
                 count += 1
                 if count > MAX_LINES:
-                    raise DomainError(
-                        "the lambda-series needs more than %d line factors, the most a series takes"
-                        % MAX_LINES
-                    )
+                    raise DomainError("a lambda-series takes at most %d line factors" % MAX_LINES)
                 series = [ring.one, FreeElt(ring, {basis: line})]
                 if top is not None:
                     series.append(top)

@@ -336,7 +336,8 @@ HUGE = {
         "ring": "k-ext-torus", "rank_r": 1, "terms": [{"basis": "pair:1", "coeff": 10**9}],
     },
     "form-20.json": {
-        "field": "qc", "gram": [[str(i + 1) if i == j else "0" for j in range(20)] for i in range(20)],
+        "field": "qc",
+        "gram": [[str(i + 1) if i == j else "0" for j in range(20)] for i in range(20)],
     },
 }
 

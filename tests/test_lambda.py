@@ -616,7 +616,7 @@ def test_line_series_cap():
         kext.basis_elt(pair, 10**9),
         gwext.basis_elt(pair, MAX_LINES * gwext.coeff_ring.one) - delta,
     ):
-        with pytest.raises(DomainError, match="more than %d line factors" % MAX_LINES):
+        with pytest.raises(DomainError, match="takes at most %d line factors" % MAX_LINES):
             x.lambda_t(2)
 
 
