@@ -156,8 +156,7 @@ def exterior_power(a, k):
         raise DomainError("exterior power index exceeds dimension")
     rows = math.comb(a.dim, k)
     if rows > MAX_EXTERIOR_ROWS:
-        cap = MAX_EXTERIOR_ROWS
-        raise DomainError("Lambda^%d has %d rows; exterior powers take up to %d" % (k, rows, cap))
+        raise DomainError("Lambda^%d has %d rows; the cap is %d" % (k, rows, MAX_EXTERIOR_ROWS))
     field = a.field
     subsets = list(itertools.combinations(range(a.dim), k))
     # Minors of the lifted matrix M = d * gram scale by d**k; the Gram
@@ -176,7 +175,7 @@ def hyperbolic(n, field):
     if n < 1:
         raise DomainError("hyperbolic rank must be >= 1")
     if n > MAX_HYPERBOLIC_RANK:
-        raise DomainError("hyperbolic rank is %d; ranks go up to %d" % (n, MAX_HYPERBOLIC_RANK))
+        raise DomainError("hyperbolic rank is %d; the cap is %d" % (n, MAX_HYPERBOLIC_RANK))
     rows = [[1 if abs(i - j) == n else 0 for j in range(2 * n)] for i in range(2 * n)]
     return GramForm._lifted(field, rows, 1)
 

@@ -651,14 +651,11 @@ class FreeLambdaRing:
         return coeff.augmentation()
 
     def lines(self, coeff):
-        """(line, sign) pairs whose signed sum is ``coeff``, pos then neg,
-        made one at a time."""
-        terms = coeff.sorted_terms()
-        for positive in (True, False):
-            for b, c in terms:
-                if (c > 0) == positive:
-                    for line, sign in self.coeff_ring.lines(c):
-                        yield FreeElt(self, {b: line}), sign
+        """(line, sign) pairs whose signed sum is ``coeff``, one at a time,
+        in the order of the sorted terms."""
+        for b, c in coeff.sorted_terms():
+            for line, sign in self.coeff_ring.lines(c):
+                yield FreeElt(self, {b: line}), sign
 
     def term_str(self, coeff, body):
         return "%s*%s+" % (element_str(coeff), body)

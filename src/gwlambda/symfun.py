@@ -204,6 +204,7 @@ def checked_degree(degree, what):
     if degree > MAX_DEGREE:
         raise DomainError("%s is %d; tables are built up to degree %d" % (what, degree, MAX_DEGREE))
 
+
 # The leading-term reduction (``_reduce_symmetric_parts``) runs on
 # partition representatives only: a symmetric polynomial is determined by
 # its coefficients on weakly decreasing exponent vectors, and the
