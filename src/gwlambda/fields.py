@@ -13,22 +13,30 @@ canonical representative for every square class:
 
 Elements are plain ``Fraction`` values (qc, rc) or plain ``int`` residues
 in ``[0, q)`` (fq).  All arithmetic goes through the model so that callers
-never need to branch on the representation.
+never need to branch on the representation.  Every model provides:
 
-Matrix kernels run on integers behind the same models: ``lift(rows)`` gives
-an integer matrix M and an integer d > 0 with rows = M/d (fq: the residues,
-d = 1), ``int_det(M)`` is its determinant (cofactors up to size 3,
-fraction-free Bareiss elimination over Z above; fq reduces it mod q), and
-``from_ratio(n, d)`` is the element n/d.  So det(rows) is
-``from_ratio(int_det(M), d**n)`` in every model, and callers still never
-branch on the representation.  ``echelon(M)`` is the fraction-free
-Gauss-Jordan elimination over Z of every model: D times the reduced row
-echelon form of M in the field, its pivot columns, and D.
-
-``sym_minors(M)`` is the symmetric elimination of a symmetric M: its
-pivoting is a congruence P, and it returns the leading principal minors
-D_1..D_n of P^T M P (fq: mod q).  The rows M/d then have determinant
-D_n/d**n and the congruent diagonal entries D_i/(D_(i-1) d), D_0 = 1.
+* ``kind`` and ``spec`` -- "qc", "rc" or "fq", and the canonical spec
+  string that :func:`field_model` accepts.
+* ``zero``, ``one``, ``from_int(n)`` and ``from_ratio(n, d)`` -- the element
+  n/d of integers n and d, d nonzero in the field.
+* ``mul``, ``neg``, ``inv`` (a DomainError on zero) and ``is_zero``.
+* ``is_square(a)`` and ``square_class(a)`` of a nonzero a (a DomainError on
+  zero), and ``square_classes``: every canonical representative, in output
+  order.
+* ``lift(rows)`` -- an integer matrix M and an integer d > 0 with
+  rows = M/d (fq: the residues, d = 1).
+* ``int_det(M)`` -- its determinant (cofactors up to size 3, fraction-free
+  Bareiss elimination over Z above; fq reduces it mod q), so det(rows) is
+  ``from_ratio(int_det(M), d**n)`` in every model.
+* ``echelon(M)`` -- the fraction-free Gauss-Jordan elimination over Z of
+  every model: D times the reduced row echelon form of M in the field, its
+  pivot columns, and D.
+* ``sym_minors(M)`` -- the symmetric elimination of a symmetric M: its
+  pivoting is a congruence P, and it returns the leading principal minors
+  D_1..D_n of P^T M P (fq: mod q), or a DomainError if M is singular.  The
+  rows M/d then have determinant D_n/d**n and the congruent diagonal
+  entries D_i/(D_(i-1) d), D_0 = 1.
+* ``parse(text)`` (a FormatError on bad text) and ``to_str(a)``.
 """
 
 from fractions import Fraction
@@ -39,62 +47,19 @@ from .errors import DomainError, FormatError
 
 
 class FieldModel:
-    """Base interface; concrete models fill in representation details."""
+    """The kernels shared by every model; the module docstring lists the
+    protocol, and each model supplies the rest."""
 
     kind = ""
 
-    @property
-    def spec(self):
-        """Canonical spec string, as accepted by :func:`field_model`."""
-        raise NotImplementedError
-
-    # -- arithmetic ------------------------------------------------------
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
     def is_zero(self, a):
         return a == self.zero
-
-    # -- square classes --------------------------------------------------
-    def is_square(self, a):
-        """Whether the nonzero element a is a square."""
-        raise NotImplementedError
-
-    def square_class(self, a):
-        """Canonical representative of the square class of nonzero a."""
-        raise NotImplementedError
-
-    #: Every canonical representative, in output order.
-    square_classes = ()
-
-    # -- integer matrices ------------------------------------------------
-    def lift(self, rows):
-        """Integer matrix M and integer d > 0 with rows = M / d."""
-        raise NotImplementedError
-
-    def from_ratio(self, n, d):
-        """The element n/d of integers n and d, d nonzero in the field."""
-        raise NotImplementedError
 
     def int_det(self, m):
         """Determinant of an integer matrix, as an integer for from_ratio.
@@ -176,18 +141,6 @@ class FieldModel:
             pivots.append(c)
             prev = pk
         return m[: len(pivots)], pivots, prev
-
-    def sym_minors(self, m):
-        """Leading principal minors of a symmetric integer matrix after the
-        congruence of symmetric elimination; a DomainError if singular."""
-        raise NotImplementedError
-
-    # -- serialization ---------------------------------------------------
-    def parse(self, text):
-        raise NotImplementedError
-
-    def to_str(self, a):
-        raise NotImplementedError
 
     def __eq__(self, other):
         # field_model() caches its models, so equal specs are usually the
@@ -396,7 +349,9 @@ class FinitePrime(FieldModel):
                 n, d = int(num), int(den)
             except ValueError:
                 raise FormatError("bad residue %r" % (text,)) from None
-            return self.div(self.from_int(n), self.from_int(d))
+            if d % self.q == 0:
+                raise FormatError("bad residue %r: the denominator is 0 in %s" % (text, self.spec))
+            return self.from_ratio(n, d)
         try:
             return int(text) % self.q
         except ValueError:

@@ -44,47 +44,32 @@ class EPolynomial:
     Variables are ex1, ex2, ... (and ey1, ey2, ... for two alphabets).
     Keys are pairs (x exponents, y exponents) with trailing zeros stripped,
     so the same polynomial built from different variable counts compares
-    equal.  ``degree_bound`` records the largest usable e-index.
+    equal; a one-alphabet polynomial has empty y exponents.
     """
 
-    __slots__ = ("degree_bound", "alphabets", "terms", "_plan")
+    __slots__ = ("terms", "_plan")
 
-    def __init__(self, degree_bound, terms, alphabets=1):
-        if alphabets not in (1, 2):
-            raise DomainError("alphabets must be 1 or 2")
+    def __init__(self, terms):
         clean = {}
         for (ex, ey), coeff in terms.items():
-            ex, ey = _strip(ex), _strip(ey)
-            if ey and alphabets == 1:
-                raise DomainError("y variables in a one-alphabet polynomial")
-            if len(ex) > degree_bound or len(ey) > degree_bound:
-                raise DomainError("e-variable index exceeds the degree bound")
-            if coeff:
-                clean[(ex, ey)] = clean.get((ex, ey), 0) + coeff
-        self.degree_bound = degree_bound
-        self.alphabets = alphabets
+            key = (_strip(ex), _strip(ey))
+            clean[key] = clean.get(key, 0) + coeff
         self.terms = {k: v for k, v in clean.items() if v}
         self._plan = None
 
     def __eq__(self, other):
-        """Equality of polynomials; the degree bound is not part of it."""
-        return (
-            isinstance(other, EPolynomial)
-            and self.alphabets == other.alphabets
-            and self.terms == other.terms
-        )
+        return isinstance(other, EPolynomial) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.alphabets, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def specialize(self, max_index):
         """Set every e-variable of index > max_index to zero."""
-        kept = {
+        return EPolynomial({
             key: c
             for key, c in self.terms.items()
             if len(key[0]) <= max_index and len(key[1]) <= max_index
-        }
-        return EPolynomial(min(self.degree_bound, max_index), kept, self.alphabets)
+        })
 
     def _make_plan(self):
         """The evaluation plan, built on the first ``evaluate`` and kept.
@@ -148,7 +133,7 @@ class EPolynomial:
         """
         if not self.terms:
             return "0"
-        d = self.degree_bound
+        d = max(len(exps) for key in self.terms for exps in key)
 
         def padded(key):
             ex, ey = key
@@ -313,7 +298,7 @@ def _elementary_table(terms, n):
         for exps, c in terms.items()
         if all(a >= b for a, b in zip(exps, exps[1:]))
     }
-    return EPolynomial(n, _reduce_symmetric_parts(work, n))
+    return EPolynomial(_reduce_symmetric_parts(work, n))
 
 
 def _truncated_elem(monomials, k, bounds):
@@ -375,7 +360,7 @@ def _universal_P_build(k, n):
     work = {
         (lam, mu): c for lam in parts for mu in parts if (c := _matrix_count(lam, mu))
     }
-    return EPolynomial(n, _reduce_symmetric_parts(work, n), alphabets=2)
+    return EPolynomial(_reduce_symmetric_parts(work, n))
 
 
 @lru_cache(maxsize=None)

@@ -79,16 +79,10 @@ def sum_f(field, items):
 def test_criterion_1_universal_polynomials():
     t0 = time.monotonic()
     ok = universal_P(2) == EPolynomial(
-        2,
-        {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1, ((0, 1), (0, 1)): -2},
-        alphabets=2,
+        {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1, ((0, 1), (0, 1)): -2}
     )
-    ok = ok and universal_P(3).specialize(2) == EPolynomial(
-        2, {((1, 1), (1, 1)): 1}, alphabets=2
-    )
-    ok = ok and universal_P(4).specialize(2) == EPolynomial(
-        2, {((0, 2), (0, 2)): 1}, alphabets=2
-    )
+    ok = ok and universal_P(3).specialize(2) == EPolynomial({((1, 1), (1, 1)): 1})
+    ok = ok and universal_P(4).specialize(2) == EPolynomial({((0, 2), (0, 2)): 1})
     for k in range(1, 6):
         ok = ok and universal_P(k) == universal_P(k, n_vars=k + 1)
     for k in range(1, 10):

@@ -221,6 +221,14 @@ def test_field_parse_round_trip():
     f7 = field_model("fq:7")
     assert f7.parse("12") == 5
     assert f7.parse("1/2") == f7.mul(1, f7.inv(2))
+    assert f7.parse("-3/-5") == f7.mul(4, f7.inv(2))
+
+
+def test_fq_parse_names_a_denominator_that_is_zero():
+    with pytest.raises(FormatError, match=r"'-2/3'.* fq:3$"):
+        field_model("fq:3").parse("-2/3")
+    with pytest.raises(FormatError, match=r"'1/14'.* fq:7$"):
+        field_model("fq:7").parse("1/14")
 
 
 # ---------------------------------------------------------------------------
