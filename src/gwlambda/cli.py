@@ -387,16 +387,18 @@ def _cmd_char(args, emit):
     mass = weights.character_mass(char)
     dim = weights.weyl_dim(hw, flavor)
     triangular = weights.check_triangularity(hw, flavor)
-    records = [
-        weights.char_record(char, args.n),
-        {"dim": dim, "mass": mass, "triangular": triangular},
-    ]
-    lines = ["dim=%d mass=%d triangular=%s" % (dim, mass, str(triangular).lower())]
-    lines += [
-        "weight (%s): %d" % (", ".join(str(v) for v in weight), mult)
-        for weight, mult in sorted(char.items())
-    ]
-    _write(args, emit, records, lines)
+
+    # _write reads one of the two renderings, so only that one is built.
+    def records():
+        yield weights.char_record(char, args.n)
+        yield {"dim": dim, "mass": mass, "triangular": triangular}
+
+    def lines():
+        yield "dim=%d mass=%d triangular=%s" % (dim, mass, str(triangular).lower())
+        for weight, mult in sorted(char.items()):
+            yield "weight (%s): %d" % (", ".join(str(v) for v in weight), mult)
+
+    _write(args, emit, records(), lines())
     return 0 if mass == dim and triangular else 1
 
 

@@ -530,6 +530,21 @@ def test_char_human_d2():
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("fmt, builds", [("human", 0), ("records", 1)])
+def test_char_builds_only_the_rendering_it_writes(capsys, monkeypatch, fmt, builds):
+    calls = []
+
+    def char_record(char, n):
+        calls.append(n)
+        return {"n": n}
+
+    monkeypatch.setattr(cli.weights, "char_record", char_record)
+    code = cli.main(["char", "--type", "B", "--n", "2", "--hw", "1,1", "--format", fmt])
+    out = capsys.readouterr().out.splitlines()
+    assert (code, len(calls)) == (0, builds)
+    assert out[0] == ('{"n":2}' if builds else "dim=10 mass=10 triangular=true")
+
+
 def test_char_non_dominant_weight():
     out = run_cli("char", "--type", "B", "--n", "2", "--hw", "0,1")
     assert out.returncode == 2
