@@ -43,8 +43,10 @@ from gwlambda.lambda_rings import (
     parse_basis,
     parse_element,
 )
+from gwlambda.symfun import EPolynomial, universal_P, universal_P_kj
 
 from form_helpers import diagonal_class, diagonal_form
+from test_adams import basis_elements, rings
 
 MODELS = ("qc", "rc", "fq:5", "fq:7")
 
@@ -392,6 +394,69 @@ def test_wide_generic_torus_elements_pass_lambda2(j):
     """lambda^k(lambda^j(z)) = P_kj(lambda(z)) for kj <= 6, m = 6 lines."""
     report = check_lambda2(wide_torus_element(WIDE_Z), j, kmax=6 // j)
     assert len(report) == 6 // j and all(rec.passed for rec in report)
+
+
+def bumped_tables(poly):
+    """Each copy of the table with one coefficient raised by 1, and its key."""
+    for key in sorted(poly.terms):
+        yield key, EPolynomial({**poly.terms, key: poly.terms[key] + 1})
+
+
+def test_wide_elements_see_every_table_coefficient():
+    """A table with any one coefficient +1 breaks its identity on the wide
+    elements: every coefficient of P_2..P_5 and of each P_kj with kj <= 6."""
+    x, y, z = map(wide_torus_element, (WIDE_X, WIDE_Y, WIDE_Z))
+    one = x.ring.one
+    lx, ly, lxy, lz = x.lambda_t(5), y.lambda_t(5), (x * y).lambda_t(5), z.lambda_t(6)
+    cases = [
+        (universal_P(k), lxy[k], (lx[1 : k + 1], ly[1 : k + 1]), "P_%d" % k)
+        for k in range(2, 6)
+    ]
+    for j in range(1, 7):
+        lzj = lz[j].lambda_t(6 // j)
+        cases += [
+            (universal_P_kj(k, j), lzj[k], (lz[1 : k * j + 1],), "P_%d,%d" % (k, j))
+            for k in range(1, 6 // j + 1)
+        ]
+    seen, unseen = 0, []
+    for table, lhs, args, name in cases:
+        assert table.evaluate(*args, one=one) == lhs, name
+        for key, bumped in bumped_tables(table):
+            seen += 1
+            if bumped.evaluate(*args, one=one) == lhs:
+                unseen.append((name, key))
+    assert seen == 52 + 21
+    assert unseen == []
+
+
+# Virtual elements: sums of up to three basis elements of a ring with
+# integer coefficients, the first one negative, so their lambda-series go
+# through truncated inversion and reach table terms that no basis element
+# reaches.  The coefficients stay far below MAX_LINES line series.
+RINGS = list(rings())
+
+
+def virtual_terms(n):
+    """Up to three (basis index, coefficient) pairs, the first coefficient negative."""
+    index = st.integers(0, n - 1)
+    first = st.tuples(index, st.integers(-2, -1))
+    rest = st.lists(st.tuples(index, st.integers(-2, 2).filter(bool)), max_size=2)
+    return st.builds(lambda t, ts: [t] + ts, first, rest)
+
+
+@pytest.mark.parametrize("name, ring", RINGS, ids=[name for name, _ in RINGS])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_virtual_elements_pass_both_identities(name, ring, data):
+    basis = basis_elements(ring)
+    x, y = (
+        sum((c * basis[i] for i, c in data.draw(virtual_terms(len(basis)), label=v)), ring.zero)
+        for v in "xy"
+    )
+    kmax = data.draw(st.integers(1, 5), label="kmax")
+    j = data.draw(st.integers(1, 2), label="j")
+    reports = (check_lambda1(x, y, kmax), check_lambda2(x, j, kmax))
+    assert all(rec.passed for report in reports for rec in report)
 
 
 def test_k_ext_torus_structure():

@@ -9,6 +9,7 @@ import pytest
 from gwlambda.errors import DomainError, FormatError
 from gwlambda.lambda_rings import KExtTorusRing, KTorusRing
 from gwlambda.weights import (
+    MAX_WEYL_RANK,
     Flavor,
     _orbit,
     char_record,
@@ -560,6 +561,19 @@ def test_exactness_assertions_hold_within_rank_cap_five():
     flavors = [Flavor("B", n) for n in range(1, 6)] + [Flavor("D", n) for n in range(2, 6)]
     cases = [(w, flavor) for flavor in flavors for w in dominant_box(flavor, 2)]
     assert len(cases) == 125
+    assert_mass_is_dim_and_triangular(cases)
+
+
+def test_exactness_assertions_hold_up_to_the_rank_cap():
+    # B6-B8 and D6-D8 with entries 0..1, both signs of a nonzero last entry
+    # for D, up to MAX_WEYL_RANK; B8 at (1, ..., 1) takes about 0.2 s.
+    flavors = [Flavor(t, n) for t in "BD" for n in range(6, MAX_WEYL_RANK + 1)]
+    cases = [(w, flavor) for flavor in flavors for w in dominant_box(flavor, 1)]
+    assert len(cases) == 51
+    assert_mass_is_dim_and_triangular(cases)
+
+
+def assert_mass_is_dim_and_triangular(cases):
     for w, flavor in cases:
         char = weyl_character(w, flavor)
         assert character_mass(char) == weyl_dim(w, flavor), (w, flavor)
