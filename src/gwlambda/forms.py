@@ -211,8 +211,9 @@ class GWClass:
 
     rank, signed discriminant, and (over rc) signature; ``disc`` is the
     canonical representative, an element of ``field.square_classes``.
-    Equality uses the invariants that are complete for the model: rank
-    (qc), rank and signature (rc), rank and signed discriminant (fq).  The
+    Equality and the hash read ``_invariants``, complete for the model: the
+    rank and the signature over rc, the rank and the signed discriminant
+    otherwise (over qc the discriminant is always 1).  The
     signed discriminant is (-1)^(n(n-1)/2) det as a square class, which
     makes the hyperbolic class have trivial discriminant.
     """
@@ -317,27 +318,18 @@ class GWClass:
         if not isinstance(other, GWClass) or other.field != self.field:
             raise DomainError("class arithmetic over mismatched fields")
 
+    def _invariants(self):
+        return self.rank, self.signature if self.field.kind == "rc" else self.disc
+
     def __eq__(self, other):
         if not isinstance(other, GWClass):
             return NotImplemented
         if other.field != self.field:
             raise DomainError("class comparison over mismatched fields")
-        if self.rank != other.rank:
-            return False
-        kind = self.field.kind
-        if kind == "qc":
-            return True
-        if kind == "rc":
-            return self.signature == other.signature
-        return self.disc == other.disc
+        return self._invariants() == other._invariants()
 
     def __hash__(self):
-        kind = self.field.kind
-        if kind == "qc":
-            return hash((self.field, self.rank))
-        if kind == "rc":
-            return hash((self.field, self.rank, self.signature))
-        return hash((self.field, self.rank, self.disc))
+        return hash((self.field, self._invariants()))
 
     def __repr__(self):
         parts = ["rank=%d" % self.rank, "disc=%s" % self.field.to_str(self.disc)]

@@ -130,8 +130,7 @@ def load_constants(path):
     data = _load_json(path)
     if not isinstance(data, dict):
         raise FormatError("constants file must hold an object")
-    allowed = {"delta_delta", "delta_pair", "lambda2_pair", "pair_zero_scale"}
-    unknown = set(data) - allowed
+    unknown = set(data) - set(ExtTorusConstants._fields)
     if unknown:
         raise FormatError("unknown constants keys: %s" % ", ".join(sorted(unknown)))
     return ExtTorusConstants(**data)
@@ -203,10 +202,7 @@ class _Basis:
         return key
 
     def same(self, x, y):
-        theirs = y.terms
-        if x.terms.keys() != theirs.keys():
-            return False
-        return all(c == theirs[b] for b, c in x.terms.items())
+        return x.terms == y.terms
 
     def is_zero(self, x):
         return not x.terms
@@ -362,17 +358,12 @@ class _SquareClasses(_Basis):
         return self.coeff_parse(ring, term.get("coeff"), where).terms.items()
 
     def show(self, x):
-        to_str = self.field.to_str
-        pos, neg = self.entries(x, 1), self.entries(x, -1)
-        if not pos and not neg:
-            return "0"
-        pos = "<%s>" % ",".join(to_str(a) for a in pos) if pos else ""
-        neg = "<%s>" % ",".join(to_str(a) for a in neg) if neg else ""
+        pos, neg = ("<%s>" % ",".join(s) if s else "" for s in self.coeff_record(x).values())
         if pos and neg:
             return "(%s - %s)" % (pos, neg)
         if neg:
             return "(-%s)" % neg
-        return pos
+        return pos or "0"
 
 
 class _TorusWeights(_Basis):

@@ -11,8 +11,9 @@ kept by the parity of their minus signs.  The dimension comes from Weyl's
 product formula, computed independently.
 
 Dominance is the partial-sum order, literally: prefix sums for B, prefix
-sums plus the sum with the last coordinate negated for D.  No root-lattice
-membership is imposed.
+sums plus the sum with the last coordinate negated for D (``_below``).  A
+character's dominant weights lie below its highest weight, and for D also
+in its root-lattice coset; ``check_triangularity`` asks no lattice coset.
 
 The simple modules of the extended torus (1, d, and one [e^g] per nonzero
 {g, -g} orbit) are the basis of ``lambda_rings.KExtTorusRing``.
@@ -68,6 +69,14 @@ def is_dominant(weight, flavor):
     return n < 2 or w[n - 2] >= abs(w[n - 1])
 
 
+def _highest_weight(flavor, weight):
+    """A checked weight that is dominant, as a highest weight must be."""
+    weight = _check_weight(flavor, weight)
+    if not is_dominant(weight, flavor):
+        raise DomainError("highest weight must be dominant")
+    return weight
+
+
 def _partial_sums(flavor, w):
     """The prefix sums S_1..S_n of a checked weight; for D also S_n - 2 w_n,
     the full sum with the last coordinate negated."""
@@ -105,32 +114,18 @@ def _pairing(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _dominant_weights(kind, weight):
+def _dominant_weights(flavor, weight):
     """Dominant mu with weight - mu a non-negative integer combination of
-    simple roots, read off the prefix sums S_t of d = weight - mu.
-
-    B (simple roots e_i - e_{i+1}, e_n): every S_t >= 0.
-    D (simple roots e_i - e_{i+1}, e_{n-1} + e_n): S_t >= 0 for t <= n-2,
-    S_n even and >= 0, and S_{n-1} - d_n >= 0.
-    """
-    n = len(weight)
+    simple roots: mu below weight in the partial-sum order (``_below``),
+    and for D with sum(weight) - sum(mu) even (the D_n root lattice)."""
+    top = _partial_sums(flavor, weight)
     out = []
-    for mu in itertools.combinations_with_replacement(range(weight[0], -1, -1), n):
-        signs = (1, -1) if kind == "D" and mu[-1] else (1,)
-        for sign in signs:
+    for mu in itertools.combinations_with_replacement(range(weight[0], -1, -1), flavor.n):
+        for sign in (1, -1) if flavor.kind == "D" and mu[-1] else (1,):
             mu_signed = mu[:-1] + (sign * mu[-1],)
-            d = [a - b for a, b in zip(weight, mu_signed)]
-            sums = list(itertools.accumulate(d))
-            if kind == "B":
-                below = min(sums) >= 0
-            else:
-                below = (
-                    all(s >= 0 for s in sums[: n - 2])
-                    and sums[-1] >= 0
-                    and sums[-1] % 2 == 0
-                    and sums[-2] - d[-1] >= 0
-                )
-            if below:
+            if _below(_partial_sums(flavor, mu_signed), top) and (
+                flavor.kind == "B" or (sum(weight) - sum(mu_signed)) % 2 == 0
+            ):
                 out.append(mu_signed)
     return out
 
@@ -149,16 +144,16 @@ def _orbit(kind, mu):
 
 
 @lru_cache(maxsize=None)
-def _weyl_character_cached(kind, n, weight):
-    roots, rho2 = _root_system(kind, n)
+def _weyl_character_cached(flavor, weight):
+    roots, rho2 = _root_system(flavor.kind, flavor.n)
 
     def level(mu):  # |mu + rho|^2 - |rho|^2, an integer
         return sum(v * (v + r) for v, r in zip(mu, rho2))
 
-    dominant = _dominant_weights(kind, weight)
+    dominant = _dominant_weights(flavor, weight)
     # Every weight of the character, mapped to the dominant weight of its
     # orbit: a weight outside it has multiplicity 0.
-    rep_of = {vec: mu for mu in dominant for vec in _orbit(kind, mu)}
+    rep_of = {vec: mu for mu in dominant for vec in _orbit(flavor.kind, mu)}
     top = level(weight)
     mult = {weight: 1}
     # Freudenthal: (|weight+rho|^2 - |mu+rho|^2) m(mu)
@@ -187,9 +182,7 @@ def weyl_character(weight, flavor):
 
     Returns {weight: multiplicity} with all multiplicities positive.
     """
-    weight = _check_weight(flavor, weight)
-    if not is_dominant(weight, flavor):
-        raise DomainError("highest weight must be dominant")
+    weight = _highest_weight(flavor, weight)
     top, n = weight[0], flavor.n
     for what, size, cap in (
         ("rank", n, MAX_WEYL_RANK),
@@ -198,16 +191,14 @@ def weyl_character(weight, flavor):
     ):
         if size > cap:
             raise DomainError("the %s is %d; characters take up to %d" % (what, size, cap))
-    return dict(_weyl_character_cached(flavor.kind, flavor.n, weight))
+    return dict(_weyl_character_cached(flavor, weight))
 
 
 def weyl_dim(weight, flavor):
     """Dimension by the product formula over positive roots (independent
     of the character computation; used as its oracle):
     prod (2 weight + 2 rho, alpha) / prod (2 rho, alpha), divided exactly."""
-    weight = _check_weight(flavor, weight)
-    if not is_dominant(weight, flavor):
-        raise DomainError("highest weight must be dominant")
+    weight = _highest_weight(flavor, weight)
     roots, rho2 = _root_system(flavor.kind, flavor.n)
     shifted = tuple(2 * w + r for w, r in zip(weight, rho2))
     num = den = 1
