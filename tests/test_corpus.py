@@ -9,6 +9,9 @@ Each run is ``cli.main`` in this process, in a directory where
 ``write_inputs`` put the files that the argv name by relative path, so no
 digest depends on where the files are.
 
+Beside the digests, every corrupted constants file is swept over every model
+field, and the exit code is pinned from the square class of its scale.
+
 A change that alters output regenerates the file in its own commit, and
 CHANGES.md lists the argv that changed:
 
@@ -24,7 +27,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from gwlambda import cli
+from gwlambda.fields import field_model
+from gwlambda.lambda_rings import ExtTorusConstants, GWExtTorusRing
+
+from test_adams import failures as adams_failures
 
 CORPUS = Path(__file__).with_name("corpus.json")
 
@@ -321,6 +330,52 @@ def test_corpus_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     changed = [argv for argv in argvs if run(argv.split(" ")) != expected[argv]]
     assert not changed, "output changed for:\n" + "\n".join(changed)
+
+
+# The corrupted constants, each swept over every model field.
+CORRUPTED = ("l2-one", "l2-zero", "dd-delta", "scale-1", "scale-3", "scale-m1")
+
+
+def scale_class(name, spec):
+    """For a corrupted pair_zero_scale, "zero" when it is zero in the field,
+    "true" in the square class of 2 (the true scale), "other" otherwise; None
+    for the other corruptions."""
+    scale = CONSTANTS[name].get("pair_zero_scale")
+    if scale is None:
+        return None
+    field = field_model(spec)
+    scale = field.from_int(scale)
+    if field.is_zero(scale):
+        return "zero"
+    return "true" if field.square_class(scale) == field.square_class(field.from_int(2)) else "other"
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_corrupted_constants_sweep_verdicts(tmp_path, name, spec):
+    # A corrupted lambda2_pair or delta_delta fails the sweep (1), a scale
+    # that is zero in the field is refused (2), and a scale in the class of
+    # 2 passes (0).  A scale of another class fails over rc and passes over
+    # fq, where a consistent wrong scale still defines a lambda-ring (ROADMAP
+    # item 5); over qc every scale is in the class of 2.
+    kind = scale_class(name, spec)
+    verdict = {None: 1, "zero": 2, "true": 0}.get(kind, 1 if spec == "rc" else 0)
+    constants = tmp_path / "c.json"
+    constants.write_text(json.dumps(CONSTANTS[name]))
+    argv = ["check", "--sweep", "--ring", "gw-ext-torus", "--field", spec, "--r", "1",
+            "--bound", "2", "--kmax", "4", "--constants", str(constants)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == verdict
+    if kind == "other":
+        # The Adams-operation check, which uses no table, agrees.
+        ring = GWExtTorusRing(1, field_model(spec), ExtTorusConstants(**CONSTANTS[name]))
+        assert (adams_failures(ring) > 0) == (verdict == 1)
+
+
+def test_scales_of_another_class_are_rc_minus_one_and_five_blind_cells():
+    other = [(n, s) for n in CORRUPTED for s in FIELDS if scale_class(n, s) == "other"]
+    assert other == [("scale-1", "fq:3"), ("scale-1", "fq:5"), ("scale-3", "fq:7"),
+                     ("scale-m1", "rc"), ("scale-m1", "fq:5"), ("scale-m1", "fq:7")]
 
 
 def main():

@@ -436,6 +436,24 @@ def test_virtual_class_arithmetic():
     assert neg.rank == -1
 
 
+@pytest.mark.parametrize("spec", ("qc", "rc", "fq:3", "fq:5", "fq:7"))
+def test_equal_classes_hash_equal(spec):
+    # Random virtual diagonal classes, each also read from its positive
+    # form by gw_class: many pairs are equal with other entries, and every
+    # equal pair must hash equal.
+    rng = random.Random(9)
+    f = field_model(spec)
+    classes = []
+    for _ in range(30):
+        pos = [rand_unit(f, rng) for _ in range(rng.randint(1, 3))]
+        neg = [rand_unit(f, rng) for _ in range(rng.randint(0, 2))]
+        classes += [GWClass.of_diagonal(f, pos, neg), gw_class(diagonal_form(f, pos))]
+    equal = [(a, b) for a, b in itertools.combinations(classes, 2) if a == b]
+    assert len(equal) > len(classes)
+    for a, b in equal:
+        assert hash(a) == hash(b), (a, b)
+
+
 # ---------------------------------------------------------------------------
 # closed-form classes of diagonal forms
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from gwlambda.lambda_rings import KExtTorusRing, KTorusRing
 from gwlambda.weights import (
     MAX_WEYL_RANK,
     Flavor,
+    _dominant_weights,
     _orbit,
     char_record,
     character_mass,
@@ -321,6 +323,63 @@ def test_orbit_matches_brute_force(flavor):
         orbit = list(_orbit(flavor.kind, mu))
         assert len(orbit) == len(set(orbit)), mu
         assert set(orbit) == brute_force_orbit(flavor.kind, mu), mu
+
+
+def oracle_dominant(kind, mu):
+    """Dominance, without ``weights``: mu_1 >= ... >= mu_n, and mu_n >= 0
+    for B, mu_{n-1} >= |mu_n| for D."""
+    if any(a < b for a, b in zip(mu, mu[1:])):
+        return False
+    return mu[-1] >= 0 if kind == "B" else mu[-2] >= abs(mu[-1])
+
+
+def simple_roots(kind, n):
+    """e_i - e_{i+1} for i < n, then e_n for B or e_{n-1} + e_n for D."""
+    roots = [tuple(int(k == i) - int(k == i + 1) for k in range(n)) for i in range(n - 1)]
+    roots.append(tuple(int(k == n - 1 or (kind == "D" and k == n - 2)) for k in range(n)))
+    return roots
+
+
+def root_coordinates(roots, d):
+    """The c with d = sum c_i roots[i], by Gauss-Jordan elimination in Fraction."""
+    n = len(d)
+    rows = [[Fraction(root[r]) for root in roots] + [Fraction(d[r])] for r in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "flavor",
+    [Flavor("B", n) for n in range(1, 6)] + [Flavor("D", n) for n in range(2, 6)],
+    ids=lambda f: "%s%d" % (f.kind, f.n),
+)
+def test_dominant_weights_match_a_root_lattice_oracle(flavor):
+    # The dominant weights of the box [-w_1, w_1]^n whose difference from
+    # the highest weight w is a non-negative integer combination of simple
+    # roots; the highest weights have entries 0..2, for D with both signs of
+    # a nonzero last entry.
+    kind, n = flavor
+    roots = simple_roots(kind, n)
+    dominant = {
+        radius: [mu for mu in box(n, radius) if oracle_dominant(kind, mu)] for radius in range(3)
+    }
+    if kind == "D":
+        assert any(w[-1] < 0 for w in dominant[2])
+    for weight in dominant[2]:
+        expected = []
+        for mu in dominant[weight[0]]:
+            coords = root_coordinates(roots, [a - b for a, b in zip(weight, mu)])
+            if all(c.denominator == 1 and c >= 0 for c in coords):
+                expected.append(mu)
+        got = _dominant_weights(flavor, weight)
+        assert len(got) == len(set(got)), weight
+        assert set(got) == set(expected), weight
 
 
 # ---------------------------------------------------------------------------
