@@ -131,15 +131,6 @@ def _char_flags(char):
     char.add_argument("--hw", required=True, help="highest weight 'c1,c2,...'")
 
 
-# Each command: its help line, and the function that declares its flags.
-_COMMANDS = {
-    "poly": ("print a universal polynomial", _poly_flags),
-    "check": ("run lambda-identity checks", _check_flags),
-    "forms": ("operations on Gram-matrix files", _forms_flags),
-    "char": ("Weyl character of a dominant weight", _char_flags),
-}
-
-
 def build_parser(command):
     """The parser of every command, where only ``command`` declares its
     flags: a run parses the flags of one command, and the others keep their
@@ -149,7 +140,7 @@ def build_parser(command):
         description="Exact lambda-ring computations on forms, characters, and weights.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, flags) in _COMMANDS.items():
+    for name, (text, flags, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         if name == command:
             flags(cmd)
@@ -406,6 +397,15 @@ def _cmd_char(args, emit):
 # entry point
 
 
+# Each command: its help line, its flag function and its handler.
+_COMMANDS = {
+    "poly": ("print a universal polynomial", _poly_flags, _cmd_poly),
+    "check": ("run lambda-identity checks", _check_flags, _cmd_check),
+    "forms": ("operations on Gram-matrix files", _forms_flags, _cmd_forms),
+    "char": ("Weyl character of a dominant weight", _char_flags, _cmd_char),
+}
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value such as "-1,0" as an option, so hand it over
@@ -416,14 +416,8 @@ def main(argv=None):
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     lines = []
     emit = lines.append
-    handlers = {
-        "poly": _cmd_poly,
-        "check": _cmd_check,
-        "forms": _cmd_forms,
-        "char": _cmd_char,
-    }
     try:
-        code = handlers[args.command](args, emit)
+        code = _COMMANDS[args.command][2](args, emit)
         text = "\n".join(lines) + ("\n" if lines else "")
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

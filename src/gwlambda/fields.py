@@ -19,7 +19,7 @@ never need to branch on the representation.  Every model provides:
   string that :func:`field_model` accepts.
 * ``zero``, ``one``, ``from_int(n)`` and ``from_ratio(n, d)`` -- the element
   n/d of integers n and d, d nonzero in the field.
-* ``mul``, ``neg``, ``inv`` (a DomainError on zero) and ``is_zero``.
+* ``mul`` and ``is_zero``.
 * ``is_square(a)`` and ``square_class(a)`` of a nonzero a (a DomainError on
   zero), and ``square_classes``: every canonical representative, in output
   order.
@@ -54,9 +54,6 @@ class FieldModel:
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def is_zero(self, a):
         return a == self.zero
@@ -165,11 +162,6 @@ class _Rational(FieldModel):
     @property
     def spec(self):
         return self.kind
-
-    def inv(self, a):
-        if a == 0:
-            raise DomainError("division by zero")
-        return 1 / a
 
     def from_int(self, n):
         return Fraction(n)
@@ -317,14 +309,6 @@ class FinitePrime(FieldModel):
 
     def mul(self, a, b):
         return (a * b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
-    def inv(self, a):
-        if a % self.q == 0:
-            raise DomainError("division by zero")
-        return pow(a, -1, self.q)
 
     zero = 0
     one = 1

@@ -238,24 +238,6 @@ class GWClass:
         self.signature = signature
 
     @classmethod
-    def of_form(cls, a):
-        """Invariants of an actual GramForm."""
-        field = a.field
-        n = a.dim
-        if n == 0:
-            return cls.zero(field)
-        minors = a._minors
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        # det = D_n / d**n lies in the square class of D_n * d**(n % 2).
-        disc = field.square_class(field.from_int(sign * minors[-1] * a._d ** (n % 2)))
-        signature = None
-        if field.kind == "rc":
-            signature = sum(
-                1 if (x > 0) == (y > 0) else -1 for x, y in zip(minors, [1] + minors)
-            )
-        return cls(field, n, disc, signature)
-
-    @classmethod
     def zero(cls, field):
         return cls(field, 0, field.one, 0 if field.kind == "rc" else None)
 
@@ -340,7 +322,20 @@ class GWClass:
 
 def gw_class(a):
     """Complete invariants of a form, as a GWClass."""
-    return GWClass.of_form(a)
+    field = a.field
+    n = a.dim
+    if n == 0:
+        return GWClass.zero(field)
+    minors = a._minors
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    # det = D_n / d**n lies in the square class of D_n * d**(n % 2).
+    disc = field.square_class(field.from_int(sign * minors[-1] * a._d ** (n % 2)))
+    signature = None
+    if field.kind == "rc":
+        signature = sum(
+            1 if (x > 0) == (y > 0) else -1 for x, y in zip(minors, [1] + minors)
+        )
+    return GWClass(field, n, disc, signature)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,23 @@
-"""A form constructor and a GW(F) class oracle that only the tests use."""
+"""Field arithmetic for the elimination oracles, a form constructor and a
+GW(F) class oracle that only the tests use."""
 
 from gwlambda.forms import GramForm, GWClass
+
+
+def add(field, a, b):
+    """a + b in the field: the plain sum, reduced mod q over fq."""
+    total = a + b
+    return total % field.q if field.kind == "fq" else total
+
+
+def neg(field, a):
+    """-a in the field."""
+    return -a % field.q if field.kind == "fq" else -a
+
+
+def inv(field, a):
+    """1/a in the field, for a nonzero a."""
+    return pow(a, -1, field.q) if field.kind == "fq" else 1 / a
 
 
 def diagonal_form(field, entries):

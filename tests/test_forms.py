@@ -29,7 +29,7 @@ from gwlambda.forms import (
 )
 from gwlambda.lambda_rings import GWFieldRing
 
-from form_helpers import diagonal_class, diagonal_form
+from form_helpers import add, diagonal_class, diagonal_form, inv
 
 MODELS = ("qc", "rc", "fq:5", "fq:7")
 
@@ -44,12 +44,6 @@ def rand_unit(field, rng):
 
 def rand_diagonal(field, rng, dim):
     return diagonal_form(field, [rand_unit(field, rng) for _ in range(dim)])
-
-
-def add(field, a, b):
-    """a + b in the field: the plain sum, reduced mod q over fq."""
-    total = a + b
-    return total % field.q if field.kind == "fq" else total
 
 
 def matmul(field, a, b):
@@ -220,8 +214,8 @@ def test_field_parse_round_trip():
     assert rc.to_str(Fraction(-3, 2)) == "-3/2"
     f7 = field_model("fq:7")
     assert f7.parse("12") == 5
-    assert f7.parse("1/2") == f7.mul(1, f7.inv(2))
-    assert f7.parse("-3/-5") == f7.mul(4, f7.inv(2))
+    assert f7.parse("1/2") == f7.mul(1, inv(f7, 2))
+    assert f7.parse("-3/-5") == f7.mul(4, inv(f7, 2))
 
 
 def test_fq_parse_names_a_denominator_that_is_zero():
@@ -277,7 +271,7 @@ def test_exterior_square_of_hyperbolic_plane():
     for spec in MODELS:
         f = field_model(spec)
         top = exterior_power(hyperbolic(1, f), 2)
-        assert top.gram == ((f.neg(f.one),),)
+        assert top.gram == ((f.from_int(-1),),)
 
 
 def test_exterior_power_identity_and_unit():
@@ -703,10 +697,10 @@ def test_witness_mod_seven_example():
     b = hyperbolic_lemma_witness(diagonal_form(f, [2, 3]))
     assert len(b) == 4
     # blocks are [[I, G^{-1}/2], [I, -G^{-1}/2]]
-    half = f.inv(f.from_int(2))
+    half = inv(f, f.from_int(2))
     assert b[2][0] == f.one and b[3][1] == f.one
-    assert b[0][2] == f.mul(half, f.inv(2))
-    assert b[1][3] == f.mul(half, f.inv(3))
+    assert b[0][2] == f.mul(half, inv(f, 2))
+    assert b[1][3] == f.mul(half, inv(f, 3))
 
 
 # ---------------------------------------------------------------------------

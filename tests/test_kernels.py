@@ -35,19 +35,13 @@ from gwlambda.forms import (
     tensor,
 )
 
-from form_helpers import diagonal_form
+from form_helpers import add, diagonal_form, inv, neg
 
 SPECS = ("qc", "rc", "fq:3", "fq:5", "fq:7", "fq:11")
 
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def add(field, a, b):
-    """a + b in the field: the plain sum, reduced mod q over fq."""
-    total = a + b
-    return total % field.q if field.kind == "fq" else total
 
 
 def oracle_det(field, rows):
@@ -72,15 +66,15 @@ def oracle_det(field, rows):
             return field.zero
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = field.neg(det)
+            det = neg(field, det)
         det = field.mul(det, m[col][col])
-        inv = field.inv(m[col][col])
+        pivot_inv = inv(field, m[col][col])
         for r in range(col + 1, n):
             if field.is_zero(m[r][col]):
                 continue
-            f = field.mul(m[r][col], inv)
+            f = field.mul(m[r][col], pivot_inv)
             for c in range(col, n):
-                m[r][c] = add(field, m[r][c], field.neg(field.mul(f, m[col][c])))
+                m[r][c] = add(field, m[r][c], neg(field, field.mul(f, m[col][c])))
     return det
 
 
@@ -107,15 +101,15 @@ def oracle_diagonalize(field, rows):
                 for c in range(n):
                     g[i][c] = add(field, g[i][c], g[j][c])
         pivot = g[i][i]
-        inv = field.inv(pivot)
+        pivot_inv = inv(field, pivot)
         for j in range(i + 1, n):
             if field.is_zero(g[i][j]):
                 continue
-            f = field.mul(g[i][j], inv)
+            f = field.mul(g[i][j], pivot_inv)
             for c in range(n):
-                g[j][c] = add(field, g[j][c], field.neg(field.mul(f, g[i][c])))
+                g[j][c] = add(field, g[j][c], neg(field, field.mul(f, g[i][c])))
             for r in range(n):
-                g[r][j] = add(field, g[r][j], field.neg(field.mul(f, g[r][i])))
+                g[r][j] = add(field, g[r][j], neg(field, field.mul(f, g[r][i])))
         out.append(pivot)
     return out
 
@@ -131,12 +125,12 @@ def oracle_rref(field, rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, v) for v in m[r]]
+        pivot_inv = inv(field, m[r][c])
+        m[r] = [field.mul(pivot_inv, v) for v in m[r]]
         for i in range(len(m)):
             if i != r and not field.is_zero(m[i][c]):
                 f = m[i][c]
-                m[i] = [add(field, v, field.neg(field.mul(f, w))) for v, w in zip(m[i], m[r])]
+                m[i] = [add(field, v, neg(field, field.mul(f, w))) for v, w in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

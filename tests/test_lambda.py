@@ -741,7 +741,7 @@ def hyperbolic_map(x, gw_ring):
     ):
         raise DomainError("target ring must extend the same torus")
     field = gw_ring.field
-    split = gw_ring.coeff_ring.diag((field.one, field.neg(field.one)))
+    split = gw_ring.coeff_ring.diag((field.one, field.from_int(-1)))
     return gw_ring.elt({b: c * split for b, c in x.terms.items()})
 
 
@@ -812,7 +812,7 @@ def test_hyperbolic_map_behavior():
     er = ext_ring("rc")
     ke = KExtTorusRing(1)
     f = er.field
-    split = er.coeff_ring.diag((f.one, f.neg(f.one)))
+    split = er.coeff_ring.diag((f.one, f.from_int(-1)))
     assert hyperbolic_map(ke.one, er) == er.elt({"one": split})
     assert hyperbolic_map(ke.basis_elt("delta"), er) == er.elt(
         {"delta": split}
