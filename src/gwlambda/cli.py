@@ -20,7 +20,7 @@ failed, 2 usage or input errors, 3 an internal error.
 from . import forms as forms_mod
 from . import lambda_rings as lr
 from . import symfun, weights
-from .errors import DomainError
+from .errors import DomainError, FormatError, _bounded
 from .fields import field_model
 
 import argparse
@@ -69,6 +69,18 @@ _FORMS_FLAGS = {
 }
 
 
+def _int_flag(text):
+    """The value of an integer flag, which ``_bounded`` must pass."""
+    try:
+        n = int(text)
+        _bounded("the value", n)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+    return n
+
+
 def _common_flags(sub):
     sub.add_argument(
         "--format",
@@ -80,9 +92,9 @@ def _common_flags(sub):
 
 
 def _poly_flags(poly):
-    poly.add_argument("--k", type=int, required=True, help="outer lambda index")
+    poly.add_argument("--k", type=_int_flag, required=True, help="outer lambda index")
     poly.add_argument(
-        "--j", type=int, default=None, help="inner index for the composition table"
+        "--j", type=_int_flag, default=None, help="inner index for the composition table"
     )
 
 
@@ -93,21 +105,21 @@ def _check_flags(check):
         help="ring for sweep mode (element files carry their own ring)",
     )
     check.add_argument("--field", help="field spec qc, rc, or fq:<q>")
-    check.add_argument("--r", type=int, help="torus rank (default 1)")
-    check.add_argument("--kmax", type=int, default=None, help="largest outer index")
+    check.add_argument("--r", type=_int_flag, help="torus rank (default 1)")
+    check.add_argument("--kmax", type=_int_flag, default=None, help="largest outer index")
     check.add_argument(
         "--jmax",
-        type=int,
+        type=_int_flag,
         help="largest inner index in sweeps (default 2); 0 means no composition checks",
     )
     check.add_argument("--sweep", action="store_true", help="enumerate basis elements")
-    check.add_argument("--bound", type=int, help="coordinate bound for sweeps (default 1)")
+    check.add_argument("--bound", type=_int_flag, help="coordinate bound for sweeps (default 1)")
     check.add_argument("--x-file", help="element record for the first operand")
     check.add_argument("--y-file", help="element record for the second operand")
-    check.add_argument("--x", type=int, help="inline integer operand (ring integers)")
-    check.add_argument("--y", type=int, help="inline integer operand (ring integers)")
+    check.add_argument("--x", type=_int_flag, help="inline integer operand (ring integers)")
+    check.add_argument("--y", type=_int_flag, help="inline integer operand (ring integers)")
     check.add_argument(
-        "--j", type=int, default=None, help="inner index for a targeted composition check"
+        "--j", type=_int_flag, default=None, help="inner index for a targeted composition check"
     )
     check.add_argument(
         "--constants", help="JSON file overriding the extension structure constants"
@@ -117,17 +129,17 @@ def _check_flags(check):
 def _forms_flags(forms):
     forms.add_argument("action", choices=tuple(_FORMS_FLAGS))
     forms.add_argument("--in", dest="infile", help="form record (JSON)")
-    forms.add_argument("--k", type=int, default=None, help="exterior power index")
+    forms.add_argument("--k", type=_int_flag, default=None, help="exterior power index")
     forms.add_argument(
         "--vectors", help="sub-Lagrangian basis: rows 'a,b,...' joined by ';'"
     )
-    forms.add_argument("--n", type=int, default=None, help="hyperbolic rank")
+    forms.add_argument("--n", type=_int_flag, default=None, help="hyperbolic rank")
     forms.add_argument("--field", help="field spec for generated forms")
 
 
 def _char_flags(char):
     char.add_argument("--type", dest="flavor", choices=("B", "D"), required=True)
-    char.add_argument("--n", type=int, required=True, help="rank")
+    char.add_argument("--n", type=_int_flag, required=True, help="rank")
     char.add_argument("--hw", required=True, help="highest weight 'c1,c2,...'")
 
 
@@ -374,6 +386,7 @@ def _cmd_char(args, emit):
         hw = tuple(int(v) for v in args.hw.split(","))
     except ValueError:
         raise DomainError("--hw must be a comma-separated integer list") from None
+    _bounded("--hw entries", *hw)
     char = weights.weyl_character(hw, flavor)
     mass = weights.character_mass(char)
     dim = weights.weyl_dim(hw, flavor)

@@ -11,6 +11,19 @@ class FormatError(DomainError):
     """A serialized record violates the exchange format."""
 
 
+# Every integer read from argv or from a record has absolute value below
+# INT_LIMIT.  The work caps assume it: with them, no integer that a run
+# computes or prints comes near Python's 4,300-digit limit on int-to-str
+# conversion, and no count of repeats overflows a C size.
+INT_LIMIT = 2**63
+
+
+def _bounded(where, *values):
+    """Refuse, naming ``where``, an integer of absolute value INT_LIMIT or more."""
+    if any(not -INT_LIMIT < v < INT_LIMIT for v in values):
+        raise FormatError("%s must have absolute value below 2**63" % where)
+
+
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
@@ -18,10 +31,13 @@ def _checked(value, kind, where):
     """``value`` if it is a JSON integer, string, list or object as ``kind`` asks.
 
     JSON ``true``/``false`` load as ``bool``, a subclass of ``int``; they
-    are not integers here.  Shared by every record parser.
+    are not integers here, and an integer must pass ``_bounded``.  Shared by
+    every record parser.
     """
     if isinstance(value, bool) or not isinstance(value, kind):
         raise FormatError("%s must be %s" % (where, _JSON_KINDS[kind]))
+    if kind is int:
+        _bounded(where, value)
     return value
 
 

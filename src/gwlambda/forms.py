@@ -33,6 +33,15 @@ from .fields import field_model
 MAX_EXTERIOR_ROWS = 252
 MAX_HYPERBOLIC_RANK = 256
 
+# Caps on a form read from a Gram matrix: its dimension, checked before
+# any entry is read, and the bit size of the lifted (M, d), checked before
+# its elimination (README).  Lambda^(dim - 1), the slowest in-cap action,
+# takes 1.4 s on a dense form at both caps, and no printed integer has more
+# than about dim * bits bits, far below Python's 4,300-digit limit on
+# int-to-str conversion.
+MAX_FORM_DIM = 20
+MAX_FORM_BITS = 128
+
 
 class GramForm:
     """A symmetric bilinear form with invertible Gram matrix.
@@ -44,8 +53,9 @@ class GramForm:
     symmetric elimination (``field.sym_minors``) give the determinant, the
     rc signature and :func:`diagonalize`.
 
-    A form read from a Gram matrix is checked when it is made: square,
-    symmetric, and nonsingular (its minors run at once).  A form made by a
+    A form read from a Gram matrix is checked when it is made: within
+    MAX_FORM_DIM and MAX_FORM_BITS, square, symmetric, and nonsingular (its
+    minors run at once).  A form made by a
     construction is nondegenerate by a theorem (see :meth:`_lifted`), so
     it is not checked, and its minors run on first read.
 
@@ -56,9 +66,18 @@ class GramForm:
     __slots__ = ("field", "_m", "_d", "_minor_cache", "_gram")
 
     def __init__(self, field, gram):
+        # The rows may be lazy (parse_form): none is read past the cap.
+        gram = tuple(gram)
+        n = len(gram)
+        if n > MAX_FORM_DIM:
+            raise DomainError("the form has dimension %d; the cap is %d" % (n, MAX_FORM_DIM))
         gram = tuple(tuple(row) for row in gram)
         m, d = field.lift(gram)
-        n = len(m)
+        bits = max([d.bit_length()] + [abs(v).bit_length() for row in m for v in row])
+        if bits > MAX_FORM_BITS:
+            raise DomainError(
+                "the lifted Gram matrix has %d-bit entries; the cap is %d" % (bits, MAX_FORM_BITS)
+            )
         for row in m:
             if len(row) != n:
                 raise DomainError("gram matrix must be square")
@@ -462,7 +481,7 @@ def parse_form(record):
         raise FormatError("form record is missing field %s" % exc) from None
     field = field_model(_checked(spec, str, "field"))
     rows = [
-        [field.parse(str(v)) for v in _checked(row, list, "gram[%d]" % i)]
+        (field.parse(str(v)) for v in _checked(row, list, "gram[%d]" % i))
         for i, row in enumerate(_checked(gram, list, "gram"))
     ]
     return GramForm(field, rows)

@@ -31,7 +31,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import DomainError, FormatError, _checked, _load_json
+from .errors import DomainError, FormatError, _bounded, _checked, _load_json
 from .fields import field_model
 from . import symfun
 
@@ -397,6 +397,7 @@ class _TorusWeights(_Basis):
             raise FormatError("%s.basis has bad coordinates" % where) from None
         if len(gamma) != r:
             raise FormatError("%s.basis has %d coordinates, expected %d" % (where, len(gamma), r))
+        _bounded("%s.basis coordinates" % where, *gamma)
         return gamma
 
     def display(self, gamma):
@@ -433,6 +434,7 @@ def parse_basis(text, r):
             raise FormatError("bad pair weight in basis %r" % (text,)) from None
         if len(coords) != r:
             raise FormatError("basis %r has %d coordinates, expected %d" % (text, len(coords), r))
+        _bounded("pair coordinates", *coords)
         try:
             return pair_key(coords)
         except DomainError as exc:

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from gwlambda import cli
 from gwlambda.errors import DomainError
+from gwlambda.fields import _is_prime
 from gwlambda.forms import load_form, parse_form
 from gwlambda.lambda_rings import MAX_SWEEP, load_constants, load_element, parse_element
 
@@ -369,4 +371,122 @@ def test_oversized_work_is_refused_at_once(tmp_path, name):
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert " %s" % cap in out.stderr
+    assert elapsed < 1.0
+
+
+# Numbers read from outside past 2**63, and rational entries in exponent
+# notation.  Each of these ran into arithmetic and ended in a traceback
+# (exit 1): itertools.repeat overflowed a C size, or a message, a record
+# or an entry crossed Python's 4,300-digit limit on int-to-str conversion
+# ("1e20000000" first spent 19 s expanding).  Forms read from a Gram matrix
+# past MAX_FORM_DIM or MAX_FORM_BITS ran for minutes.  Now each exits 2 at
+# once, with one error line that names the flag, field or entry, and nothing
+# on stdout.
+DIGITS = "9" * 2200
+
+
+def _dense_gram(n):
+    """A seeded symmetric rc Gram matrix of dimension n, entries in -9..9."""
+    rng = random.Random(n)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = str(rng.randint(-9, 9))
+    return rows
+
+
+def _prime_denominators(count):
+    """``count`` distinct primes of 61 bits."""
+    primes, p = [], 2**60 + 1
+    while len(primes) < count:
+        if _is_prime(p):
+            primes.append(p)
+        p += 2
+    return primes
+
+
+def _primes_gram():
+    """A 10-dimensional rc form whose 55 entries have distinct 61-bit
+    prime denominators: its lifted d has about 3,400 bits."""
+    primes = iter(_prime_denominators(55))
+    rows = [[None] * 10 for _ in range(10)]
+    for i in range(10):
+        for j in range(i, 10):
+            rows[i][j] = rows[j][i] = "1/%d" % next(primes)
+    return rows
+
+
+OUTSIDE_FILES = {
+    "ext-2pow63.json": lambda: {
+        "ring": "k-ext-torus", "rank_r": 1, "terms": [{"basis": "pair:1", "coeff": 2**63}],
+    },
+    "torus-digits.json": lambda: {
+        "ring": "k-torus", "rank_r": 1, "terms": [{"basis": "wt:1", "coeff": int(DIGITS)}],
+    },
+    "gram-1e5000.json": lambda: {"field": "rc", "gram": [["1e5000"]]},
+    "gram-1e20000000.json": lambda: {"field": "rc", "gram": [["1e20000000"]]},
+    "dense-64.json": lambda: {"field": "rc", "gram": _dense_gram(64)},
+    "dense-128.json": lambda: {"field": "rc", "gram": _dense_gram(128)},
+    "dense-256.json": lambda: {"field": "rc", "gram": _dense_gram(256)},
+    "dense-400.json": lambda: {"field": "rc", "gram": _dense_gram(400)},
+    "primes-10.json": lambda: {"field": "rc", "gram": _primes_gram()},
+}
+
+OUTSIDE = {
+    "ext-coefficient-2pow63": (
+        ("check", "--x-file", "ext-2pow63.json", "--j", "1", "--kmax", "2"), "terms[0].coeff"
+    ),
+    "torus-coefficient-product": (
+        ("check", "--x-file", "torus-digits.json", "--y-file", "torus-digits.json"),
+        "terms[0].coeff",
+    ),
+    "torus-coefficient-j2": (("check", "--x-file", "torus-digits.json", "--j", "2"), "terms[0].coeff"),
+    "torus-coefficient-records": (
+        ("check", "--x-file", "torus-digits.json", "--j", "1", "--kmax", "2",
+         "--format", "records"),
+        "terms[0].coeff",
+    ),
+    "sweep-bound": (
+        ("check", "--sweep", "--ring", "k-torus", "--r", "3", "--bound", "9" * 2000), "--bound"
+    ),
+    "inline-product": (("check", "--ring", "integers", "--x", DIGITS, "--y", DIGITS), "--x"),
+    "inline-records": (
+        ("check", "--ring", "integers", "--x", DIGITS, "--y", "1", "--kmax", "2",
+         "--format", "records"),
+        "--x",
+    ),
+    "hw-entry": (("char", "--type", "B", "--n", "2", "--hw", DIGITS + ",0"), "--hw"),
+    "gram-1e5000": (("forms", "exterior", "--in", "gram-1e5000.json", "--k", "1"), "'1e5000'"),
+    "gram-1e20000000": (
+        ("forms", "exterior", "--in", "gram-1e20000000.json", "--k", "1"), "'1e20000000'"
+    ),
+    "class-128": (("forms", "class", "--in", "dense-128.json"), "dimension 128"),
+    "class-256": (("forms", "class", "--in", "dense-256.json"), "dimension 256"),
+    "class-400": (("forms", "class", "--in", "dense-400.json"), "dimension 400"),
+    "witness-64": (("forms", "hyperbolic-witness", "--in", "dense-64.json"), "dimension 64"),
+    "witness-128": (("forms", "hyperbolic-witness", "--in", "dense-128.json"), "dimension 128"),
+    "witness-256": (("forms", "hyperbolic-witness", "--in", "dense-256.json"), "dimension 256"),
+    "witness-prime-denominators": (
+        ("forms", "hyperbolic-witness", "--in", "primes-10.json"), "-bit entries"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE))
+def test_numbers_from_outside_are_refused_at_once(tmp_path, name):
+    argv, named = OUTSIDE[name]
+    for file, record in OUTSIDE_FILES.items():
+        if file in argv:
+            (tmp_path / file).write_text(json.dumps(record()))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "gwlambda", *argv],
+        capture_output=True, text=True, timeout=10, cwd=tmp_path,
+    )
+    elapsed = time.perf_counter() - start
+    assert (out.returncode, out.stdout) == (2, "")
+    # A flag that argparse refuses comes after its usage lines.
+    lines = out.stderr.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert named in lines[-1] and "Traceback" not in out.stderr
     assert elapsed < 1.0

@@ -86,7 +86,8 @@ def test_check_inline_integers():
 
 
 def test_check_inline_integers_beyond_machine_size(capsys):
-    n = 10**20
+    # The largest operand a flag takes; its lambda^2 needs 125 bits.
+    n = 2**63 - 1
     code = cli.main(
         ["check", "--ring", "integers", "--x", str(n), "--y", "1", "--kmax", "2",
          "--format", "records"]
@@ -623,13 +624,15 @@ BENCH_ATTRIBUTES = (
     "fields.FieldModel",
     "forms.GWClass.zero", "forms.parse_form", "forms.perp_sum", "forms.exterior_power",
     "forms.tensor", "forms.gw_class", "forms.hyperbolic_lemma_witness",
+    "forms.GWClass.__add__", "forms.GWClass.__sub__", "forms.GWClass.__neg__",
+    "forms.GWClass.__mul__",
     "weights.Flavor", "weights.weyl_character", "weights.character_mass",
     "weights.weyl_dim", "weights.check_triangularity",
     "symfun.universal_P", "symfun.universal_P_kj", "symfun.EPolynomial.evaluate",
     "lambda_rings.check_lambda1", "lambda_rings.check_lambda2",
     "lambda_rings.CheckRecord.to_record", "lambda_rings.element_record",
     "lambda_rings.IntElt", "lambda_rings.GWFieldElt", "lambda_rings.KTorusElt",
-    "lambda_rings.KExtElt", "lambda_rings.GWExtElt",
+    "lambda_rings.KExtElt", "lambda_rings.GWExtElt", "lambda_rings.FreeElt.lambda_t",
     "cli.main",
 )
 

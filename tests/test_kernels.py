@@ -356,17 +356,19 @@ def test_sparse_rows_cost_no_divisions(monkeypatch):
     m, _ = field.lift(hyperbolic(n // 2, field).gram)
     assert abs(field.int_det(m)) == 1
     assert calls == []
-    diag = diagonal_form(field, [Fraction(i % 5 + 2, i % 3 + 1) for i in range(n)])
-    m, d = field.lift(diag.gram)
+    # A plain matrix: a form read from a Gram matrix has at most MAX_FORM_DIM rows.
+    entries = [Fraction(i % 5 + 2, i % 3 + 1) for i in range(n)]
+    gram = [[entries[i] if i == j else field.zero for j in range(n)] for i in range(n)]
+    m, d = field.lift(gram)
     calls.clear()
-    assert field.from_ratio(field.int_det(m), d**n) == oracle_det(field, diag.gram)
+    assert field.from_ratio(field.int_det(m), d**n) == oracle_det(field, gram)
     assert len(calls) <= n * (n - 1) // 2
     # The symmetric elimination keeps the rule and divides only by a level
     # other than 1: every row it settles or eliminates on these diagonal
     # and hyperbolic matrices is still at level 1.
     calls.clear()
     minors = field.sym_minors(m)
-    assert field.from_ratio(minors[-1], d**n) == oracle_det(field, diag.gram)
+    assert field.from_ratio(minors[-1], d**n) == oracle_det(field, gram)
     assert field.sym_minors(field.lift(hyperbolic(n // 2, field).gram)[0])[-1] in (1, -1)
     assert calls == []
 

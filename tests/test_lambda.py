@@ -182,6 +182,45 @@ def test_gw_field_zero_class_with_nonzero_counts():
     assert er.elt({"one": er.coeff_ring.diag([1, 1], [2, 2])}).terms == {}
 
 
+@pytest.mark.parametrize("spec", ("fq:3", "fq:5", "fq:7"))
+def test_twice_one_minus_twice_the_non_residue_is_false(spec):
+    # 2<1> = 2<u> in GW(F_q): the element has counts and is still false,
+    # and a GW-ext product that forms it as a coefficient drops the term.
+    ring = GWFieldRing(field_model(spec))
+    u = ring.field.non_residue
+    x = ring.diag([1, 1], [u, u])
+    assert x.terms and not x
+    assert ring.diag([1], [u]) and ring.diag([1, 1], [u])
+    er = GWExtTorusRing(1, ring.field)
+    y = er.elt({"delta": er.coeff_ring.diag([1], [u])})
+    assert y.terms
+    assert (y * er.elt({"one": er.coeff_ring.diag([1, 1])})).terms == {}
+
+
+def test_coefficient_zero_tests_bypass_is_zero(monkeypatch):
+    # The benchmark's spans pass times FreeElt.is_zero as an equality, so
+    # _reduced and __bool__ must not call it.
+    er = ext_ring("fq:5")
+    c = er.coeff_ring
+    x = er.elt({"one": c.diag([1, 2], [3]), (1,): c.diag([2], [1]), "delta": c.diag([], [2])})
+    y = er.elt({(2,): c.diag([1, 3]), "delta": c.diag([1], [2])})
+    series, product = x.lambda_t(4), x * y
+
+    def refuse(self):
+        raise AssertionError("FreeElt.is_zero called")
+
+    monkeypatch.setattr(lr.FreeElt, "is_zero", refuse)
+    assert x.lambda_t(4) == series
+    assert x * y == product
+
+
+def test_binom_general_is_the_falling_factorial_over_k_factorial():
+    for n in range(-30, 31):
+        for k in range(13):
+            falling = math.prod(range(n - k + 1, n + 1))
+            assert lr._binom_general(n, k) * math.factorial(k) == falling
+
+
 def test_torus_rank_cap_comes_before_the_unit_weight(monkeypatch):
     # KTorusRing(r) builds its unit weight (0,) * r; a rank over the cap is
     # refused first, whatever its size.
