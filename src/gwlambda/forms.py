@@ -35,12 +35,19 @@ MAX_HYPERBOLIC_RANK = 256
 
 # Caps on a form read from a Gram matrix: its dimension, checked before
 # any entry is read, and the bit size of the lifted (M, d), checked before
-# its elimination (README).  Lambda^(dim - 1), the slowest in-cap action,
-# takes 1.4 s on a dense form at both caps, and no printed integer has more
-# than about dim * bits bits, far below Python's 4,300-digit limit on
-# int-to-str conversion.
+# its elimination; a sub-Lagrangian basis has the same bit cap (README).
+# Lambda^(dim - 1), the slowest in-cap action, takes 1.5 s on a dense form
+# at both caps, and no printed integer comes near Python's 4,300-digit
+# limit on int-to-str conversion.
 MAX_FORM_DIM = 20
 MAX_FORM_BITS = 128
+
+
+def _checked_bits(m, d, what):
+    """Refuse a lifted matrix M/d with d or an entry of M past MAX_FORM_BITS."""
+    bits = max([d.bit_length()] + [abs(v).bit_length() for row in m for v in row])
+    if bits > MAX_FORM_BITS:
+        raise DomainError("%s has %d-bit entries; the cap is %d" % (what, bits, MAX_FORM_BITS))
 
 
 class GramForm:
@@ -73,11 +80,7 @@ class GramForm:
             raise DomainError("the form has dimension %d; the cap is %d" % (n, MAX_FORM_DIM))
         gram = tuple(tuple(row) for row in gram)
         m, d = field.lift(gram)
-        bits = max([d.bit_length()] + [abs(v).bit_length() for row in m for v in row])
-        if bits > MAX_FORM_BITS:
-            raise DomainError(
-                "the lifted Gram matrix has %d-bit entries; the cap is %d" % (bits, MAX_FORM_BITS)
-            )
+        _checked_bits(m, d, "the lifted Gram matrix")
         for row in m:
             if len(row) != n:
                 raise DomainError("gram matrix must be square")
@@ -379,6 +382,7 @@ def sublagrangian_reduce(a, vectors):
             raise DomainError("sub-Lagrangian vector has wrong length")
     k = len(vectors)
     basis, d = field.lift(vectors)
+    _checked_bits(basis, d, "the lifted sub-Lagrangian basis")
     if len(field.echelon(basis)[1]) != k:
         raise DomainError("sub-Lagrangian basis is linearly dependent")
     pairings = _product((basis, d), a)

@@ -379,7 +379,8 @@ def test_oversized_work_is_refused_at_once(tmp_path, name):
 # (exit 1): itertools.repeat overflowed a C size, or a message, a record
 # or an entry crossed Python's 4,300-digit limit on int-to-str conversion
 # ("1e20000000" first spent 19 s expanding).  Forms read from a Gram matrix
-# past MAX_FORM_DIM or MAX_FORM_BITS ran for minutes.  Now each exits 2 at
+# past MAX_FORM_DIM or MAX_FORM_BITS ran for minutes, and a sub-Lagrangian
+# basis past MAX_FORM_BITS could print an entry past that limit.  Now each exits 2 at
 # once, with one error line that names the flag, field or entry, and nothing
 # on stdout.
 DIGITS = "9" * 2200
@@ -430,6 +431,9 @@ OUTSIDE_FILES = {
     "dense-256.json": lambda: {"field": "rc", "gram": _dense_gram(256)},
     "dense-400.json": lambda: {"field": "rc", "gram": _dense_gram(400)},
     "primes-10.json": lambda: {"field": "rc", "gram": _primes_gram()},
+    "hyperbolic-3.json": lambda: {
+        "field": "rc", "gram": [["1" if abs(i - j) == 3 else "0" for j in range(6)] for i in range(6)],
+    },
 }
 
 OUTSIDE = {
@@ -468,6 +472,12 @@ OUTSIDE = {
     "witness-256": (("forms", "hyperbolic-witness", "--in", "dense-256.json"), "dimension 256"),
     "witness-prime-denominators": (
         ("forms", "hyperbolic-witness", "--in", "primes-10.json"), "-bit entries"
+    ),
+    # An isotropic vector whose reduced form has an entry of 4,403 digits.
+    "reduce-vector": (
+        ("forms", "reduce", "--in", "hyperbolic-3.json", "--vectors",
+         "1/%s,-1,-1,%s,0,1" % (DIGITS, DIGITS)),
+        "sub-Lagrangian basis",
     ),
 }
 
