@@ -170,7 +170,7 @@ class _Rational(FieldModel):
         return self.one if self.is_square(a) else -self.one
 
     def parse(self, text):
-        # Fraction expands an exponent at once: "1e20000000" takes seconds
+        # Fraction expands an exponent at once: "1e20000000" takes 21 s
         # and makes a number too long to print.
         if "e" in text or "E" in text:
             raise FormatError("bad rational %r: exponent notation is refused" % (text,))

@@ -62,9 +62,9 @@ class GramForm:
 
     A form read from a Gram matrix is checked when it is made: within
     MAX_FORM_DIM and MAX_FORM_BITS, square, symmetric, and nonsingular (its
-    minors run at once).  A form made by a
-    construction is nondegenerate by a theorem (see :meth:`_lifted`), so
-    it is not checked, and its minors run on first read.
+    minors run at once).  A form made by a construction is nondegenerate
+    by a theorem (see :meth:`_lifted`), so it is not checked, and its
+    minors run on first read.
 
     The zero-dimensional form (empty matrix) is allowed; it arises as the
     core of a metabolic form under sub-Lagrangian reduction.

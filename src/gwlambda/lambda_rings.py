@@ -155,7 +155,10 @@ class _Integers:
         return coeff
 
     def lines(self, coeff):
-        return itertools.repeat((1, 1 if coeff > 0 else -1), abs(coeff))
+        # A product can make a coefficient past the C size that
+        # itertools.repeat takes; lambda_t stops at MAX_LINES anyway.
+        line = (1, 1 if coeff > 0 else -1)
+        return (line for _ in range(abs(coeff)))
 
     def rank_one(self, s):
         return 1

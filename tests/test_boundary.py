@@ -376,9 +376,10 @@ def test_oversized_work_is_refused_at_once(tmp_path, name):
 
 # Numbers read from outside past 2**63, and rational entries in exponent
 # notation.  Each of these ran into arithmetic and ended in a traceback
-# (exit 1): itertools.repeat overflowed a C size, or a message, a record
-# or an entry crossed Python's 4,300-digit limit on int-to-str conversion
-# ("1e20000000" first spent 19 s expanding).  Forms read from a Gram matrix
+# (exit 1) or did not end: itertools.repeat overflowed a C size, a
+# binomial looped 2**63 times, or a message, a record or an entry crossed
+# Python's 4,300-digit limit on int-to-str conversion ("1e20000000" first
+# spent 21 s expanding).  Forms read from a Gram matrix
 # past MAX_FORM_DIM or MAX_FORM_BITS ran for minutes, and a sub-Lagrangian
 # basis past MAX_FORM_BITS could print an entry past that limit.  Now each exits 2 at
 # once, with one error line that names the flag, field or entry, and nothing
@@ -424,6 +425,13 @@ OUTSIDE_FILES = {
     "torus-digits.json": lambda: {
         "ring": "k-torus", "rank_r": 1, "terms": [{"basis": "wt:1", "coeff": int(DIGITS)}],
     },
+    "ext-lines.json": lambda: {
+        "ring": "k-ext-torus", "rank_r": 1,
+        "terms": [{"basis": "one", "coeff": 2**62}, {"basis": "delta", "coeff": 2**62}],
+    },
+    "ext-pair.json": lambda: {
+        "ring": "k-ext-torus", "rank_r": 1, "terms": [{"basis": "pair:1", "coeff": 1}],
+    },
     "gram-1e5000.json": lambda: {"field": "rc", "gram": [["1e5000"]]},
     "gram-1e20000000.json": lambda: {"field": "rc", "gram": [["1e20000000"]]},
     "dense-64.json": lambda: {"field": "rc", "gram": _dense_gram(64)},
@@ -450,6 +458,13 @@ OUTSIDE = {
          "--format", "records"),
         "terms[0].coeff",
     ),
+    # Each operand is within the bound; their product has 2**63 on [e^1].
+    "ext-product-coefficient": (
+        ("check", "--x-file", "ext-lines.json", "--y-file", "ext-pair.json", "--kmax", "2"),
+        "256 line factors",
+    ),
+    # C(-3, j) looped j times before math.comb.
+    "inline-j": (("check", "--ring", "integers", "--x", "-3", "--j", str(2**63 - 1)), "kmax*j"),
     "sweep-bound": (
         ("check", "--sweep", "--ring", "k-torus", "--r", "3", "--bound", "9" * 2000), "--bound"
     ),
