@@ -35,7 +35,7 @@ from gwlambda.forms import (
     tensor,
 )
 
-from form_helpers import add, diagonal_form, inv, neg
+from form_helpers import add, inv, neg
 
 SPECS = ("qc", "rc", "fq:3", "fq:5", "fq:7", "fq:11")
 
