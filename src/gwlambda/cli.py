@@ -20,7 +20,7 @@ failed, 2 usage or input errors, 3 an internal error.
 from . import forms as forms_mod
 from . import lambda_rings as lr
 from . import symfun, weights
-from .errors import DomainError, FormatError, _bounded
+from .errors import DomainError, _bounded, _ints
 from .fields import field_model
 
 import argparse
@@ -69,16 +69,17 @@ _FORMS_FLAGS = {
 }
 
 
-def _int_flag(text):
-    """The value of an integer flag, which ``_bounded`` must pass."""
-    try:
-        n = int(text)
-        _bounded("the value", n)
-    except FormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
-    return n
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses a bad command line with ``DomainError``, so that
+    ``main`` reports it as it reports every other bad input."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
+def _flag(dest):
+    """The flag on the command line of the argparse ``dest``."""
+    return "--in" if dest == "infile" else "--" + dest.replace("_", "-")
 
 
 def _common_flags(sub):
@@ -92,10 +93,8 @@ def _common_flags(sub):
 
 
 def _poly_flags(poly):
-    poly.add_argument("--k", type=_int_flag, required=True, help="outer lambda index")
-    poly.add_argument(
-        "--j", type=_int_flag, default=None, help="inner index for the composition table"
-    )
+    poly.add_argument("--k", type=int, required=True, help="outer lambda index")
+    poly.add_argument("--j", type=int, default=None, help="inner index for the composition table")
 
 
 def _check_flags(check):
@@ -105,21 +104,21 @@ def _check_flags(check):
         help="ring for sweep mode (element files carry their own ring)",
     )
     check.add_argument("--field", help="field spec qc, rc, or fq:<q>")
-    check.add_argument("--r", type=_int_flag, help="torus rank (default 1)")
-    check.add_argument("--kmax", type=_int_flag, default=None, help="largest outer index")
+    check.add_argument("--r", type=int, help="torus rank (default 1)")
+    check.add_argument("--kmax", type=int, default=None, help="largest outer index")
     check.add_argument(
         "--jmax",
-        type=_int_flag,
+        type=int,
         help="largest inner index in sweeps (default 2); 0 means no composition checks",
     )
     check.add_argument("--sweep", action="store_true", help="enumerate basis elements")
-    check.add_argument("--bound", type=_int_flag, help="coordinate bound for sweeps (default 1)")
+    check.add_argument("--bound", type=int, help="coordinate bound for sweeps (default 1)")
     check.add_argument("--x-file", help="element record for the first operand")
     check.add_argument("--y-file", help="element record for the second operand")
-    check.add_argument("--x", type=_int_flag, help="inline integer operand (ring integers)")
-    check.add_argument("--y", type=_int_flag, help="inline integer operand (ring integers)")
+    check.add_argument("--x", type=int, help="inline integer operand (ring integers)")
+    check.add_argument("--y", type=int, help="inline integer operand (ring integers)")
     check.add_argument(
-        "--j", type=_int_flag, default=None, help="inner index for a targeted composition check"
+        "--j", type=int, default=None, help="inner index for a targeted composition check"
     )
     check.add_argument(
         "--constants", help="JSON file overriding the extension structure constants"
@@ -129,17 +128,17 @@ def _check_flags(check):
 def _forms_flags(forms):
     forms.add_argument("action", choices=tuple(_FORMS_FLAGS))
     forms.add_argument("--in", dest="infile", help="form record (JSON)")
-    forms.add_argument("--k", type=_int_flag, default=None, help="exterior power index")
+    forms.add_argument("--k", type=int, default=None, help="exterior power index")
     forms.add_argument(
         "--vectors", help="sub-Lagrangian basis: rows 'a,b,...' joined by ';'"
     )
-    forms.add_argument("--n", type=_int_flag, default=None, help="hyperbolic rank")
+    forms.add_argument("--n", type=int, default=None, help="hyperbolic rank")
     forms.add_argument("--field", help="field spec for generated forms")
 
 
 def _char_flags(char):
     char.add_argument("--type", dest="flavor", choices=("B", "D"), required=True)
-    char.add_argument("--n", type=_int_flag, required=True, help="rank")
+    char.add_argument("--n", type=int, required=True, help="rank")
     char.add_argument("--hw", required=True, help="highest weight 'c1,c2,...'")
 
 
@@ -147,7 +146,7 @@ def build_parser(command):
     """The parser of every command, where only ``command`` declares its
     flags: a run parses the flags of one command, and the others keep their
     name and help."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gwlambda",
         description="Exact lambda-ring computations on forms, characters, and weights.",
     )
@@ -198,8 +197,7 @@ def _refuse_unread(args, what, *read):
     for dest, value in vars(args).items():
         given = value is not None and value is not False
         if given and dest not in read + ("command", "action", "format", "out"):
-            flag = "--in" if dest == "infile" else "--" + dest.replace("_", "-")
-            raise DomainError("%s does not read %s" % (what, flag))
+            raise DomainError("%s does not read %s" % (what, _flag(dest)))
 
 
 def _sweep_elements(args):
@@ -382,11 +380,7 @@ def _cmd_forms(args, emit):
 
 def _cmd_char(args, emit):
     flavor = weights.Flavor(args.flavor, args.n)
-    try:
-        hw = tuple(int(v) for v in args.hw.split(","))
-    except ValueError:
-        raise DomainError("--hw must be a comma-separated integer list") from None
-    _bounded("--hw entries", *hw)
+    hw = _ints(args.hw, "--hw")
     char = weights.weyl_character(hw, flavor)
     mass = weights.character_mass(char)
     dim = weights.weyl_dim(hw, flavor)
@@ -426,10 +420,14 @@ def main(argv=None):
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] == "--vectors":
             argv[i : i + 2] = ["--vectors=" + argv[i + 1]]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     lines = []
     emit = lines.append
     try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        # Every integer flag is bounded here, once; a bool (--sweep) is not.
+        for dest, value in vars(args).items():
+            if type(value) is int:
+                _bounded(_flag(dest), value)
         code = _COMMANDS[args.command][2](args, emit)
         text = "\n".join(lines) + ("\n" if lines else "")
         if args.out:

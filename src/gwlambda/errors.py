@@ -24,6 +24,16 @@ def _bounded(where, *values):
         raise FormatError("%s must have absolute value below 2**63" % where)
 
 
+def _ints(text, where):
+    """The comma-separated integers of ``text``, each checked by ``_bounded``."""
+    try:
+        values = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise FormatError("%s must be a comma-separated integer list" % where) from None
+    _bounded(where, *values)
+    return values
+
+
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 

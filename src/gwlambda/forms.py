@@ -383,8 +383,6 @@ def sublagrangian_reduce(a, vectors):
     k = len(vectors)
     basis, d = field.lift(vectors)
     _checked_bits(basis, d, "the lifted sub-Lagrangian basis")
-    if len(field.echelon(basis)[1]) != k:
-        raise DomainError("sub-Lagrangian basis is linearly dependent")
     pairings = _product((basis, d), a)
     if not _is_zero(field, _product(pairings, (list(zip(*basis)), d))[0]):
         raise DomainError("sub-Lagrangian is not totally isotropic")
@@ -402,10 +400,12 @@ def sublagrangian_reduce(a, vectors):
                 v[pc] = -row[fc]
             perp.append(v)
 
-    # Extend the basis of N to a basis of N-perp, taking the perp vectors in
-    # order: the pivot columns past N of [N ; perp]^T.  The added vectors
-    # span a complement on which the induced form lives.
+    # Extend the basis of N to a basis of N-perp: the perp vectors at the
+    # pivot columns past N of [N ; perp]^T span a complement on which the
+    # induced form lives.  N is independent when it gives the first k pivots.
     chosen = field.echelon(list(zip(*(basis + perp))))[1]
+    if chosen[:k] != list(range(k)):
+        raise DomainError("sub-Lagrangian basis is linearly dependent")
     complement = [perp[c - k] for c in chosen[k:]]
     gram, scale = _product((complement, det), a, (list(zip(*complement)), det))
     return GramForm._lifted(field, gram, scale), k

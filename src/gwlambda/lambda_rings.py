@@ -1,7 +1,7 @@
 """Rings with lambda-operations, and checkers for the defining identities.
 
 Every ring is a ``FreeLambdaRing`` and every element a ``FreeElt``
-(operators ``+ - *``, integer scalars, ``lambda_k``, ``lambda_t``,
+(operators ``+ - *``, integer scalars as ``n * x``, ``lambda_k``, ``lambda_t``,
 ``augmentation``): a free module on a basis of plain hashable keys, with
 coefficients in Z (plain ints) or in GW(F), itself a free lambda-ring.
 The five rings differ only in their basis and coefficients:
@@ -31,7 +31,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import DomainError, FormatError, _bounded, _checked, _load_json
+from .errors import DomainError, FormatError, _checked, _ints, _load_json
 from .fields import field_model
 from . import symfun
 
@@ -394,13 +394,9 @@ class _TorusWeights(_Basis):
     def parse(self, text, r, where):
         if not text.startswith("wt:"):
             raise FormatError("%s.basis must look like 'wt:<coords>'" % where)
-        try:
-            gamma = tuple(int(v) for v in text[3:].split(","))
-        except ValueError:
-            raise FormatError("%s.basis has bad coordinates" % where) from None
+        gamma = _ints(text[3:], "%s.basis coordinates" % where)
         if len(gamma) != r:
             raise FormatError("%s.basis has %d coordinates, expected %d" % (where, len(gamma), r))
-        _bounded("%s.basis coordinates" % where, *gamma)
         return gamma
 
     def display(self, gamma):
@@ -431,13 +427,9 @@ def parse_basis(text, r):
     if text in ("one", "delta"):
         return text
     if text.startswith("pair:"):
-        try:
-            coords = tuple(int(v) for v in text[5:].split(","))
-        except ValueError:
-            raise FormatError("bad pair weight in basis %r" % (text,)) from None
+        coords = _ints(text[5:], "pair coordinates")
         if len(coords) != r:
             raise FormatError("basis %r has %d coordinates, expected %d" % (text, len(coords), r))
-        _bounded("pair coordinates", *coords)
         try:
             return pair_key(coords)
         except DomainError as exc:
@@ -696,8 +688,6 @@ class FreeElt:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
         other = self._coerce(other)
         ring = self.ring
         if not self.terms or not other.terms:

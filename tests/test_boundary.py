@@ -510,7 +510,7 @@ def test_numbers_from_outside_are_refused_at_once(tmp_path, name):
     )
     elapsed = time.perf_counter() - start
     assert (out.returncode, out.stdout) == (2, "")
-    # A flag that argparse refuses comes after its usage lines.
+    # A flag that argparse refuses is one error: line, as every refusal is.
     lines = out.stderr.splitlines()
     assert [line for line in lines if "error:" in line] == lines[-1:]
     assert named in lines[-1] and "Traceback" not in out.stderr

@@ -4,7 +4,8 @@
 of ``[exit code, stdout, stderr]`` as a JSON list.  The runs cover every
 sweep ring over the five model fields, inline checks, element files (virtual
 elements, corrupted constants and malformed files among them), ``poly``,
-``char`` and every ``forms`` action, and runs at and over the work caps.
+``char`` and every ``forms`` action, runs at and over the work caps, and
+command lines refused while parsing.
 Each run is ``cli.main`` in this process, in a directory where
 ``write_inputs`` put the files that the argv name by relative path, so no
 digest depends on where the files are.
@@ -122,6 +123,12 @@ BAD_FILES = {
     "bad-scale.json": json.dumps({"pair_zero_scale": 0}).encode(),
     "bad-form.json": json.dumps({"field": "qc", "gram": [["1", "2"], ["3", "4"]]}).encode(),
     "singular-form.json": json.dumps({"field": "qc", "gram": [["1", "1"], ["1", "1"]]}).encode(),
+    "bad-wt.json": json.dumps(_elt("k-torus", 1, None, [("wt:a", 1)])).encode(),
+    "bad-wt-rank.json": json.dumps(_elt("k-torus", 2, None, [("wt:1", 1)])).encode(),
+    "bad-torus-one.json": json.dumps(_elt("k-torus", 1, None, [("one", 1)])).encode(),
+    "bad-pair.json": json.dumps(_elt("k-ext-torus", 1, None, [("pair:x", 1)])).encode(),
+    "bad-pair-rank.json": json.dumps(_elt("k-ext-torus", 1, None, [("pair:1,2", 1)])).encode(),
+    "bad-gw-entry.json": json.dumps(_elt("gw-field", None, "qc", [("one", _gw(["abc"]))])).encode(),
 }
 
 # Inputs of a few bytes that ask for more work than a cap allows.
@@ -217,6 +224,13 @@ def _checks():
                  "--kmax", "2", "--constants", "c-scale-3.json"))
     runs.append(("check", "--sweep", "--ring", "gw-field", "--kmax", "2"))
     runs.append(("check", "--ring", "k-torus", "--x", "2"))
+    runs += [
+        ("check", "--sweep", "--ring", "integers", "--bound", "-1"),
+        ("check", "--sweep"),
+        ("check", "--x-file", "x-int.json"),
+        ("check", "--y-file", "y-int.json"),
+        ("check", "--x-file", "x-int.json", "--j", "0"),
+    ]
     return runs
 
 
@@ -278,6 +292,10 @@ def _forms():
         ("forms", "reduce", "--in", "f-zp3-qc.json", "--vectors", "1,0,0"),
         ("forms", "hyperbolic", "--n", "0", "--field", "qc"),
         ("forms", "hyperbolic", "--n", "2", "--field", "fq:4"),
+        ("forms", "hyperbolic", "--n", "2"),
+        ("forms", "class"),
+        ("forms", "exterior", "--in", "f-zp3-qc.json"),
+        ("forms", "reduce", "--in", "f-zp3-qc.json"),
     ]
     return runs
 
@@ -308,9 +326,21 @@ def _caps():
     ]
 
 
+def _refused():
+    """Command lines refused while parsing, by argparse or by the integer
+    bound: each exits 2 with one error line."""
+    return [
+        ("poly", "--k", "1", "--frobnicate"),
+        ("check", "--ring", "integers", "--x", "2", "--format", "bogus"),
+        ("frob",),
+        ("check", "--ring", "integers", "--x", "abc"),
+        ("check", "--ring", "integers", "--x", str(2**63)),
+    ]
+
+
 def corpus_argv():
     """Every argv of the corpus, in a fixed order."""
-    return _sweeps() + _checks() + _polys() + _chars() + _forms() + _caps()
+    return _sweeps() + _checks() + _polys() + _chars() + _forms() + _caps() + _refused()
 
 
 def run(argv):
@@ -330,6 +360,15 @@ def test_corpus_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     changed = [argv for argv in argvs if run(argv.split(" ")) != expected[argv]]
     assert not changed, "output changed for:\n" + "\n".join(changed)
+
+
+@pytest.mark.parametrize("argv", _refused(), ids=" ".join)
+def test_refused_command_lines_exit_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(list(argv)) == 2
+    assert out.getvalue() == ""
+    assert [line[:6] for line in err.getvalue().splitlines()] == ["error:"]
 
 
 # The corrupted constants, each swept over every model field.
