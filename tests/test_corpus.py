@@ -241,6 +241,7 @@ def _polys():
             runs.append(("poly", "--k", str(k), "--format", fmt))
         for k, j in ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (1, 9)):
             runs.append(("poly", "--k", str(k), "--j", str(j), "--format", fmt))
+    runs += [("poly", "--k", str(k)) for k in (9, 10, 11)]
     runs += [("poly", "--k", "0"), ("poly", "--k", "2", "--j", "0")]
     return runs
 
@@ -303,6 +304,10 @@ def _forms():
 def _caps():
     """Runs at and over the work caps: each over a cap exits 2 at once."""
     return [
+        ("poly", "--k", "12"),
+        ("poly", "--k", "4", "--j", "3"),
+        ("poly", "--k", "6", "--j", "2"),
+        ("poly", "--k", "2", "--j", "6"),
         ("poly", "--k", "13"),
         ("poly", "--k", "60"),
         ("poly", "--k", "4", "--j", "4"),
