@@ -139,6 +139,14 @@ OVERSIZED = {
 }
 
 
+# A form of dimension 0, which ``GramForm`` allows, and an entry that no
+# residue of the field reads.
+EDGE_FORMS = {
+    "form-0.json": {"field": "qc", "gram": []},
+    "bad-residue.json": {"field": "fq:5", "gram": [["1/x"]]},
+}
+
+
 def write_inputs(directory):
     """Write every file that an argv of ``corpus_argv`` names into ``directory``."""
     directory = Path(directory)
@@ -153,7 +161,7 @@ def write_inputs(directory):
             files["f-%s-%s.json" % (name, field.replace(":", ""))] = json.dumps(
                 {"field": field, "gram": gram}
             )
-    for name, record in OVERSIZED.items():
+    for name, record in {**OVERSIZED, **EDGE_FORMS}.items():
         files[name] = json.dumps(record)
     for name, text in files.items():
         (directory / name).write_text(text)
@@ -297,6 +305,11 @@ def _forms():
         ("forms", "class"),
         ("forms", "exterior", "--in", "f-zp3-qc.json"),
         ("forms", "reduce", "--in", "f-zp3-qc.json"),
+        ("forms", "reduce", "--in", "f-zp3-qc.json", "--vectors", "0,1"),
+        ("forms", "hyperbolic-witness", "--in", "form-0.json"),
+        ("forms", "class", "--in", "bad-residue.json"),
+        ("forms", "class", "--in", "form-0.json"),
+        ("forms", "exterior", "--in", "form-0.json", "--k", "0"),
     ]
     return runs
 
