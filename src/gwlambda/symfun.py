@@ -7,17 +7,17 @@ Two families: the coefficient of T^k in
 
 expressed in the elementary symmetric polynomials of each alphabet
 (x1..xn, and y1..yn for the first family) as an :class:`EPolynomial`.
-Each table starts from its coefficients on partition-shaped monomials and
-reduces them to the elementary basis by repeatedly clearing the
-lexicographic leading term.  For the first family the coefficient of
-x^lam y^mu T^k is the number of 0/1 matrices with row sums lam and column
-sums mu (Macdonald, Symmetric Functions and Hall Polynomials, ch. I.6), so
-no product is expanded.  The second expands its product into a sparse
-{exponent vector: coefficient} dict, packing each exponent vector into one
-int with nine bits per variable: eight for the exponent and a guard bit
-that drops every partial product whose exponents already exceed those of
-any partition of k*j.  Both refuse a degree (k, resp. k*j) above
-MAX_DEGREE before any work.
+Each table reduces one alphabet to the elementary basis from its
+coefficients on partition-shaped monomials, by repeatedly clearing the
+lexicographic leading term.  The first family is the sum over partitions
+lam of k of m_lam(x) e_lam(y), the dual Cauchy identity (Macdonald,
+Symmetric Functions and Hall Polynomials, ch. I (4.2')), so only each
+m_lam(x) is reduced and no product is expanded.  The second expands its
+product into a sparse {exponent vector: coefficient} dict, packing each
+exponent vector into one int with nine bits per variable: eight for the
+exponent and a guard bit that drops every partial product whose exponents
+already exceed those of any partition of k*j.  Both refuse a degree (k,
+resp. k*j) above MAX_DEGREE before any work.
 Truncation degree k only requires n = k (resp. n = k*j) variables;
 stability in n is a testable property, not an assumption baked into the
 data structures.
@@ -179,8 +179,7 @@ def _partition_to_e(part):
 # universal polynomial tables
 
 # The largest degree of a table: k of P_k, k*j of P_kj.  Each table up to
-# it builds in under a second, and the time grows about 2.5-fold per degree
-# (README).
+# it builds in under a second; P_kj(4, 3) is the slowest (README).
 MAX_DEGREE = 12
 
 
@@ -190,7 +189,7 @@ def checked_degree(degree, what):
         raise DomainError("%s is %d; tables are built up to degree %d" % (what, degree, MAX_DEGREE))
 
 
-# The leading-term reduction (``_reduce_symmetric_parts``) runs on
+# The leading-term reduction (``_reduce_symmetric``) runs on
 # partition representatives only: a symmetric polynomial is determined by
 # its coefficients on weakly decreasing exponent vectors, and the
 # coefficient of x^cols in prod_r e_{rows[r]} is the number of 0/1
@@ -263,42 +262,27 @@ def _e_partition_coeffs(n, exps):
     return out
 
 
-def _reduce_symmetric_parts(work, n):
-    """Leading-term reduction on {(x partition, y partition): coeff} dicts.
+def _reduce_symmetric(work, n):
+    """Leading-term reduction of {partition: coeff} in n variables.
 
-    One-alphabet dicts carry the empty y partition, whose e-monomial is 1.
+    ``work`` holds a symmetric polynomial's coefficients on its
+    partition-shaped monomials and is consumed; the result maps e exponents
+    to coefficients.  Each lead is cleared by the e-monomial whose leading
+    term it is, and it never comes back.
     """
     out = {}
     while work:
         lead = max(work)
         coeff = work[lead]
-        xpart, ypart = lead
-        ex, ey = _partition_to_e(xpart), _partition_to_e(ypart)
-        out[(ex, ey)] = out.get((ex, ey), 0) + coeff
-        xexp, yexp = _e_partition_coeffs(n, ex), _e_partition_coeffs(n, ey)
-        for xk, xv in xexp.items():
-            for yk, yv in yexp.items():
-                mono = (xk, yk)
-                v = work.get(mono, 0) - coeff * xv * yv
-                if v:
-                    work[mono] = v
-                else:
-                    work.pop(mono, None)
+        ex = _partition_to_e(lead)
+        out[ex] = coeff
+        for mono, c in _e_partition_coeffs(n, ex).items():
+            v = work.get(mono, 0) - coeff * c
+            if v:
+                work[mono] = v
+            else:
+                work.pop(mono, None)
     return out
-
-
-def _elementary_table(terms, n):
-    """Reduce a symmetric coefficient dict in n variables to an EPolynomial.
-
-    ``terms`` maps exponent vectors of length n to coefficients; it must be
-    symmetric, and only its partition-shaped keys are read.
-    """
-    work = {
-        (_strip(exps), ()): c
-        for exps, c in terms.items()
-        if all(a >= b for a, b in zip(exps, exps[1:]))
-    }
-    return EPolynomial(_reduce_symmetric_parts(work, n))
 
 
 def _truncated_elem(monomials, k, bounds):
@@ -340,8 +324,9 @@ def universal_P(k, n_vars=None):
     """The polynomial expressing lambda^k(x*y) in the lambda^i of the factors.
 
     Defined by: the coefficient of T^k in prod_{i,j} (1 + x_i y_j T),
-    written in elementary symmetric variables of the two alphabets.
-    ``n_vars`` defaults to k, which already determines the answer; passing
+    written in elementary symmetric variables of the two alphabets.  It is
+    built as the sum of m_lam(x) e_lam(y) over the partitions lam of k,
+    each m_lam reduced to e's.  ``n_vars`` defaults to k, which already determines the answer; passing
     a larger value recomputes the table for the stability check.
     """
     if k < 1:
@@ -354,13 +339,15 @@ def universal_P(k, n_vars=None):
 
 
 def _universal_P_build(k, n):
-    # The coefficient of x^lam y^mu T^k counts the 0/1 matrices with row
-    # sums lam and column sums mu: each entry picks x_i y_j T or 1.
-    parts = list(_bounded_partitions(k, k, n))
-    work = {
-        (lam, mu): c for lam in parts for mu in parts if (c := _matrix_count(lam, mu))
-    }
-    return EPolynomial(_reduce_symmetric_parts(work, n))
+    # The dual Cauchy identity (Macdonald, ch. I (4.2')): the coefficient
+    # of T^k is the sum over partitions lam of k of m_lam(x) e_lam(y).  In n
+    # variables m_lam vanishes past n parts, and e_lam past a part n.
+    terms = {}
+    for lam in _bounded_partitions(k, n, n):
+        ey = tuple(lam.count(i) for i in range(1, lam[0] + 1))
+        for ex, c in _reduce_symmetric({lam: 1}, n).items():
+            terms[(ex, ey)] = c
+    return EPolynomial(terms)
 
 
 @lru_cache(maxsize=None)
@@ -387,4 +374,5 @@ def _universal_P_kj_build(k, j, n):
     )
     # A partition of k*j with no part above k has part i + 1 <= k*j // (i + 1).
     bounds = [min(k, k * j // (i + 1)) for i in range(n)]
-    return _elementary_table(_truncated_elem(monomials, k, bounds), n)
+    work = {_strip(e): c for e, c in _truncated_elem(monomials, k, bounds).items()}
+    return EPolynomial({(ex, ()): c for ex, c in _reduce_symmetric(work, n).items()})

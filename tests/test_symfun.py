@@ -65,9 +65,18 @@ def assert_grid_equal(terms, ep, n, two):
         assert ep.evaluate(elem_values(point[:n], n), ys) == direct, point
 
 
+def elementary_table(terms, n):
+    """Reduce a symmetric dict on exponent vectors of length n to an EPolynomial.
+
+    Only the partition-shaped keys go through ``symfun._reduce_symmetric``.
+    """
+    work = {symfun._strip(e): c for e, c in terms.items() if partition_shaped(e, (n,))}
+    return EPolynomial({(ex, ()): c for ex, c in symfun._reduce_symmetric(work, n).items()})
+
+
 def test_reduce_power_sum_two():
     terms = {(2, 0): 1, (0, 2): 1}
-    got = symfun._elementary_table(terms, 2)
+    got = elementary_table(terms, 2)
     assert got == EPolynomial({((2,), ()): 1, ((0, 1), ()): -2})
     assert_grid_equal(terms, got, 2, False)
 
@@ -75,21 +84,26 @@ def test_reduce_power_sum_two():
 def test_reduce_round_trip_handmade():
     terms = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1,
              (1, 1, 0): 4, (1, 0, 1): 4, (0, 1, 1): 4}
-    assert_grid_equal(terms, symfun._elementary_table(terms, 3), 3, False)
+    assert_grid_equal(terms, elementary_table(terms, 3), 3, False)
 
 
 def two_alphabet_table(terms, n):
     """Reduce a dict on (x block, y block) exponent vectors, each block of n.
 
-    The terms must be symmetric within each block; the partition-shaped
-    keys go through ``symfun._reduce_symmetric_parts`` as pairs.
+    The terms must be symmetric within each block.  A partition-shaped key
+    x^lam y^mu with coefficient c stands for c m_lam(x) m_mu(y): each m goes
+    through ``symfun._reduce_symmetric`` on its own, and the two expansions
+    are multiplied.
     """
-    work = {
-        (symfun._strip(e[:n]), symfun._strip(e[n:])): c
-        for e, c in terms.items()
-        if partition_shaped(e, (n, n))
-    }
-    return EPolynomial(symfun._reduce_symmetric_parts(work, n))
+    out = {}
+    for e, c in terms.items():
+        if partition_shaped(e, (n, n)):
+            xs = symfun._reduce_symmetric({symfun._strip(e[:n]): 1}, n)
+            ys = symfun._reduce_symmetric({symfun._strip(e[n:]): 1}, n)
+            for ex, a in xs.items():
+                for ey, b in ys.items():
+                    out[(ex, ey)] = out.get((ex, ey), 0) + c * a * b
+    return EPolynomial(out)
 
 
 def test_reduce_two_alphabets():
@@ -126,7 +140,7 @@ def symmetrize(orbits):
 )
 def test_reduce_round_trip_random(n, raw_orbits):
     terms = symmetrize([(tuple(exps[:n]), coeff) for exps, coeff in raw_orbits])
-    assert_grid_equal(terms, symfun._elementary_table(terms, n), n, False)
+    assert_grid_equal(terms, elementary_table(terms, n), n, False)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +551,80 @@ def test_universal_P_matches_brute_force_expansion(k, extra):
     assert universal_P(k, n) == two_alphabet_table(brute_force_P_terms(k, n), n)
 
 
+# An oracle for P_k that shares no code with its builder: the Cauchy
+# identity prod_{i,j} (1 + x_i y_j) = sum_lam s_lam(x) s_lam'(y) (Macdonald,
+# ch. I (4.3')), with each Schur function written in e's by the dual
+# Jacobi-Trudi determinant s_lam = det(e_{lam'_i - i + j}) (ch. I (3.5)).
+# Polynomials in the e's are {exponents: coeff} dicts.
+
+
+def conjugate(lam):
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0] if lam else 0))
+
+
+def e_variable(i):
+    """e_i as a polynomial: 1 for i = 0, and zero for i < 0."""
+    if i <= 0:
+        return {(): 1} if i == 0 else {}
+    return {(0,) * (i - 1) + (1,): 1}
+
+
+def poly_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(u + v for u, v in itertools.zip_longest(ka, kb, fillvalue=0))
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def determinant(rows):
+    """The determinant of a square matrix of polynomials, along the first row."""
+    if not rows:
+        return {(): 1}
+    out = {}
+    for col, entry in enumerate(rows[0]):
+        if not entry:
+            continue
+        minor = [row[:col] + row[col + 1 :] for row in rows[1:]]
+        for key, c in poly_mul(entry, determinant(minor)).items():
+            out[key] = out.get(key, 0) + (-1) ** col * c
+    return {key: c for key, c in out.items() if c}
+
+
+def schur_in_e(lam):
+    mu = conjugate(lam)
+    return determinant([[e_variable(mu[i] - i + j) for j in range(len(mu))] for i in range(len(mu))])
+
+
+def cauchy_P(k):
+    terms = {}
+    for lam in partitions(k, k):
+        for ex, a in schur_in_e(lam).items():
+            for ey, b in schur_in_e(conjugate(lam)).items():
+                terms[(ex, ey)] = terms.get((ex, ey), 0) + a * b
+    return EPolynomial(terms)
+
+
+def test_schur_in_e_small_cases():
+    # s_(1,1) = e_2, s_(2) = h_2 = e_1^2 - e_2, s_(2,1) = e_1 e_2 - e_3.
+    assert schur_in_e((1, 1)) == {(0, 1): 1}
+    assert schur_in_e((2,)) == {(2,): 1, (0, 1): -1}
+    assert schur_in_e((2, 1)) == {(1, 1): 1, (0, 0, 1): -1}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_universal_P_matches_the_cauchy_identity(k):
+    assert universal_P(k) == cauchy_P(k)
+
+
 @pytest.mark.parametrize(
     "k, j", [(k, j) for k in range(1, 11) for j in range(1, 11) if k * j <= 10]
 )
 def test_pruned_P_kj_equals_unpruned(k, j):
     n = k * j
     unpruned = symfun._truncated_elem(subset_monomials(n, j), k, [k] * n)
-    assert universal_P_kj(k, j) == symfun._elementary_table(unpruned, n)
+    assert universal_P_kj(k, j) == elementary_table(unpruned, n)
 
 
 # A table in d < k (resp. d < kj) variables is the full table with every
