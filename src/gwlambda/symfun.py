@@ -179,7 +179,7 @@ def _partition_to_e(part):
 # universal polynomial tables
 
 # The largest degree of a table: k of P_k, k*j of P_kj.  Each table up to
-# it builds in under a second; P_kj(4, 3) is the slowest (README).
+# it builds in under a second; P_kj at degree 12 is the slowest (README).
 MAX_DEGREE = 12
 
 
@@ -324,10 +324,10 @@ def universal_P(k, n_vars=None):
     """The polynomial expressing lambda^k(x*y) in the lambda^i of the factors.
 
     Defined by: the coefficient of T^k in prod_{i,j} (1 + x_i y_j T),
-    written in elementary symmetric variables of the two alphabets.  It is
-    built as the sum of m_lam(x) e_lam(y) over the partitions lam of k,
-    each m_lam reduced to e's.  ``n_vars`` defaults to k, which already determines the answer; passing
-    a larger value recomputes the table for the stability check.
+    written in elementary symmetric variables of the two alphabets, and
+    built as sum_{lam |- k} m_lam(x) e_lam(y).  ``n_vars`` defaults to k,
+    which already determines the answer; passing a larger value recomputes
+    the table for the stability check.
     """
     if k < 1:
         raise DomainError("universal_P needs k >= 1")
