@@ -203,35 +203,22 @@ def _matrix_count(rows, cols):
     """Count 0/1 matrices with row sums ``rows`` and column sums ``cols``.
 
     Both arguments are weakly decreasing tuples of positive integers with
-    equal totals (callers strip zeros).
+    equal totals (callers strip zeros).  The first column takes t of the m
+    rows of each group of equal sums v, in C(m, t) ways, and those t rows
+    drop to v - 1, so the remainder stays weakly decreasing.
     """
     if not cols:
         return 1 if not rows else 0
-    s = cols[0]
-    rest = cols[1:]
     groups = [(v, len(list(g))) for v, g in itertools.groupby(rows)]
     total = 0
-
-    def place(idx, left, ways, new_rows):
-        nonlocal total
-        if left == 0:
-            for v, m in groups[idx:]:
-                new_rows.extend([v] * m)
-            tail = tuple(sorted((v for v in new_rows if v), reverse=True))
-            total += ways * _matrix_count(tail, rest)
-            return
-        if idx == len(groups):
-            return
-        v, m = groups[idx]
-        for take in range(min(m, left), -1, -1):
-            place(
-                idx + 1,
-                left - take,
-                ways * math.comb(m, take),
-                new_rows + [v - 1] * take + [v] * (m - take),
-            )
-
-    place(0, s, 1, [])
+    for takes in itertools.product(*(range(m + 1) for _, m in groups)):
+        if sum(takes) != cols[0]:
+            continue
+        tail = tuple(
+            u for (v, m), t in zip(groups, takes) for u in [v] * (m - t) + [v - 1] * t if u
+        )
+        ways = math.prod(math.comb(m, t) for (_, m), t in zip(groups, takes))
+        total += ways * _matrix_count(tail, cols[1:])
     return total
 
 
@@ -239,8 +226,6 @@ def _bounded_partitions(total, max_part, max_len):
     """Weakly decreasing tuples of positive ints summing to total."""
     if total == 0:
         yield ()
-        return
-    if max_len == 0 or max_part == 0:
         return
     for first in range(min(max_part, total), 0, -1):
         if total - first <= first * (max_len - 1):

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -551,6 +552,35 @@ def test_universal_P_matches_brute_force_expansion(k, extra):
     assert universal_P(k, n) == two_alphabet_table(brute_force_P_terms(k, n), n)
 
 
+def brute_matrix_count(rows, cols):
+    """0/1 matrices with these row and column sums, each row a set of columns."""
+    count = 0
+    for chosen in itertools.product(
+        *(itertools.combinations(range(len(cols)), r) for r in rows)
+    ):
+        sums = [0] * len(cols)
+        for row in chosen:
+            for col in row:
+                sums[col] += 1
+        count += sums == list(cols)
+    return count
+
+
+@pytest.mark.parametrize("total", range(1, 7))
+def test_matrix_count_matches_brute_force(total):
+    shapes = list(partitions(total, total))
+    for rows, cols in itertools.product(shapes, repeat=2):
+        assert symfun._matrix_count(rows, cols) == brute_matrix_count(rows, cols), (rows, cols)
+
+
+def test_bounded_partitions_edges():
+    for t in range(1, 5):
+        assert list(symfun._bounded_partitions(t, 0, 3)) == []
+        assert list(symfun._bounded_partitions(t, 3, 0)) == []
+    for part, length in [(0, 0), (0, 2), (2, 0), (3, 3)]:
+        assert list(symfun._bounded_partitions(0, part, length)) == [()]
+
+
 # An oracle for P_k that shares no code with its builder: the Cauchy
 # identity prod_{i,j} (1 + x_i y_j) = sum_lam s_lam(x) s_lam'(y) (Macdonald,
 # ch. I (4.3')), with each Schur function written in e's by the dual
@@ -610,6 +640,79 @@ def cauchy_P(k):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_universal_P_matches_the_cauchy_identity(k):
     assert universal_P(k) == cauchy_P(k)
+
+
+# An oracle for P_kj that shares no code with its builder: the plethysm
+# e_k[e_j] in power sums (Macdonald, ch. I §8), with
+# e_n = sum_{mu |- n} eps_mu p_mu / z_mu (ch. I (2.14')), and
+# p_m[e_j] = e_j[p_m], which is e_j with every p_i made p_{m*i}.  The power
+# sums go back to e's by Newton's identity (ch. I (2.11')).  Polynomials
+# in the p's are {partition: Fraction} dicts.
+
+
+def z_factor(mu):
+    out = 1
+    for part in set(mu):
+        m = mu.count(part)
+        out *= part**m * math.factorial(m)
+    return out
+
+
+def e_in_power_sums(n, scale=1):
+    """e_n[p_scale]: e_n in power sums with every p_i made p_{scale*i}."""
+    return {
+        tuple(scale * part for part in mu): Fraction((-1) ** (n - len(mu)), z_factor(mu))
+        for mu in partitions(n, n)
+    }
+
+
+def power_sum_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(sorted(ka + kb, reverse=True))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def power_sums_in_e(top):
+    """p_0..p_top in e's: p_r = sum_{i<r} (-1)^(i-1) e_i p_(r-i) + (-1)^(r-1) r e_r."""
+    ps = [{(): 1}]
+    for r in range(1, top + 1):
+        pr = {key: (-1) ** (r - 1) * r * c for key, c in e_variable(r).items()}
+        for i in range(1, r):
+            for key, c in poly_mul(e_variable(i), ps[r - i]).items():
+                pr[key] = pr.get(key, 0) + (-1) ** (i - 1) * c
+        ps.append(pr)
+    return ps
+
+
+def plethysm_P_kj(k, j):
+    in_p = {}
+    for mu, c in e_in_power_sums(k).items():
+        term = {(): c}
+        for part in mu:
+            term = power_sum_mul(term, e_in_power_sums(j, part))
+        for key, v in term.items():
+            in_p[key] = in_p.get(key, 0) + v
+    ps = power_sums_in_e(k * j)
+    in_e = {}
+    for lam, c in in_p.items():
+        product = {(): 1}
+        for part in lam:
+            product = poly_mul(product, ps[part])
+        for key, v in product.items():
+            in_e[key] = in_e.get(key, 0) + c * v
+    in_e = {key: c for key, c in in_e.items() if c}
+    assert all(c.denominator == 1 for c in in_e.values())
+    return {(key, ()): int(c) for key, c in in_e.items()}
+
+
+@pytest.mark.parametrize(
+    "k, j", [(k, j) for k in range(1, 11) for j in range(1, 11) if k * j <= 10]
+)
+def test_universal_P_kj_matches_the_plethysm(k, j):
+    assert universal_P_kj(k, j).terms == plethysm_P_kj(k, j)
 
 
 @pytest.mark.parametrize(
